@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .bounds import (
     BoundConstants,
-    EnvelopeEval,
     GAMMA1,
     antideriv_f,
     antideriv_r,
@@ -15,7 +14,6 @@ from .bounds import (
     e_frak,
     e_frak_quadrature,
     e_frak_sandwich,
-    envelope_eval,
     lower_bound_a,
     main_term,
     tail_lower,
@@ -46,9 +44,7 @@ from .zeros import (
     save_table,
 )
 from .zeta import (
-    CriticalLinePoint,
     hardy_z,
-    hardy_z_point,
     rs_theta,
     zeta_euler_maclaurin,
 )
@@ -61,4 +57,4 @@ from .summation import (
     partial_sum,
     theorem_sweep,
 )
-from .ingestion import ReferenceTableFile, ValidationReport, cross_validate, parse_reference
+from .ingestion import ValidationReport, cross_validate, parse_reference

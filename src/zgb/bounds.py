@@ -45,6 +45,12 @@ UPPER_THRESHOLD = 2.222
 C_AU_CAP = Fraction(109, 250)
 C_AL_FLOOR = Fraction(3, 50)
 
+#: compute_constants reads the constants off at this height, where every 1/T
+#: and E(T) term has decayed below 1e-8, and flags non-convergence when the
+#: value at CHECK_HEIGHT disagrees by more than 1e-7.
+LIMIT_HEIGHT = 1e10
+CHECK_HEIGHT = 1e9
+
 # Evaluation-error scale for the E1-based path of e_frak (relative ~1e-15,
 # kept with generous headroom; used to assert strict inequalities with margin).
 E_FRAK_EVAL_ERR = 1e-13
@@ -245,25 +251,8 @@ def lower_bound_a(T: float, constants: "BoundConstants | None" = None) -> BoundP
 
 
 # ---------------------------------------------------------------------------
-# Envelope evaluation record and the additive constants.
+# The additive constants.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EnvelopeEval:
-    """F(T), R(T) and the interval [F - R, F + R] at one height."""
-
-    T: float
-    f_val: float
-    r_val: float
-    lower: float
-    upper: float
-
-
-def envelope_eval(T: float) -> EnvelopeEval:
-    f = big_f(T)
-    r = big_r(T)
-    return EnvelopeEval(T=T, f_val=f, r_val=r, lower=f - r, upper=f + r)
 
 
 @dataclass(frozen=True)
@@ -302,27 +291,24 @@ def _bound_gap_at(T: float, e_at_gamma1: float, sign: float) -> float:
             - main_term(T))
 
 
-def compute_constants(limit_height: float = 1e10,
-                      check_height: float = 1e9) -> BoundConstants:
+def compute_constants() -> BoundConstants:
     """Recompute c_au and c_al as numeric limits of the exact bounds.
 
     The extraction evaluates UB_exact(T) - M(T) and LB_exact(T) - M(T) at
-    `limit_height`, where every 1/T and E(T) term has decayed below 1e-8,
-    and flags non-convergence when the value at `check_height` disagrees by
-    more than 1e-7.
+    LIMIT_HEIGHT and checks them against CHECK_HEIGHT.
     """
     e_envelope = (1.0 / (GAMMA1 * math.log(GAMMA1))
                   - (31.0 / 95.0) / (GAMMA1 * math.log(GAMMA1) ** 2))
     e_exact = e_frak(GAMMA1)
 
-    c_au = _bound_gap_at(limit_height, e_envelope, +1.0)
-    c_al = _bound_gap_at(limit_height, e_envelope, -1.0)
-    c_au_sharp = _bound_gap_at(limit_height, e_exact, +1.0)
-    c_al_sharp = _bound_gap_at(limit_height, e_exact, -1.0)
+    c_au = _bound_gap_at(LIMIT_HEIGHT, e_envelope, +1.0)
+    c_al = _bound_gap_at(LIMIT_HEIGHT, e_envelope, -1.0)
+    c_au_sharp = _bound_gap_at(LIMIT_HEIGHT, e_exact, +1.0)
+    c_al_sharp = _bound_gap_at(LIMIT_HEIGHT, e_exact, -1.0)
 
     converged = (
-        abs(c_au - _bound_gap_at(check_height, e_envelope, +1.0)) <= 1e-7
-        and abs(c_al - _bound_gap_at(check_height, e_envelope, -1.0)) <= 1e-7
+        abs(c_au - _bound_gap_at(CHECK_HEIGHT, e_envelope, +1.0)) <= 1e-7
+        and abs(c_al - _bound_gap_at(CHECK_HEIGHT, e_envelope, -1.0)) <= 1e-7
     )
     return BoundConstants(
         gamma1=GAMMA1,

@@ -17,24 +17,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CoverageError, TableFormatError, ValidationError
-from .zeros import ZeroOrdinate, ZeroTable, audit_completeness
+from .zeros import ZeroTable, _assemble
 
 _SANITY_FIRST = 14.1347
 _SANITY_TOL = 1e-3
 
 
-@dataclass(frozen=True)
-class ReferenceTableFile:
-    """A parsed reference file before table assembly."""
-
-    path: Path
-    declared_count: int | None
-    parsed: tuple[float, ...]
-    decimals: int
-
-
-def load_reference_file(path: str | Path,
-                        declared_count: int | None = None) -> ReferenceTableFile:
+def _read_ordinates(path: str | Path,
+                    declared_count: int | None = None) -> tuple[list[float], float]:
+    """The ordinates of a table file and their common abs_err, 10^-d for the
+    fewest decimals d printed on any line."""
     path = Path(path)
     values: list[float] = []
     n_cols = None
@@ -83,35 +75,17 @@ def load_reference_file(path: str | Path,
         raise TableFormatError(
             f"declared count {declared_count} != parsed count {len(values)}"
         )
-    return ReferenceTableFile(
-        path=path,
-        declared_count=declared_count,
-        parsed=tuple(values),
-        decimals=int(min_decimals or 0),
-    )
+    return values, 10.0 ** (-int(min_decimals or 0))
 
 
 def parse_reference(path: str | Path,
                     declared_count: int | None = None) -> ZeroTable:
     """Parse a published ordinate file into an envelope-audited ZeroTable."""
-    ref = load_reference_file(path, declared_count)
-    abs_err = 10.0 ** (-ref.decimals)
-    ords = tuple(
-        ZeroOrdinate(index=i, gamma=g, abs_err=abs_err)
-        for i, g in enumerate(ref.parsed, start=1)
-    )
+    gammas, abs_err = _read_ordinates(path, declared_count)
     # coverage reaches just past the last printed ordinate so the inclusive
     # boundary convention survives the file's rounding
-    table = ZeroTable(
-        ordinates=ords,
-        t_max=ref.parsed[-1] + abs_err,
-        audited=False,
-        source="ingested",
-    )
-    report = audit_completeness(table)
-    table.audit = report
-    table.audited = report.passed
-    return table
+    return _assemble(((g, abs_err) for g in gammas),
+                     t_max=gammas[-1] + abs_err, source="ingested")
 
 
 @dataclass(frozen=True)

@@ -19,30 +19,13 @@ import numpy as np
 
 from .bounds import C_AL_FLOOR, C_AU_CAP, UPPER_THRESHOLD, main_term
 from .errors import AuditError, CoverageError, DomainError
-from .zeros import ZeroTable, count_up_to
+from .zeros import ZeroTable, _neumaier_prefix, count_up_to
 
 #: One-sided offset applied around each ordinate during sweeps.
 SWEEP_EPS = 1e-6
 
 _LOWER = float(C_AL_FLOOR)
 _UPPER = float(C_AU_CAP)
-
-
-def _neumaier_prefix(values: np.ndarray) -> np.ndarray:
-    """Compensated running sums; prefix[k] = sum of the first k values."""
-    out = np.empty(values.size + 1)
-    out[0] = 0.0
-    total = 0.0
-    comp = 0.0
-    for i, v in enumerate(values):
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-        out[i + 1] = total + comp
-    return out
 
 
 def _require_covered(table: ZeroTable, T: float) -> None:
@@ -54,19 +37,7 @@ def _require_covered(table: ZeroTable, T: float) -> None:
 
 def a_of_t(table: ZeroTable, T: float) -> float:
     """A(T): compensated ascending sum of 1/gamma over ordinates gamma <= T."""
-    _require_covered(table, T)
-    k = count_up_to(table, T)
-    total = 0.0
-    comp = 0.0
-    for g in table.gammas[:k]:
-        v = 1.0 / g
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
+    return float(table.prefix[count_up_to(table, T)])
 
 
 @dataclass(frozen=True)
@@ -171,7 +142,7 @@ def theorem_sweep(table: ZeroTable, t_min: float, t_max: float,
     _require_covered(table, t_max)
 
     gammas = table.gammas
-    prefix = _neumaier_prefix(1.0 / gammas) if gammas.size else np.zeros(1)
+    prefix = table.prefix
 
     points = set(np.linspace(t_min, t_max, samples))
     for g in gammas:
@@ -212,7 +183,7 @@ def asymptotic_residual(table: ZeroTable,
     upper for T >= 2.222).  Duplicate heights produce duplicate records.
     """
     gammas = table.gammas
-    prefix = _neumaier_prefix(1.0 / gammas) if gammas.size else np.zeros(1)
+    prefix = table.prefix
     out = []
     for T in heights:
         _require_covered(table, T)

@@ -2,8 +2,10 @@
 auditing, and table persistence.
 
 The pipeline is sign-change based: Hardy's Z is sampled on a grid, each sign
-change brackets one ordinate, brackets are refined by bisection plus a secant
-polish, and the finished table is audited two ways:
+change brackets one ordinate, brackets are refined by bisection on the grid
+path of Z plus a secant polish on its polish path (hardy_z_many with
+polish=True, Euler-Maclaurin up to zeta.EM_POLISH_MAX), and the finished
+table is audited two ways:
 
 * Rosser envelope (necessary): |N(T) - F(T)| <= R(T) at the top height and at
   100 intermediate heights.  A violation is fatal.
@@ -40,9 +42,8 @@ TWO_PI = 2.0 * math.pi
 #: orders of magnitude wider).
 REFINE_FLOOR = 1e-4
 
-#: Zeros below this height get their final secant polish on the
-#: Euler-Maclaurin path, which is near machine accuracy there.
-EM_POLISH_MAX = 1500.0
+#: Local re-isolation rounds build_table runs on a failing audit.
+MAX_REPAIR_ROUNDS = 3
 
 _GATE_TOL = 0.3           # integer-proximity gate for the theta heuristic
 _SEGMENT_GRAM_LENGTHS = 6  # minimum gate spacing during isolation, in pi of theta
@@ -97,12 +98,33 @@ class ZeroTable:
     def gammas(self) -> np.ndarray:
         return np.array([z.gamma for z in self.ordinates], dtype=float)
 
+    @cached_property
+    def prefix(self) -> np.ndarray:
+        """prefix[k] = compensated sum of 1/gamma over the first k ordinates."""
+        return _neumaier_prefix(1.0 / self.gammas)
+
     def __len__(self) -> int:
         return len(self.ordinates)
 
     def count_at(self, T: float) -> int:
         """Number of ordinates <= T (no audit requirement; internal queries)."""
         return int(np.searchsorted(self.gammas, T, side="right"))
+
+
+def _neumaier_prefix(values: np.ndarray) -> np.ndarray:
+    """Compensated running sums; prefix[k] = sum of the first k values."""
+    out = [0.0]
+    total = 0.0
+    comp = 0.0
+    for v in values.tolist():  # Python floats: same IEEE sums, no numpy scalars
+        t = total + v
+        if abs(total) >= abs(v):
+            comp += (total - t) + v
+        else:
+            comp += (v - t) + total
+        total = t
+        out.append(total + comp)
+    return np.array(out)
 
 
 def count_up_to(table: ZeroTable, T: float) -> int:
@@ -215,29 +237,6 @@ def _gate_indices(grid: np.ndarray, brackets: list[tuple[float, float]]) -> list
     return gates
 
 
-def _accurate_z_batch(ts: np.ndarray) -> np.ndarray:
-    """Best-available Z for the polish stage: EM below EM_POLISH_MAX, RS above."""
-    out = np.empty(ts.shape, dtype=float)
-    lo = ts < EM_POLISH_MAX
-    if np.any(lo):
-        idx = np.flatnonzero(lo)
-        # bucket by height so the shared Euler-Maclaurin term count stays sane
-        edges = [0.0, 250.0, 500.0, 1000.0, EM_POLISH_MAX]
-        for e0, e1 in zip(edges[:-1], edges[1:]):
-            sel = idx[(ts[idx] >= e0) & (ts[idx] < e1)]
-            if sel.size:
-                out[sel] = zeta._hardy_z_em_batch(ts[sel])
-    if np.any(~lo):
-        out[~lo] = zeta._hardy_z_rs_batch(ts[~lo])
-    return out
-
-
-def _accurate_z_err(t: float) -> float:
-    if t < EM_POLISH_MAX:
-        return 1e-14 + 3e-15 * (1.0 + t)
-    return zeta.hardy_z_err(t)
-
-
 def _refine_many(brackets: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """Vectorised bisection + secant polish; returns (gamma, abs_err) pairs."""
     if not brackets:
@@ -262,10 +261,10 @@ def _refine_many(brackets: list[tuple[float, float]]) -> list[tuple[float, float
         b = np.where(take_left, b, m)
         fb = np.where(take_left, fb, fm)
 
-    # secant polish on the accurate path
+    # secant polish on the polish path of Z
     x0, x1 = a.copy(), b.copy()
-    f0 = _accurate_z_batch(x0)
-    f1 = _accurate_z_batch(x1)
+    f0 = zeta.hardy_z_many(x0, polish=True)
+    f1 = zeta.hardy_z_many(x1, polish=True)
     last_step = np.abs(x1 - x0)
     slope = np.abs(f1 - f0) / np.maximum(last_step, 1e-300)
     active = np.ones(x1.shape, dtype=bool)
@@ -279,7 +278,7 @@ def _refine_many(brackets: list[tuple[float, float]]) -> list[tuple[float, float
         esc = safe & ((x2 < a - 1e-9) | (x2 > b + 1e-9))
         x2 = np.where(esc, 0.5 * (x0 + x1), x2)
         f2 = np.empty_like(x2)
-        f2[safe] = _accurate_z_batch(x2[safe])
+        f2[safe] = zeta.hardy_z_many(x2[safe], polish=True)
         step = np.abs(x2 - x1)
         upd = safe & (step > 0.0)
         slope = np.where(upd, np.abs(f2 - f1) / np.maximum(step, 1e-300), slope)
@@ -292,7 +291,7 @@ def _refine_many(brackets: list[tuple[float, float]]) -> list[tuple[float, float
 
     out = []
     for g, st, sl in zip(x1, last_step, slope):
-        zerr = _accurate_z_err(float(g))
+        zerr = zeta.hardy_z_err(float(g), polish=True)
         sl = max(float(sl), 1e-12)
         abs_err = float(st) + zerr / sl + 1e-15 * abs(float(g))
         out.append((float(g), abs_err))
@@ -303,32 +302,37 @@ def refine_zero(bracket: tuple[float, float]) -> ZeroOrdinate:
     """Refine one sign-change bracket to a zero ordinate (abs_err <= 1e-9).
 
     The rank field is 0 (unranked); table assembly assigns real indices.
+    Raises ConvergenceError when one retry from a tightened bracket still
+    misses the error target.
     """
     a, b = float(bracket[0]), float(bracket[1])
     if not b > a:
         raise DomainError(f"degenerate bracket ({a}, {b})")
-    for _ in range(200):
-        results = _refine_many([(a, b)])
-        gamma, abs_err = results[0]
-        if abs_err <= 1e-9:
-            return ZeroOrdinate(index=0, gamma=gamma, abs_err=abs_err)
+    gamma, abs_err = _refine_many([(a, b)])[0]
+    if abs_err > 1e-9:
         # a second pass from a tightened bracket is the only retry that helps
         width = max(abs_err, 1e-10)
         a, b = gamma - width, gamma + width
         fa, fb = zeta.hardy_z(a), zeta.hardy_z(b)
         if math.copysign(1.0, fa) == math.copysign(1.0, fb):
             return ZeroOrdinate(index=0, gamma=gamma, abs_err=abs_err)
-    raise ConvergenceError(f"refinement did not converge for bracket ({a}, {b})")
+        gamma, abs_err = _refine_many([(a, b)])[0]
+        if abs_err > 1e-9:
+            raise ConvergenceError(f"refinement did not converge for bracket ({a}, {b})")
+    return ZeroOrdinate(index=0, gamma=gamma, abs_err=abs_err)
 
 
 def _assemble(zeros: Iterable[tuple[float, float]], t_max: float,
               source: str = "computed") -> ZeroTable:
-    ordered = sorted(zeros)
+    """Rank ascending (gamma, abs_err) pairs into a table and audit it once."""
     ords = tuple(
         ZeroOrdinate(index=i, gamma=g, abs_err=e)
-        for i, (g, e) in enumerate(ordered, start=1)
+        for i, (g, e) in enumerate(zeros, start=1)
     )
-    return ZeroTable(ordinates=ords, t_max=t_max, audited=False, source=source)
+    table = ZeroTable(ordinates=ords, t_max=t_max, audited=False, source=source)
+    table.audit = audit_completeness(table)
+    table.audited = table.audit.passed
+    return table
 
 
 def audit_completeness(table: ZeroTable) -> AuditReport:
@@ -399,24 +403,20 @@ def audit_completeness(table: ZeroTable) -> AuditReport:
     return report
 
 
-def build_table(t_max: float, max_repair_rounds: int = 3) -> ZeroTable:
+def build_table(t_max: float) -> ZeroTable:
     """Isolate and refine every ordinate up to t_max into an audited table."""
     if not 20.0 <= t_max <= 1e6:
         raise DomainError(f"build_table requires 20 <= t_max <= 1e6, got {t_max}")
     step = _initial_step(t_max)
     brackets = isolate_zeros(2.0, t_max, initial_step=step)
-    zeros = _refine_many(brackets)
-    table = _assemble(zeros, t_max)
+    table = _assemble(sorted(_refine_many(brackets)), t_max)
 
-    for _ in range(max_repair_rounds):
-        report = audit_completeness(table)
-        if report.passed:
-            table.audited = True
-            table.audit = report
-            return table
+    for _ in range(MAX_REPAIR_ROUNDS):
+        if table.audited:
+            break
         step *= 0.5
         refreshed = dict((z.gamma, z.abs_err) for z in table.ordinates)
-        for lo, hi in report.suspect_spans:
+        for lo, hi in table.audit.suspect_spans:
             pad = 2.0 * _mean_gap(hi)
             lo = max(2.0, lo - pad)
             hi = min(t_max, hi + pad)
@@ -424,13 +424,11 @@ def build_table(t_max: float, max_repair_rounds: int = 3) -> ZeroTable:
                 if not any(br[0] < g < br[1] for g in refreshed):
                     g, e = _refine_many([br])[0]
                     refreshed[g] = e
-        table = _assemble(refreshed.items(), t_max)
+        table = _assemble(sorted(refreshed.items()), t_max)
 
-    report = audit_completeness(table)
-    if report.passed:
-        table.audited = True
-        table.audit = report
+    if table.audited:
         return table
+    report = table.audit
     if not report.envelope_ok:
         raise AuditError(
             f"Rosser envelope violated at {report.envelope_failures[0][0]:.3f} "
@@ -474,28 +472,22 @@ def load_table(path: str | Path) -> ZeroTable:
     """Load a persisted table, honouring its sidecar metadata when present.
 
     Without a sidecar this is plain reference-file parsing, whose audited
-    coverage ends at the last printed ordinate.  The sidecar restores the
-    original coverage height (a computed table is complete up to the height
-    it was built for, not merely up to its last zero) and the source tag,
-    and the table is re-audited at that height.
+    coverage ends just past the last printed ordinate.  The sidecar restores
+    the original coverage height (a computed table is complete up to the
+    height it was built for, not merely up to its last zero) and the source
+    tag.  Either way the file is parsed once and audited once, at the
+    coverage height.
     """
-    from .ingestion import parse_reference
+    from .ingestion import _read_ordinates
 
-    table = parse_reference(path)
+    gammas, abs_err = _read_ordinates(path)
     meta_path = sidecar_path(path)
-    if meta_path.exists():
-        with meta_path.open() as fh:
-            meta = json.load(fh)
-        table = ZeroTable(
-            ordinates=table.ordinates,
-            t_max=float(meta.get("t_max", table.t_max)),
-            audited=False,
-            source=meta.get("source", "ingested"),
-        )
-        report = audit_completeness(table)
-        table.audit = report
-        table.audited = report.passed
-    return table
+    meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
+    return _assemble(
+        ((g, abs_err) for g in gammas),
+        t_max=float(meta.get("t_max", gammas[-1] + abs_err)),
+        source=meta.get("source", "ingested"),
+    )
 
 
 def _tool_version() -> str:

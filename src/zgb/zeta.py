@@ -3,25 +3,31 @@ Euler-Maclaurin evaluation of zeta(s), and the Hardy Z-function.
 
 Two independent evaluation routes are kept alive on purpose:
 
-* Euler-Maclaurin: slow (term count grows with t) but near machine accuracy;
-  validated for |t| <= 1e4 and used both as the low-height path of Z and as
-  the cross-check oracle for the fast path.
-* Riemann-Siegel: main sum of ~sqrt(t/2pi) terms plus four correction terms
-  C0..C3 built from derivatives of the entire function
-  Psi(p) = cos(2pi(p^2 - p - 1/16))/cos(2pi p).  Truncation error decays like
-  (t/2pi)^(-11/4); the crossover to this path sits at RS_SWITCH, placed where
-  its measured error is comfortably below the accuracy the zero-finder needs.
+* Euler-Maclaurin (EM): slow (term count grows with t) but near machine
+  accuracy; validated for |t| <= 1e4 and used both as the low-height path of
+  Z and as the cross-check oracle for the fast path.  One vectorised core
+  serves every EM call and returns a value and an error bound per point.
+* Riemann-Siegel (RS): main sum of ~sqrt(t/2pi) terms plus four correction
+  terms C0..C3 built from derivatives of the entire function
+  Psi(p) = cos(2pi(p^2 - p - 1/16))/cos(2pi p).  Truncation error decays
+  like (t/2pi)^(-11/4).
 
-Every evaluation has a companion error estimate so downstream inequality
-checks can demand margins exceeding accumulated error.  All functions are
-pure; array-valued helpers are vectorised with numpy.
+hardy_z_many and hardy_z_err are the only places that choose between the
+two, and they choose alike.  RS runs from RS_SWITCH up: there its error is
+already far below what sign decisions on the isolation grid and in bisection
+need, at a fraction of EM's cost.  The secant polish turns the Z error into
+an ordinate's abs_err, so with polish set EM keeps running up to
+EM_POLISH_MAX, where it is still affordable and RS's error is still orders
+above it.  One error model covers both paths, 1e-14 + 3e-15 (1 + t) for EM
+and riemann_siegel_err for RS, so downstream checks can demand margins that
+exceed accumulated error.
+
+All functions are pure; array-valued helpers are vectorised with numpy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -35,6 +41,14 @@ _EPS = np.finfo(float).eps
 
 #: Heights at or above this use the Riemann-Siegel path of hardy_z.
 RS_SWITCH = 500.0
+
+#: With polish set, heights below this still use the Euler-Maclaurin path,
+#: which is near machine accuracy there.
+EM_POLISH_MAX = 1500.0
+
+# The EM term count is shared within a batch and set by its highest point, so
+# batches are split at these heights to keep low points cheap.
+_EM_BUCKET_EDGES = (0.0, 250.0, 500.0, 1000.0, EM_POLISH_MAX, math.inf)
 
 #: Range over which the Euler-Maclaurin accuracy contract (<= 1e-10) is validated.
 EM_T_MAX = 1.0e4
@@ -123,32 +137,43 @@ _BERN_OVER_FACT = (
 _EM_BERN_TERMS = 5  # corrections through B_10
 
 
-def _zeta_em_raw(s: complex, n_terms: int) -> tuple[complex, float]:
-    """Euler-Maclaurin sum with n_terms initial terms; returns (value, err)."""
+def _em_n_terms(t: float) -> int:
+    return max(20, int(math.ceil(2.0 * abs(t))))
+
+
+def _zeta_em(sigma: float, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """zeta(sigma + i t) by Euler-Maclaurin for an array of heights.
+
+    The term count is shared, set by the largest |t|.  Returns (values, errs).
+    """
+    ts = np.asarray(ts, dtype=float)
+    n_terms = _em_n_terms(float(np.max(np.abs(ts))))
     n = np.arange(1, n_terms)
-    terms = np.exp(-s * np.log(n))
-    total = terms.sum()
+    logn = np.log(n)
+    rsq = n ** -sigma
+    out = np.empty(ts.shape, dtype=complex)
+    chunk = max(1, 2_000_000 // n_terms)
+    for i in range(0, ts.size, chunk):
+        tt = ts[i:i + chunk, None]
+        out[i:i + chunk] = (rsq * np.exp(-1j * tt * logn)).sum(axis=1)
+    s = sigma + 1j * ts
     big_n = float(n_terms)
-    total += 0.5 * big_n ** (-s) + big_n ** (1 - s) / (s - 1.0)
+    out += 0.5 * big_n ** (-s) + big_n ** (1 - s) / (s - 1.0)
     fac = s * big_n ** (-s - 1.0)
     for k in range(1, _EM_BERN_TERMS + 1):
-        total += _BERN_OVER_FACT[k - 1] * fac
+        out += _BERN_OVER_FACT[k - 1] * fac
         fac = fac * (s + 2 * k - 1) * (s + 2 * k) / (big_n * big_n)
     # First omitted Bernoulli term, inflated by the standard |s+2K+1|/(sigma+2K+1)
     # factor, plus a phase-rounding model: each power carries an argument error
     # ~|t| eps, so the sum's rounding scales with |t| eps sum|n^-s| (coefficient
     # calibrated against arbitrary-precision references, kept 3x conservative).
     k1 = _EM_BERN_TERMS + 1
-    tail = abs(_BERN_OVER_FACT[k1 - 1] * fac) * (
-        abs(s + 2 * k1 - 1) / (s.real + 2 * k1 - 1)
+    tail = np.abs(_BERN_OVER_FACT[k1 - 1] * fac) * (
+        np.abs(s + 2 * k1 - 1) / (sigma + 2 * k1 - 1)
     )
-    power_sum = float(np.abs(terms).sum()) + 1.0
-    rounding = 0.15 * _EPS * (1.0 + abs(s.imag)) * power_sum + 3e-15
-    return total, tail + rounding
-
-
-def _em_n_terms(t: float) -> int:
-    return max(20, int(math.ceil(2.0 * abs(t))))
+    power_sum = float(rsq.sum()) + 1.0
+    rounding = 0.15 * _EPS * (1.0 + np.abs(ts)) * power_sum + 3e-15
+    return out, tail + rounding
 
 
 def zeta_euler_maclaurin(sigma: float, t: float) -> complex:
@@ -173,30 +198,8 @@ def zeta_euler_maclaurin_with_err(sigma: float, t: float) -> tuple[complex, floa
         )
     if sigma <= -8.0:
         raise DomainError("Bernoulli corrections through B_10 require sigma > -8")
-    return _zeta_em_raw(complex(sigma, t), _em_n_terms(t))
-
-
-def _zeta_em_batch_half(ts: np.ndarray, n_terms: int | None = None) -> np.ndarray:
-    """zeta(1/2 + i t) for an array of heights, shared term count."""
-    ts = np.asarray(ts, dtype=float)
-    if n_terms is None:
-        n_terms = _em_n_terms(float(np.max(ts))) if ts.size else 20
-    n = np.arange(1, n_terms)
-    logn = np.log(n)
-    rsq = n ** -0.5
-    out = np.empty(ts.shape, dtype=complex)
-    chunk = max(1, 2_000_000 // n_terms)
-    for i in range(0, ts.size, chunk):
-        tt = ts[i:i + chunk, None]
-        out[i:i + chunk] = (rsq * np.exp(-1j * tt * logn)).sum(axis=1)
-    s = 0.5 + 1j * ts
-    big_n = float(n_terms)
-    out += 0.5 * big_n ** (-s) + big_n ** (1 - s) / (s - 1.0)
-    fac = s * big_n ** (-s - 1.0)
-    for k in range(1, _EM_BERN_TERMS + 1):
-        out += _BERN_OVER_FACT[k - 1] * fac
-        fac = fac * (s + 2 * k - 1) * (s + 2 * k) / (big_n * big_n)
-    return out
+    values, errs = _zeta_em(float(sigma), np.array([float(t)]))
+    return complex(values[0]), float(errs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -309,22 +312,32 @@ def _hardy_z_rs_batch(ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hardy_z_em_batch(ts: np.ndarray, n_terms: int | None = None) -> np.ndarray:
-    """Z via Euler-Maclaurin rotation, for heights below the RS switch."""
+def _hardy_z_em_batch(ts: np.ndarray) -> np.ndarray:
+    """Z via Euler-Maclaurin rotation, one shared term count per height bucket."""
     ts = np.asarray(ts, dtype=float)
-    zv = _zeta_em_batch_half(ts, n_terms)
+    zv = np.empty(ts.shape, dtype=complex)
+    for lo, hi in zip(_EM_BUCKET_EDGES[:-1], _EM_BUCKET_EDGES[1:]):
+        sel = (ts >= lo) & (ts < hi)
+        if np.any(sel):
+            zv[sel] = _zeta_em(0.5, ts[sel])[0]
     return np.real(np.exp(1j * _theta_gamma_arg(ts)) * zv)
 
 
-def hardy_z_many(ts) -> np.ndarray:
-    """Z(t) for an array of heights t >= 2, with per-height path selection."""
+def hardy_z_many(ts, polish: bool = False) -> np.ndarray:
+    """Z(t) for an array of heights t >= 2, with per-height path selection.
+
+    EM runs below RS_SWITCH, or below EM_POLISH_MAX with polish set; RS runs
+    above.  Polish points lie within 1e-9 of a bracket that has already been
+    evaluated here, so they skip the domain check: a bracket ending at 1e6
+    may be polished just past it.
+    """
     ts = np.asarray(ts, dtype=float)
-    if np.any(ts < 2.0):
+    if not polish and np.any(ts < 2.0):
         raise DomainError("hardy_z requires t >= 2")
-    if np.any(ts > 1e6):
+    if not polish and np.any(ts > 1e6):
         raise DomainError("hardy_z validated for t <= 1e6")
     out = np.empty(ts.shape, dtype=float)
-    lo = ts < RS_SWITCH
+    lo = ts < (EM_POLISH_MAX if polish else RS_SWITCH)
     if np.any(lo):
         out[lo] = _hardy_z_em_batch(ts[lo])
     if np.any(~lo):
@@ -354,29 +367,9 @@ def riemann_siegel_err(t: float) -> float:
     return trunc + rounding
 
 
-def hardy_z_err(t: float) -> float:
-    """Bound on |computed - true| for hardy_z at height t."""
+def hardy_z_err(t: float, polish: bool = False) -> float:
+    """Bound on |computed - true| for hardy_z_many(..., polish) at height t."""
     t = float(t)
-    if t < RS_SWITCH:
+    if t < (EM_POLISH_MAX if polish else RS_SWITCH):
         return 1e-14 + 3e-15 * (1.0 + t)
     return riemann_siegel_err(t)
-
-
-@dataclass(frozen=True)
-class CriticalLinePoint:
-    """One evaluation of Z(t) with its method tag and error estimate."""
-
-    t: float
-    z_value: float
-    method: Literal["riemann_siegel", "euler_maclaurin"]
-    abs_err_est: float
-
-
-def hardy_z_point(t: float) -> CriticalLinePoint:
-    method = "euler_maclaurin" if t < RS_SWITCH else "riemann_siegel"
-    return CriticalLinePoint(
-        t=float(t),
-        z_value=hardy_z(t),
-        method=method,
-        abs_err_est=hardy_z_err(t),
-    )

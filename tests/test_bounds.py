@@ -24,7 +24,6 @@ from zgb.bounds import (
     e_frak,
     e_frak_quadrature,
     e_frak_sandwich,
-    envelope_eval,
     exp_integral_e1,
     lower_bound_a,
     main_term,
@@ -71,15 +70,6 @@ def test_big_r_at_100():
 def test_domain_errors_below_2(func):
     with pytest.raises(DomainError):
         func(1.5)
-
-
-def test_envelope_eval_record():
-    for T in (2.0, 100.0, 1e6):
-        ev = envelope_eval(T)
-        assert ev.lower == ev.f_val - ev.r_val
-        assert ev.upper == ev.f_val + ev.r_val
-        assert ev.r_val > 0
-        assert ev.lower <= ev.upper
 
 
 # ------------------------------------------------------------------ main term

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zgb.errors import CoverageError, TableFormatError, ValidationError
-from zgb.ingestion import cross_validate, load_reference_file, parse_reference
+from zgb.ingestion import cross_validate, parse_reference
 from zgb.zeros import ZeroOrdinate, ZeroTable
 
 
@@ -86,10 +86,10 @@ def test_parse_rejects_three_columns(tmp_path):
 def test_abs_err_from_printed_precision(tmp_path):
     dest = tmp_path / "coarse.txt"
     dest.write_text("14.1347\n21.0220\n25.01086\n")
-    ref = load_reference_file(dest)
-    assert ref.decimals == 4
     table = parse_reference(dest)
     assert table.ordinates[0].abs_err == pytest.approx(1e-4)
+    # the coarsest line sets the error of every ordinate
+    assert table.ordinates[2].abs_err == pytest.approx(1e-4)
 
 
 # ------------------------------------------------------------ cross-validation
@@ -146,8 +146,8 @@ def test_round_trip_parse_property(gaps):
     with tempfile.TemporaryDirectory() as d:
         dest = Path(d) / "table.txt"
         dest.write_text("".join(f"{g:.9f}\n" for g in gammas))
-        ref = load_reference_file(dest)
-    assert np.max(np.abs(np.array(ref.parsed) - np.round(gammas, 9))) < 5e-10
+        parsed = parse_reference(dest).gammas
+    assert np.max(np.abs(parsed - np.round(gammas, 9))) < 5e-10
 
 
 def test_parse_rejects_nonfinite(tmp_path):

@@ -11,7 +11,8 @@ import json
 import numpy as np
 import pytest
 
-from zgb.errors import AuditError, CoverageError, DomainError
+from zgb import ingestion, zeros
+from zgb.errors import AuditError, ConvergenceError, CoverageError, DomainError
 from zgb.ingestion import parse_reference
 from zgb.zeros import (
     ZeroOrdinate,
@@ -21,6 +22,7 @@ from zgb.zeros import (
     build_table,
     count_up_to,
     isolate_zeros,
+    load_table,
     refine_zero,
     save_table,
     sidecar_path,
@@ -87,6 +89,23 @@ def test_refine_degenerate_bracket():
 def test_refine_no_sign_change():
     with pytest.raises(DomainError):
         refine_zero((15.0, 16.0))
+
+
+def test_refine_zero_gives_up_after_one_retry(monkeypatch):
+    # near 1e6 the refinement of this bracket cannot reach abs_err <= 1e-9;
+    # one retry from a tightened bracket is all refine_zero may spend on it
+    bracket = isolate_zeros(950000.0, 950002.0)[0]
+    calls = []
+    original = zeros._refine_many
+
+    def counting(brackets):
+        calls.append(brackets)
+        return original(brackets)
+
+    monkeypatch.setattr(zeros, "_refine_many", counting)
+    with pytest.raises(ConvergenceError):
+        refine_zero(bracket)
+    assert len(calls) <= 2
 
 
 def test_refine_lehmer_pair():
@@ -230,6 +249,28 @@ def test_save_and_reparse_round_trip(table100, tmp_path):
     assert meta["source"] == "computed"
     assert meta["audited"] is True
     assert "tool_version" in meta
+
+
+def test_load_table_audits_once(table100, tmp_path, monkeypatch):
+    path = tmp_path / "zeros100.txt"
+    save_table(table100, path)
+    calls = []
+    original = zeros.audit_completeness
+
+    def counting(table):
+        calls.append(table.t_max)
+        return original(table)
+
+    # rebind every module-level name of the audit, so a call through any
+    # import is counted
+    for mod in (zeros, ingestion):
+        monkeypatch.setattr(mod, "audit_completeness", counting, raising=False)
+    loaded = load_table(path)
+    assert calls == [100.0]
+    assert loaded.audited
+    assert loaded.t_max == 100.0
+    assert loaded.source == "computed"
+    assert np.array_equal(loaded.gammas, parse_reference(path).gammas)
 
 
 def test_save_layout_is_one_ordinate_per_line(table100, tmp_path):

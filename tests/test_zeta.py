@@ -15,14 +15,11 @@ from scipy.optimize import brentq
 from zgb.errors import DomainError, OracleRangeError, PoleError
 from zgb.zeta import (
     EM_T_MAX,
-    RS_SWITCH,
-    CriticalLinePoint,
     _hardy_z_em_batch,
     _hardy_z_rs_batch,
     hardy_z,
     hardy_z_err,
     hardy_z_many,
-    hardy_z_point,
     riemann_siegel_err,
     rs_theta,
     rs_theta_deriv,
@@ -155,6 +152,10 @@ def test_z_vanishes_at_first_zero():
 def test_z_domain_error():
     with pytest.raises(DomainError):
         hardy_z(1.9)
+    with pytest.raises(DomainError):
+        hardy_z_many(np.array([1e6 + 1e-9]))
+    # a secant polish may step 1e-9 past a bracket that ends at 1e6
+    assert np.isfinite(hardy_z_many(np.array([1e6 + 1e-9]), polish=True)).all()
 
 
 def test_z_sign_bookkeeping_14_to_18():
@@ -188,19 +189,10 @@ def test_rs_and_em_agree_within_combined_estimates():
 
 def test_z_spot_values_against_mpmath():
     for t in (2.0, 14.2, 100.0, 550.0, 5000.0, 9999.0):
-        assert hardy_z(t) == pytest.approx(float(mp.siegelz(t)), abs=hardy_z_err(t) + 1e-12)
-
-
-def test_hardy_z_point_record():
-    low = hardy_z_point(100.0)
-    high = hardy_z_point(2000.0)
-    assert isinstance(low, CriticalLinePoint)
-    assert low.method == "euler_maclaurin"
-    assert high.method == "riemann_siegel"
-    for pt in (low, high):
-        assert math.isfinite(pt.abs_err_est)
-        assert pt.abs_err_est >= 0.0
-    assert RS_SWITCH == 500.0
+        ref = float(mp.siegelz(t))
+        assert hardy_z(t) == pytest.approx(ref, abs=hardy_z_err(t) + 1e-12)
+        polished = float(hardy_z_many(np.array([t]), polish=True)[0])
+        assert polished == pytest.approx(ref, abs=hardy_z_err(t, polish=True) + 1e-12)
 
 
 def test_methods_agree_within_estimates_at_sampled_points():
