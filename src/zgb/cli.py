@@ -104,7 +104,6 @@ def _cmd_zeros(args) -> int:
         "count": len(table),
         "audited": table.audited,
         "table_file": str(dest),
-        "audit_warnings": list(table.audit.warnings) if table.audit else [],
     }
     _emit(report, args.format, None)
     return 0

@@ -80,7 +80,7 @@ def _read_ordinates(path: str | Path,
 
 def parse_reference(path: str | Path,
                     declared_count: int | None = None) -> ZeroTable:
-    """Parse a published ordinate file into an envelope-audited ZeroTable."""
+    """Parse a published ordinate file into a ZeroTable, audited at its coverage height."""
     gammas, abs_err = _read_ordinates(path, declared_count)
     # coverage reaches just past the last printed ordinate so the inclusive
     # boundary convention survives the file's rounding

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bounds import C_AL_FLOOR, C_AU_CAP, UPPER_THRESHOLD, main_term
-from .errors import AuditError, CoverageError, DomainError
+from .errors import DomainError
 from .zeros import ZeroTable, _neumaier_prefix, count_up_to
 
 #: One-sided offset applied around each ordinate during sweeps.
@@ -26,13 +26,6 @@ SWEEP_EPS = 1e-6
 
 _LOWER = float(C_AL_FLOOR)
 _UPPER = float(C_AU_CAP)
-
-
-def _require_covered(table: ZeroTable, T: float) -> None:
-    if T > table.t_max:
-        raise CoverageError(f"T={T} beyond table coverage t_max={table.t_max}")
-    if not table.audited:
-        raise AuditError("operation requires an audited table", table.audit)
 
 
 def a_of_t(table: ZeroTable, T: float) -> float:
@@ -65,11 +58,10 @@ def partial_sum(table: ZeroTable, phi: Callable[[float], float],
         raise DomainError(f"partial_sum requires U > 1, got {U}")
     if not V >= U:
         raise DomainError("partial_sum requires V >= U")
-    _require_covered(table, V)
+    hi = count_up_to(table, V)
 
     gammas = table.gammas
     lo = int(np.searchsorted(gammas, U, side="right"))
-    hi = int(np.searchsorted(gammas, V, side="right"))
     inside = gammas[lo:hi]
 
     direct = float(_neumaier_prefix(np.array([phi(g) for g in inside]))[-1])
@@ -139,7 +131,7 @@ def theorem_sweep(table: ZeroTable, t_min: float, t_max: float,
         raise DomainError(f"theorem_sweep requires t_min >= 2, got {t_min}")
     if samples < 1:
         raise DomainError("theorem_sweep requires samples >= 1")
-    _require_covered(table, t_max)
+    count_up_to(table, t_max)  # coverage and audit guard
 
     gammas = table.gammas
     prefix = table.prefix
@@ -182,12 +174,10 @@ def asymptotic_residual(table: ZeroTable,
     The flag applies each side only over its validity range (lower for T >= 2,
     upper for T >= 2.222).  Duplicate heights produce duplicate records.
     """
-    gammas = table.gammas
     prefix = table.prefix
     out = []
     for T in heights:
-        _require_covered(table, T)
-        k = int(np.searchsorted(gammas, T, side="right"))
+        k = count_up_to(table, T)
         residual = float(prefix[k]) - main_term(T)
         ok = True
         if T >= 2.0 and not residual > _LOWER:

@@ -1,36 +1,40 @@
 """Isolation and refinement of critical-line zero ordinates, completeness
 auditing, and table persistence.
 
-The pipeline is sign-change based: Hardy's Z is sampled on a grid, each sign
-change brackets one ordinate, brackets are refined by bisection on the grid
-path of Z plus a secant polish on its polish path (hardy_z_many with
-polish=True, Euler-Maclaurin up to zeta.EM_POLISH_MAX), and the finished
-table is audited two ways:
+The pipeline is sign-change based.  Hardy's Z is sampled at the Gram points
+g_n, where theta(g_n) = n pi.  A Gram block runs from one good Gram point
+((-1)^n Z(g_n) > 0) to the next, and by Rosser's rule a block of length m
+holds m zeros; a block whose samples show fewer sign changes is rescanned at
+halving steps.  Turing's method certifies the zero count at both ends of the
+range, so each sign change brackets exactly one zero and none is missed.
+Brackets are refined by bisection on the grid path of Z plus a secant polish
+on its polish path (hardy_z_many with polish=True, Euler-Maclaurin up to
+zeta.EM_POLISH_MAX).  The finished table is audited two ways:
 
-* Rosser envelope (necessary): |N(T) - F(T)| <= R(T) at the top height and at
-  100 intermediate heights.  A violation is fatal.
-* Theta heuristic (sensitive): where theta(t)/pi + 1 sits close to an integer
-  and t is not crowding an ordinate, that integer should equal the count.
-  Mismatches of 2 or more, or a consistent run of off-by-one mismatches,
-  signal locally missed zeros and trigger re-isolation at half the grid step.
-  An isolated off-by-one at a single gate is recorded as a warning only: the
-  fluctuation term of the counting function occasionally reaches past 1 even
-  at desk heights, right before a late zero arrives.
+* Rosser envelope (independent cross-check): |N(T) - F(T)| <= R(T) at the
+  top height and at 100 intermediate heights.
+* Turing certificate: the same Gram-block routine certifies N(t_max), and the
+  table must hold exactly that many ordinates up to t_max.
 
-Zeros are assumed simple for the secant step; a multiple zero would surface
-as an audit failure, not a wrong table.
+A failure of either leaves the table unaudited, and build_table raises
+AuditError.  A multiple zero shows no sign change of its own, so it would
+surface as a block that stays short, not as a wrong table.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
+import os
+import uuid
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Literal
 
 import numpy as np
+from scipy.special import lambertw
 
 from . import zeta
 from .bounds import big_f, big_r
@@ -41,12 +45,6 @@ TWO_PI = 2.0 * math.pi
 #: Grid refinement floor for isolation (known zero gaps at desk heights are
 #: orders of magnitude wider).
 REFINE_FLOOR = 1e-4
-
-#: Local re-isolation rounds build_table runs on a failing audit.
-MAX_REPAIR_ROUNDS = 3
-
-_GATE_TOL = 0.3           # integer-proximity gate for the theta heuristic
-_SEGMENT_GRAM_LENGTHS = 6  # minimum gate spacing during isolation, in pi of theta
 
 
 @dataclass(frozen=True)
@@ -66,10 +64,12 @@ class AuditReport:
     count: int
     envelope_ok: bool
     envelope_failures: list[tuple[float, int, float, float]] = field(default_factory=list)
-    gates_checked: int = 0
-    mismatches: list[tuple[float, int, int]] = field(default_factory=list)
-    suspect_spans: list[tuple[float, float]] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    #: N(certified_height) by Turing's method; certified_height is t_max
+    #: unless certifying t_max would need Z above 1e6, and turing_blocks is
+    #: the number of Rosser-satisfying Gram blocks the method took on each side
+    certified_count: int = 0
+    certified_height: float = 0.0
+    turing_blocks: int = 0
     passed: bool = False
 
 
@@ -136,23 +136,31 @@ def count_up_to(table: ZeroTable, T: float) -> int:
     return table.count_at(T)
 
 
-def _initial_step(t_hi: float) -> float:
-    denom = math.log(t_hi / TWO_PI)
-    return min(0.5, math.pi / denom) if denom > 0 else 0.5
+def _gram_points(n) -> np.ndarray:
+    """Gram points g_n, where theta(g_n) = n pi, for indices n >= -1.
+
+    Newton on rs_theta, started from the root of the leading terms
+    t/2 log(t/(2 pi e)) - pi/8 = n pi, which is a Lambert W expression.
+    """
+    n = np.asarray(n, dtype=float)
+    t = TWO_PI * math.e * np.exp(lambertw((n + 0.125) / math.e).real)
+    for _ in range(4):
+        t = t - (zeta.rs_theta(t) - math.pi * n) / zeta.rs_theta_deriv(t)
+    return t
 
 
-def _mean_gap(t: float) -> float:
-    return TWO_PI / max(math.log(t / TWO_PI), 0.2)
+def _turing_blocks(t: float) -> int:
+    """Rosser-satisfying Gram blocks Turing's method needs on each side of a
+    Gram point, for blocks below height t (Brent 1979, Trudgian 2011)."""
+    L = math.log(t)
+    return math.ceil(min(0.0061 * L * L + 0.08 * L, 0.0031 * L * L + 0.11 * L))
 
 
 def _brackets_from_grid(grid: np.ndarray, zvals: np.ndarray) -> list[tuple[float, float]]:
-    s = np.sign(zvals)
-    # a grid point landing exactly on a zero is adopted as a degenerate-width
-    # sign carrier by nudging its sign to that of its left neighbour
-    zero_hits = np.flatnonzero(s == 0.0)
-    for i in zero_hits:
-        s[i] = s[i - 1] if i > 0 else 1.0
-    flips = np.flatnonzero(s[:-1] * s[1:] < 0.0)
+    # a sample whose |Z| is within hardy_z_err of zero has no sign to count
+    keep = np.abs(zvals) > zeta.hardy_z_err(grid)
+    grid, s = grid[keep], np.sign(zvals[keep])
+    flips = np.flatnonzero(s[:-1] != s[1:])
     return [(float(grid[i]), float(grid[i + 1])) for i in flips]
 
 
@@ -162,19 +170,104 @@ def _scan_window(a: float, b: float, step: float) -> list[tuple[float, float]]:
     return _brackets_from_grid(grid, zeta.hardy_z_many(grid))
 
 
-def isolate_zeros(t_lo: float, t_hi: float,
-                  initial_step: float | None = None) -> list[tuple[float, float]]:
-    """Disjoint sign-change brackets for every zero ordinate in [t_lo, t_hi].
+def _gram_scan(t_lo: float, t_hi: float) -> tuple[list[tuple[float, float]], int, float, int]:
+    """Sign-change brackets, one per zero, from a Gram point g_c <= t_lo up,
+    with the count certified by Turing's method from g_c to a Gram point
+    g_d >= t_hi.
 
-    The grid pass is followed by segment count checks anchored at gate
-    points: grid points where theta/pi + 1 sits within 0.3 of an integer and
-    which keep a safe distance from every bracket.  At such a point the
-    nearby integer *is* the zero count (up to rare unit excursions of the
-    fluctuation term), so the expected number of brackets per segment is an
-    exact integer difference rather than a theta increment contaminated by
-    fluctuation noise at both ends.  Deficient segments are rescanned at
-    successively halved steps down to REFINE_FLOOR, which is what catches
-    close pairs that a half-mean-gap grid steps over.
+    A Gram point g_n is good when (-1)^n Z(g_n) > hardy_z_err, and a Gram
+    block runs from one good point to the next.  By Rosser's rule a block of
+    length m holds m zeros; a block whose samples show fewer sign changes is
+    rescanned at halving steps down to REFINE_FLOOR.  Turing's method, in
+    Brent's form, turns k such blocks below g_c into N(g_c) >= c + 1 and k
+    above g_d into N(g_d) <= d + 1, with k = _turing_blocks at the highest
+    Gram point sampled.  Then d - c sign changes between them pin N(g_c) = c + 1
+    and N(g_d) = d + 1 and leave no zero unbracketed, so every block checked
+    must show exactly its length: one that falls short at the floor, or shows
+    more, raises AuditError.  No zero lies below g_-1 = 9.67, so N(g_-1) = 0
+    anchors ranges that reach down there.  The bounds behind k are proven
+    from 168 pi up; below that the same rule is applied.
+
+    Z is only evaluated up to 1e6.  Where the k blocks above t_hi do not fit
+    below it, g_d drops below t_hi, and the brackets above the last good
+    Gram point come from the samples unchecked.
+
+    Returns (the brackets above g_c, c, g_d, k).
+    """
+    n_top = int(zeta.rs_theta(1e6) // math.pi)  # the last Gram point below 1e6
+    first = max(-1, int(zeta.rs_theta(max(t_lo, 10.0)) // math.pi))
+    last = int(zeta.rs_theta(max(t_hi, 10.0)) // math.pi) + 1
+    pad = 4 * _turing_blocks(max(t_hi, 10.0)) + 4
+    while True:
+        ns = np.arange(max(-1, min(first, n_top) - pad), min(n_top, last + pad) + 1)
+        g = _gram_points(ns)
+        z = zeta.hardy_z_many(g)
+        k = _turing_blocks(float(g[-1]))
+        ends = np.flatnonzero((np.where(ns % 2, -z, z) > zeta.hardy_z_err(g)) | (ns == -1))
+        ge = g[ends]
+        lo = int(np.searchsorted(ge, t_lo, side="right")) - 1  # last good <= t_lo
+        hi = int(np.searchsorted(ge, t_hi, side="left"))       # first good >= t_hi
+        if ns[-1] == n_top and hi + k >= ge.size:
+            hi = ge.size - 1 - k
+            lo = min(lo, hi)
+        c = lo if lo >= k else (0 if ns[0] == -1 else -1)
+        if 0 <= c <= hi and hi + k < ge.size:
+            break
+        pad *= 2
+    if ns[-1] == n_top:  # a sample at 1e6 closes the last Gram interval below it
+        g = np.append(g, 1e6)
+        z = np.append(z, zeta.hardy_z_many(np.array([1e6])))
+
+    found = _brackets_from_grid(g, z)
+    # brackets never straddle a good Gram point: its sample is reliable
+    idx = np.searchsorted(np.array([a for a, _ in found]), ge)
+    lengths = np.diff(ns[ends])
+    start, stop = max(c - k, 0), hi + k
+    out: list[tuple[float, float]] = []
+    pos = int(idx[c])
+    for j in np.flatnonzero(np.diff(idx)[start:stop] != lengths[start:stop]) + start:
+        a, b, want = float(ge[j]), float(ge[j + 1]), int(lengths[j])
+        got = found[idx[j]:idx[j + 1]]
+        step = (b - a) / want
+        while len(got) < want and step > REFINE_FLOOR:
+            step *= 0.5
+            got = _scan_window(a, b, step)
+        if len(got) != want:
+            raise AuditError(
+                f"Gram block [{a:.9f}, {b:.9f}] shows {len(got)} sign changes "
+                f"where Rosser's rule and Turing's method count {want} zeros"
+            )
+        if j >= c:
+            out += found[pos:idx[j]] + got
+            pos = int(idx[j + 1])
+    out += found[pos:]
+    return out, int(ns[ends[c]]), float(ge[hi]), k
+
+
+def _cut(brackets: list[tuple[float, float]], t: float):
+    """Split ascending one-zero brackets at t into (zeros <= t, zeros > t).
+
+    A bracket across t is trimmed to the side of t its zero lies on, as Z(t)
+    tells; a zero within hardy_z_err of t counts as lying at t.
+    """
+    i = bisect.bisect_right([b for _, b in brackets], t)
+    below, above = brackets[:i], brackets[i:]
+    if not above or above[0][0] >= t:
+        return below, above
+    a, b = above[0]
+    za, zt = zeta.hardy_z_many(np.array([a, t]))
+    if abs(zt) <= zeta.hardy_z_err(t) or (za > 0) != (zt > 0):
+        return below + [(a, t)], above[1:]
+    return below, [(t, b)] + above[1:]
+
+
+def isolate_zeros(t_lo: float, t_hi: float) -> list[tuple[float, float]]:
+    """Disjoint, ascending sign-change brackets, one for each zero ordinate
+    in (t_lo, t_hi], all inside [t_lo, t_hi].
+
+    The brackets come from _gram_scan: Z at the Gram points, short Gram
+    blocks rescanned, and the count certified by Turing's method on both
+    sides of the range.  A block that stays short raises AuditError.
     """
     if t_lo < 2:
         raise DomainError(f"isolate_zeros requires t_lo >= 2, got {t_lo}")
@@ -182,59 +275,8 @@ def isolate_zeros(t_lo: float, t_hi: float,
         raise DomainError("isolate_zeros requires t_hi > t_lo")
     if t_hi > 1e6:
         raise DomainError("isolate_zeros validated for t_hi <= 1e6")
-    step = initial_step if initial_step is not None else _initial_step(t_hi)
-
-    npts = max(3, int(math.ceil((t_hi - t_lo) / step)) + 1)
-    grid = np.linspace(t_lo, t_hi, npts)
-    zvals = zeta.hardy_z_many(grid)
-    brackets = _brackets_from_grid(grid, zvals)
-
-    gates = _gate_indices(grid, brackets)
-    bounds = [0] + gates + [grid.size - 1]
-    g_of = lambda i: zeta.rs_theta(float(grid[i])) / math.pi + 1.0
-
-    out: list[tuple[float, float]] = []
-    mids = np.array([0.5 * (a + b) for a, b in brackets])
-    for lo_i, hi_i in zip(bounds[:-1], bounds[1:]):
-        if hi_i <= lo_i:
-            continue
-        a, b = float(grid[lo_i]), float(grid[hi_i])
-        expected = int(round(g_of(hi_i)) - round(g_of(lo_i)))
-        sel = np.flatnonzero((mids > a) & (mids <= b))
-        found = [brackets[j] for j in sel]
-        local_step = step
-        while expected - len(found) >= 1 and local_step > REFINE_FLOOR:
-            local_step *= 0.5
-            found = _scan_window(a, b, local_step)
-        out.extend(found)
-    return out
-
-
-def _gate_indices(grid: np.ndarray, brackets: list[tuple[float, float]]) -> list[int]:
-    """Grid indices usable as integer count anchors for segment checks."""
-    theta = zeta.rs_theta(grid)
-    g = theta / math.pi + 1.0
-    frac_dist = np.abs(g - np.round(g))
-    mids = np.array([0.5 * (a + b) for a, b in brackets]) if brackets else np.empty(0)
-    gates: list[int] = []
-    theta_last = -math.inf
-    for i in range(1, grid.size - 1):
-        if frac_dist[i] > 0.25:
-            continue
-        if theta[i] - theta_last < _SEGMENT_GRAM_LENGTHS * math.pi:
-            continue
-        t = float(grid[i])
-        if mids.size:
-            j = int(np.searchsorted(mids, t))
-            dist = min(
-                t - mids[j - 1] if j > 0 else math.inf,
-                mids[j] - t if j < mids.size else math.inf,
-            )
-            if dist < 0.3 * _mean_gap(t):
-                continue
-        gates.append(i)
-        theta_last = theta[i]
-    return gates
+    brackets = _gram_scan(t_lo, t_hi)[0]
+    return _cut(_cut(brackets, t_lo)[1], t_hi)[0]
 
 
 def _refine_many(brackets: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -250,16 +292,21 @@ def _refine_many(brackets: list[tuple[float, float]]) -> list[tuple[float, float
         i = int(bad[0])
         raise DomainError(f"bracket ({a[i]}, {b[i]}) carries no sign change")
 
-    # bisection to ~1e-6 wide brackets
-    n_bisect = int(math.ceil(math.log2(float(np.max(b - a)) / 1e-6))) if np.max(b - a) > 1e-6 else 0
-    for _ in range(max(n_bisect, 0)):
-        m = 0.5 * (a + b)
+    # bisection of each bracket down to 1e-6 wide; a bracket stops early at a
+    # midpoint whose |Z| is within the grid path's error, since that sign
+    # could point the halving away from the zero
+    wide = np.flatnonzero(b - a > 1e-6)
+    while wide.size:
+        m = 0.5 * (a[wide] + b[wide])
         fm = zeta.hardy_z_many(m)
-        take_left = np.sign(fm) == np.sign(fa)
-        a = np.where(take_left, m, a)
-        fa = np.where(take_left, fm, fa)
-        b = np.where(take_left, b, m)
-        fb = np.where(take_left, fb, fm)
+        sure = np.abs(fm) > zeta.hardy_z_err(m)
+        wide, m, fm = wide[sure], m[sure], fm[sure]
+        take_left = np.sign(fm) == np.sign(fa[wide])
+        a[wide] = np.where(take_left, m, a[wide])
+        fa[wide] = np.where(take_left, fm, fa[wide])
+        b[wide] = np.where(take_left, b[wide], m)
+        fb[wide] = np.where(take_left, fb[wide], fm)
+        wide = wide[b[wide] - a[wide] > 1e-6]
 
     # secant polish on the polish path of Z
     x0, x1 = a.copy(), b.copy()
@@ -336,70 +383,23 @@ def _assemble(zeros: Iterable[tuple[float, float]], t_max: float,
 
 
 def audit_completeness(table: ZeroTable) -> AuditReport:
-    """Check a table against the Rosser envelope and the theta heuristic."""
+    """Check a table against the Rosser envelope and the Turing-certified
+    zero count at t_max."""
     t_max = table.t_max
     report = AuditReport(t_max=t_max, count=len(table), envelope_ok=True)
-    heights = list(np.linspace(2.0, t_max, 102)[1:-1]) + [t_max]
-
-    last_envelope_ok = 2.0
-    for h in heights:
-        n = table.count_at(h)
+    heights = np.append(np.linspace(2.0, t_max, 102)[1:-1], t_max)
+    counts = np.searchsorted(table.gammas, heights, side="right")
+    for h, n in zip(heights.tolist(), counts.tolist()):
         f, r = big_f(h), big_r(h)
         if abs(n - f) > r:
             report.envelope_ok = False
-            report.envelope_failures.append((float(h), n, f, r))
-            report.suspect_spans.append((last_envelope_ok, float(h)))
-        else:
-            last_envelope_ok = float(h)
-    if not report.envelope_ok:
-        report.passed = False
-        return report
+            report.envelope_failures.append((h, n, f, r))
 
-    gammas = table.gammas
-    mism: list[tuple[float, int, int]] = []
-    last_clean = 2.0
-    consecutive = 0
-    prev_delta = 0
-    systematic = False
-    for h in heights:
-        g = zeta.rs_theta(float(h)) / math.pi + 1.0
-        nearest = round(g)
-        if abs(g - nearest) > _GATE_TOL:
-            continue
-        # skip gates crowding an ordinate: the counting function's
-        # fluctuation term is routinely near +-1 there
-        if gammas.size:
-            i = int(np.searchsorted(gammas, h))
-            dist = min(
-                abs(h - gammas[i - 1]) if i > 0 else math.inf,
-                abs(gammas[i] - h) if i < gammas.size else math.inf,
-            )
-            if dist < 0.25 * _mean_gap(float(h)):
-                continue
-        report.gates_checked += 1
-        n = table.count_at(h)
-        delta = int(nearest) - n
-        if delta == 0:
-            last_clean = float(h)
-            consecutive = 0
-            continue
-        mism.append((float(h), n, int(nearest)))
-        if abs(delta) >= 2:
-            report.suspect_spans.append((last_clean, float(h)))
-            systematic = True
-        else:
-            consecutive = consecutive + 1 if delta == prev_delta or consecutive == 0 else 1
-            prev_delta = delta
-            if consecutive >= 3:
-                report.suspect_spans.append((last_clean, float(h)))
-                systematic = True
-    report.mismatches = mism
-    if mism and not systematic:
-        report.warnings.append(
-            "isolated off-by-one theta-gate mismatches (fluctuation-term noise): "
-            + ", ".join(f"T={h:.3f}" for h, _, _ in mism)
-        )
-    report.passed = report.envelope_ok and not systematic
+    brackets, c, top, report.turing_blocks = _gram_scan(t_max, t_max)
+    report.certified_height = min(t_max, top)
+    report.certified_count = c + 1 + len(_cut(brackets, report.certified_height)[0])
+    report.passed = (report.envelope_ok and
+                     table.count_at(report.certified_height) == report.certified_count)
     return report
 
 
@@ -407,37 +407,16 @@ def build_table(t_max: float) -> ZeroTable:
     """Isolate and refine every ordinate up to t_max into an audited table."""
     if not 20.0 <= t_max <= 1e6:
         raise DomainError(f"build_table requires 20 <= t_max <= 1e6, got {t_max}")
-    step = _initial_step(t_max)
-    brackets = isolate_zeros(2.0, t_max, initial_step=step)
-    table = _assemble(sorted(_refine_many(brackets)), t_max)
-
-    for _ in range(MAX_REPAIR_ROUNDS):
-        if table.audited:
-            break
-        step *= 0.5
-        refreshed = dict((z.gamma, z.abs_err) for z in table.ordinates)
-        for lo, hi in table.audit.suspect_spans:
-            pad = 2.0 * _mean_gap(hi)
-            lo = max(2.0, lo - pad)
-            hi = min(t_max, hi + pad)
-            for br in isolate_zeros(lo, hi, initial_step=step):
-                if not any(br[0] < g < br[1] for g in refreshed):
-                    g, e = _refine_many([br])[0]
-                    refreshed[g] = e
-        table = _assemble(sorted(refreshed.items()), t_max)
-
-    if table.audited:
-        return table
+    table = _assemble(sorted(_refine_many(isolate_zeros(2.0, t_max))), t_max)
     report = table.audit
-    if not report.envelope_ok:
+    if not table.audited:
         raise AuditError(
-            f"Rosser envelope violated at {report.envelope_failures[0][0]:.3f} "
-            "even after local re-isolation",
+            f"audit failed: {report.count} ordinates, Turing's method certifies "
+            f"{report.certified_count} up to {report.certified_height}, "
+            f"Rosser envelope {'holds' if report.envelope_ok else 'violated'}",
             report,
         )
-    raise AuditError(
-        "completeness audit still failing after local re-isolation", report
-    )
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +430,22 @@ def sidecar_path(path: str | Path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
+def _replace_atomically(path: Path, chunks: Iterable[str]) -> None:
+    """Write chunks to a temp file beside path, then move it over path, so a
+    failed or concurrent write never leaves a partial file under that name."""
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_table(table: ZeroTable, path: str | Path, sidecar: bool = True) -> None:
     path = Path(path)
-    with path.open("w") as fh:
-        for z in table.ordinates:
-            fh.write(f"{z.gamma:.{_TABLE_DECIMALS}f}\n")
+    _replace_atomically(path, (f"{z.gamma:.{_TABLE_DECIMALS}f}\n" for z in table.ordinates))
     if sidecar:
         meta = {
             "t_max": table.t_max,
@@ -463,9 +453,8 @@ def save_table(table: ZeroTable, path: str | Path, sidecar: bool = True) -> None
             "audited": table.audited,
             "tool_version": _tool_version(),
         }
-        with sidecar_path(path).open("w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _replace_atomically(sidecar_path(path),
+                            [json.dumps(meta, indent=2, sort_keys=True) + "\n"])
 
 
 def load_table(path: str | Path) -> ZeroTable:

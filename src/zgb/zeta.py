@@ -352,24 +352,29 @@ def hardy_z(t: float) -> float:
     return float(hardy_z_many(np.array([float(t)]))[0])
 
 
-def riemann_siegel_err(t: float) -> float:
+def riemann_siegel_err(t):
     """Error envelope of the Riemann-Siegel path with corrections C0..C3.
 
     Truncation decays like (t/2pi)^(-11/4); the coefficient 0.02 was
     calibrated against the Euler-Maclaurin path with several-fold headroom.
     The second term models phase rounding of the main sum, which takes over
-    at large heights.  Valid for t >= 30.
+    at large heights.  Valid for t >= 30.  Accepts scalars or arrays.
     """
-    t = float(t)
-    v = t / TWO_PI
+    arr = np.asarray(t, dtype=float)
+    v = arr / TWO_PI
     trunc = 0.02 * v ** -2.75
-    rounding = 8.0 * _EPS * max(abs(rs_theta(t)), 10.0) * (v ** 0.25 + 1.0)
-    return trunc + rounding
+    rounding = 8.0 * _EPS * np.maximum(np.abs(rs_theta(arr)), 10.0) * (v ** 0.25 + 1.0)
+    out = trunc + rounding
+    return float(out) if np.isscalar(t) else out
 
 
-def hardy_z_err(t: float, polish: bool = False) -> float:
-    """Bound on |computed - true| for hardy_z_many(..., polish) at height t."""
-    t = float(t)
-    if t < (EM_POLISH_MAX if polish else RS_SWITCH):
-        return 1e-14 + 3e-15 * (1.0 + t)
-    return riemann_siegel_err(t)
+def hardy_z_err(t, polish: bool = False):
+    """Bound on |computed - true| for hardy_z_many(..., polish) at height t.
+
+    Accepts scalars or arrays, like riemann_siegel_err.
+    """
+    arr = np.asarray(t, dtype=float)
+    em = arr < (EM_POLISH_MAX if polish else RS_SWITCH)
+    out = np.where(em, 1e-14 + 3e-15 * (1.0 + arr),
+                   riemann_siegel_err(np.maximum(arr, RS_SWITCH)))
+    return float(out) if np.isscalar(t) else out

@@ -1,9 +1,14 @@
 """Command-line interface: subcommand behaviour, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zgb
 from zgb.cli import VERIFY_CSV_COLUMNS, main
 
 
@@ -161,3 +166,12 @@ def test_zeros_default_destination(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert (tmp_path / "zeros_20.txt").exists()
     assert report["count"] == 1
+
+
+def test_package_does_not_import_mpmath():
+    # mpmath is a test oracle only; the package must run without it
+    env = dict(os.environ, PYTHONPATH=str(Path(zgb.__file__).parents[1]))
+    subprocess.run(
+        [sys.executable, "-c", "import zgb, sys; assert 'mpmath' not in sys.modules"],
+        env=env, check=True, timeout=120,
+    )

@@ -58,6 +58,39 @@ def test_isolate_close_pair_window():
     assert len(brackets) == 11
 
 
+def test_isolate_close_pair_near_1e6():
+    # 95 ordinates in the window, two of them 0.062 apart at 909407.78/.84
+    brackets = isolate_zeros(909407.3563914519, 909457.3563914519)
+    assert len(brackets) == 95
+    flat = [x for br in brackets for x in br]
+    assert flat == sorted(flat)
+    assert flat[0] >= 909407.3563914519 and flat[-1] <= 909457.3563914519
+
+
+def test_isolate_raises_on_a_short_gram_block(monkeypatch):
+    # without rescans the block holding the close pair near 7005 stays short
+    monkeypatch.setattr(zeros, "_scan_window", lambda a, b, step: [])
+    with pytest.raises(AuditError, match="Gram block"):
+        isolate_zeros(7000.0, 7010.0)
+
+
+def test_isolate_stops_certifying_at_1e6():
+    # the Turing run above the window would need Z beyond 1e6
+    brackets = isolate_zeros(999990.0, 1e6)
+    assert brackets and brackets[0][0] >= 999990.0 and brackets[-1][1] <= 1e6
+    report = audit_completeness(ZeroTable((), t_max=1e6, audited=False, source="computed"))
+    assert 999990.0 < report.certified_height < 1e6
+    assert not report.passed
+
+
+def test_gram_points_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    ns = np.array([-1, 0, 1, 1000])
+    got = zeros._gram_points(ns)
+    for n, g in zip(ns, got):
+        assert g == pytest.approx(float(mpmath.grampoint(int(n))), abs=1e-9)
+
+
 def test_isolate_domain_errors():
     with pytest.raises(DomainError):
         isolate_zeros(1.0, 10.0)
@@ -153,8 +186,9 @@ def test_table_invariants(table1000):
 
 
 def test_stability_under_half_step(table1000):
-    # half the initial grid step must reproduce the identical multiset
-    brackets = isolate_zeros(2.0, 1000.0, initial_step=0.25)
+    # a dense uniform grid, independent of the Gram points, must reproduce
+    # the identical multiset
+    brackets = _scan_window(2.0, 1000.0, 0.25)
     assert len(brackets) == 649
     from zgb.zeros import _refine_many
 
@@ -214,7 +248,7 @@ def test_audit_passes_table100(table100):
 
 def test_audit_catches_missing_pair(table100):
     # drop two mid-table zeros: envelope still holds (|27 - 29.0| <= 2.88),
-    # the theta gates carry the detection
+    # the Turing-certified count carries the detection
     kept = [z for i, z in enumerate(table100.ordinates) if i not in (14, 15)]
     broken = ZeroTable(
         tuple(ZeroOrdinate(i, z.gamma, z.abs_err) for i, z in enumerate(kept, 1)),
@@ -225,7 +259,15 @@ def test_audit_catches_missing_pair(table100):
     report = audit_completeness(broken)
     assert report.envelope_ok
     assert not report.passed
-    assert report.suspect_spans
+    assert report.certified_count == 29
+    assert report.count == 27
+
+
+def test_audit_certifies_the_count(table1000):
+    report = audit_completeness(table1000)
+    assert report.certified_count == 649
+    assert report.certified_height == 1000.0
+    assert report.turing_blocks == 1
 
 
 def test_audit_empty_table_low_coverage():
@@ -271,6 +313,26 @@ def test_load_table_audits_once(table100, tmp_path, monkeypatch):
     assert loaded.t_max == 100.0
     assert loaded.source == "computed"
     assert np.array_equal(loaded.gammas, parse_reference(path).gammas)
+
+
+def test_save_table_replaces_atomically(table100, tmp_path):
+    path = tmp_path / "zeros100.txt"
+    save_table(table100, path)
+    before = path.read_bytes()
+
+    class Unwritable:
+        @property
+        def gamma(self):
+            raise OSError("no space left on device")
+
+    # the write fails after two of the 29 lines
+    failing = ZeroTable(table100.ordinates, table100.t_max, True, "computed")
+    failing.ordinates = table100.ordinates[:2] + (Unwritable(),)
+    with pytest.raises(OSError):
+        save_table(failing, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "zeros100.txt", "zeros100.txt.meta.json"]
 
 
 def test_save_layout_is_one_ordinate_per_line(table100, tmp_path):
