@@ -7,9 +7,9 @@ g_n, where theta(g_n) = n pi.  A Gram block runs from one good Gram point
 holds m zeros; a block whose samples show fewer sign changes is rescanned at
 halving steps.  Turing's method certifies the zero count at both ends of the
 range, so each sign change brackets exactly one zero and none is missed.
-Brackets are refined by bisection on the grid path of Z plus a secant polish
-on its polish path (hardy_z_many with polish=True, Euler-Maclaurin up to
-zeta.EM_POLISH_MAX).  The finished table is audited two ways:
+Brackets are refined by Illinois steps on the grid path of Z plus a secant
+polish on its polish path (hardy_z_many with polish=True, Euler-Maclaurin up
+to zeta.EM_POLISH_MAX).  The finished table is audited two ways:
 
 * Rosser envelope (independent cross-check): |N(T) - F(T)| <= R(T) at the
   top height and at 100 intermediate heights.
@@ -280,69 +280,85 @@ def isolate_zeros(t_lo: float, t_hi: float) -> list[tuple[float, float]]:
 
 
 def _refine_many(brackets: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Vectorised bisection + secant polish; returns (gamma, abs_err) pairs."""
+    """Refine sign-change brackets all at once; returns (gamma, abs_err) pairs.
+
+    Bracketed Illinois steps (regula falsi that halves the value kept at an
+    end that stays twice in a row) narrow each bracket on the grid path of Z.
+    A bracket stops at the first iterate whose |Z| is within hardy_z_err,
+    since that sign could point the next step away from the zero.  A secant
+    polish on the polish path of Z then starts from the last two iterates,
+    reusing their values where the two paths are the same function.
+    abs_err = last secant step + hardy_z_err / |slope| + 1e-15 gamma.
+    """
     if not brackets:
         return []
     a = np.array([br[0] for br in brackets], dtype=float)
     b = np.array([br[1] for br in brackets], dtype=float)
-    fa = zeta.hardy_z_many(a)
-    fb = zeta.hardy_z_many(b)
+    # adjacent brackets share an end: evaluate Z once per distinct end
+    ends, where = np.unique(np.concatenate([a, b]), return_inverse=True)
+    fa, fb = np.split(zeta.hardy_z_many(ends)[where], 2)
     bad = np.flatnonzero(np.sign(fa) * np.sign(fb) >= 0)
     if bad.size:
         i = int(bad[0])
         raise DomainError(f"bracket ({a[i]}, {b[i]}) carries no sign change")
 
-    # bisection of each bracket down to 1e-6 wide; a bracket stops early at a
-    # midpoint whose |Z| is within the grid path's error, since that sign
-    # could point the halving away from the zero
-    wide = np.flatnonzero(b - a > 1e-6)
-    while wide.size:
-        m = 0.5 * (a[wide] + b[wide])
-        fm = zeta.hardy_z_many(m)
-        sure = np.abs(fm) > zeta.hardy_z_err(m)
-        wide, m, fm = wide[sure], m[sure], fm[sure]
-        take_left = np.sign(fm) == np.sign(fa[wide])
-        a[wide] = np.where(take_left, m, a[wide])
-        fa[wide] = np.where(take_left, fm, fa[wide])
-        b[wide] = np.where(take_left, b[wide], m)
-        fb[wide] = np.where(take_left, fb[wide], fm)
-        wide = wide[b[wide] - a[wide] > 1e-6]
+    # the last two iterates of each bracket, with their grid-path values
+    x0, f0, x1, f1 = a.copy(), fa.copy(), b.copy(), fb.copy()
+    ga, gb = fa.copy(), fb.copy()  # end values as Illinois scales them
+    kept = np.zeros(a.shape, dtype=int)  # end that stayed last: -1 a, +1 b
+    live = np.arange(a.size)
+    while live.size:
+        x = b[live] - gb[live] * (b[live] - a[live]) / (gb[live] - ga[live])
+        # a point that rounds onto an end leaves the bracket as narrow as it gets
+        inside = (x > a[live]) & (x < b[live])
+        live, x = live[inside], x[inside]
+        fx = zeta.hardy_z_many(x)
+        x0[live], f0[live] = x1[live], f1[live]
+        x1[live], f1[live] = x, fx
+        sure = np.abs(fx) > zeta.hardy_z_err(x)
+        live, x, fx = live[sure], x[sure], fx[sure]
+        right = np.sign(fx) == np.sign(gb[live])
+        i, j = live[right], live[~right]
+        b[i], gb[i] = x[right], fx[right]
+        ga[i] *= np.where(kept[i] == -1, 0.5, 1.0)
+        a[j], ga[j] = x[~right], fx[~right]
+        gb[j] *= np.where(kept[j] == 1, 0.5, 1.0)
+        kept[i], kept[j] = -1, 1
 
-    # secant polish on the polish path of Z
-    x0, x1 = a.copy(), b.copy()
-    f0 = zeta.hardy_z_many(x0, polish=True)
-    f1 = zeta.hardy_z_many(x1, polish=True)
+    # secant polish on the polish path of Z, from the last two iterates
+    for x, f in ((x0, f0), (x1, f1)):
+        redo = zeta.em_path(x, polish=True) != zeta.em_path(x)
+        if np.any(redo):
+            f[redo] = zeta.hardy_z_many(x[redo], polish=True)
     last_step = np.abs(x1 - x0)
     slope = np.abs(f1 - f0) / np.maximum(last_step, 1e-300)
-    active = np.ones(x1.shape, dtype=bool)
+    live = np.flatnonzero(last_step > 1e-13)
     for _ in range(12):
-        if not np.any(active):
+        live = live[f1[live] != f0[live]]
+        x2 = x1[live] - f1[live] * (x1[live] - x0[live]) / (f1[live] - f0[live])
+        # a secant step escaping the bracket falls back to the midpoint
+        esc = (x2 < a[live] - 1e-9) | (x2 > b[live] + 1e-9)
+        x2 = np.where(esc, 0.5 * (x0[live] + x1[live]), x2)
+        # a step that rounds away has converged; one no shorter than the last
+        # is rounding noise: stop before it
+        step = np.abs(x2 - x1[live])
+        last_step[live[step == 0.0]] = 0.0
+        go = (step > 0.0) & (step < last_step[live])
+        live, x2, step = live[go], x2[go], step[go]
+        if not live.size:
             break
-        denom = f1 - f0
-        safe = active & (denom != 0.0)
-        x2 = np.where(safe, x1 - f1 * (x1 - x0) / np.where(denom == 0.0, 1.0, denom), x1)
-        # a secant step escaping its original bracket falls back to the midpoint
-        esc = safe & ((x2 < a - 1e-9) | (x2 > b + 1e-9))
-        x2 = np.where(esc, 0.5 * (x0 + x1), x2)
-        f2 = np.empty_like(x2)
-        f2[safe] = zeta.hardy_z_many(x2[safe], polish=True)
-        step = np.abs(x2 - x1)
-        upd = safe & (step > 0.0)
-        slope = np.where(upd, np.abs(f2 - f1) / np.maximum(step, 1e-300), slope)
-        last_step = np.where(safe, step, last_step)
-        x0 = np.where(safe, x1, x0)
-        f0 = np.where(safe, f1, f0)
-        x1 = np.where(safe, x2, x1)
-        f1 = np.where(safe, f2, f1)
-        active = active & (last_step > 1e-13)
+        f2 = zeta.hardy_z_many(x2, polish=True)
+        # a chord whose rise is within the Z error says nothing of the slope
+        rise = np.abs(f2 - f1[live])
+        slope[live] = np.where(rise > zeta.hardy_z_err(x2, polish=True), rise / step, slope[live])
+        last_step[live] = step
+        x0[live], f0[live] = x1[live], f1[live]
+        x1[live], f1[live] = x2, f2
+        live = live[step > 1e-13]
 
-    out = []
-    for g, st, sl in zip(x1, last_step, slope):
-        zerr = zeta.hardy_z_err(float(g), polish=True)
-        sl = max(float(sl), 1e-12)
-        abs_err = float(st) + zerr / sl + 1e-15 * abs(float(g))
-        out.append((float(g), abs_err))
-    return out
+    zerr = zeta.hardy_z_err(x1, polish=True)
+    abs_err = last_step + zerr / np.maximum(slope, 1e-12) + 1e-15 * np.abs(x1)
+    return list(zip(x1.tolist(), abs_err.tolist()))
 
 
 def refine_zero(bracket: tuple[float, float]) -> ZeroOrdinate:

@@ -12,15 +12,15 @@ Two independent evaluation routes are kept alive on purpose:
   Psi(p) = cos(2pi(p^2 - p - 1/16))/cos(2pi p).  Truncation error decays
   like (t/2pi)^(-11/4).
 
-hardy_z_many and hardy_z_err are the only places that choose between the
-two, and they choose alike.  RS runs from RS_SWITCH up: there its error is
-already far below what sign decisions on the isolation grid and in bisection
-need, at a fraction of EM's cost.  The secant polish turns the Z error into
-an ordinate's abs_err, so with polish set EM keeps running up to
-EM_POLISH_MAX, where it is still affordable and RS's error is still orders
-above it.  One error model covers both paths, 1e-14 + 3e-15 (1 + t) for EM
-and riemann_siegel_err for RS, so downstream checks can demand margins that
-exceed accumulated error.
+em_path is the only place that chooses between the two, for hardy_z_many
+and hardy_z_err alike.  RS runs from RS_SWITCH up: there its error is
+already far below what sign decisions on the isolation grid and in the
+bracketed refinement need, at a fraction of EM's cost.  The secant polish
+turns the Z error into an ordinate's abs_err, so with polish set EM keeps
+running up to EM_POLISH_MAX, where it is still affordable and RS's error is
+still orders above it.  One error model covers both paths,
+1e-14 + 3e-15 (1 + t) for EM and riemann_siegel_err for RS, so downstream
+checks can demand margins that exceed accumulated error.
 
 All functions are pure; array-valued helpers are vectorised with numpy.
 """
@@ -52,6 +52,10 @@ _EM_BUCKET_EDGES = (0.0, 250.0, 500.0, 1000.0, EM_POLISH_MAX, math.inf)
 
 #: Range over which the Euler-Maclaurin accuracy contract (<= 1e-10) is validated.
 EM_T_MAX = 1.0e4
+
+# Matrix elements (heights x terms) one chunk of the EM or RS sum may hold:
+# 2 MB per float64 array and 4 MB per complex one, at any batch size.
+_BATCH_ELEMENTS = 1 << 18
 
 # Riemann-Siegel theta asymptotic series: coefficient of t^-(2n-1) is
 # (1 - 2^(1-2n)) |B_2n| / (4n (2n-1)).
@@ -152,7 +156,7 @@ def _zeta_em(sigma: float, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     logn = np.log(n)
     rsq = n ** -sigma
     out = np.empty(ts.shape, dtype=complex)
-    chunk = max(1, 2_000_000 // n_terms)
+    chunk = max(1, _BATCH_ELEMENTS // n_terms)
     for i in range(0, ts.size, chunk):
         tt = ts[i:i + chunk, None]
         out[i:i + chunk] = (rsq * np.exp(-1j * tt * logn)).sum(axis=1)
@@ -238,7 +242,7 @@ _CAUCHY_SAMPLES = 256
 _CAUCHY_RADIUS = 0.25
 _FACTORIALS = [math.factorial(k) for k in range(13)]
 
-_cheb_models: list[np.ndarray] | None = None
+_cheb_models: np.ndarray | None = None
 
 
 def _psi_derivs_at(p: float, orders: tuple[int, ...]) -> dict[int, float]:
@@ -255,8 +259,33 @@ def _psi_derivs_at(p: float, orders: tuple[int, ...]) -> dict[int, float]:
     return out
 
 
-def _correction_models() -> list[np.ndarray]:
-    """Chebyshev models of C0..C3 over p in [0, 1], built once per process.
+def _correction_fit() -> np.ndarray:
+    """Degree-64 Chebyshev interpolants of C0..C3 over p in [0, 1], as a
+    (65, 4) array whose column k holds the coefficients of C_k."""
+    xs = np.cos(math.pi * (np.arange(_CHEB_NODES + 1) + 0.5) / (_CHEB_NODES + 1))
+    ps = 0.5 * (xs + 1.0)
+    pi2 = math.pi ** 2
+    pi4 = math.pi ** 4
+    pi6 = math.pi ** 6
+    c_vals = np.empty((ps.size, 4))
+    for i, p in enumerate(ps):
+        d = _psi_derivs_at(float(p), (0, 1, 2, 3, 5, 6, 9))
+        c_vals[i, 0] = d[0]
+        c_vals[i, 1] = -d[3] / (96.0 * pi2)
+        c_vals[i, 2] = d[2] / (64.0 * pi2) + d[6] / (18432.0 * pi4)
+        c_vals[i, 3] = (-d[1] / (64.0 * pi2) - d[5] / (3840.0 * pi4)
+                        - d[9] / (5308416.0 * pi6))
+    return chebyshev.chebfit(xs, c_vals, _CHEB_NODES)
+
+
+def _correction_models() -> np.ndarray:
+    """The models of _correction_fit, cut for one chebval pass over C0..C3,
+    built once per process.
+
+    The cut keeps the lowest common degree at which every dropped tail (the
+    sum of the dropped |coefficients|, which bounds the truncation error
+    since |T_j| <= 1) is below 1e-3 of the smallest riemann_siegel_err on
+    [RS_SWITCH, 1e6].  That is degree 21, against 64 before the cut.
 
     Concurrent first calls may build twice; both results are identical and
     the assignment is atomic, so the race is benign.
@@ -264,20 +293,12 @@ def _correction_models() -> list[np.ndarray]:
     global _cheb_models
     if _cheb_models is not None:
         return _cheb_models
-    xs = np.cos(math.pi * (np.arange(_CHEB_NODES + 1) + 0.5) / (_CHEB_NODES + 1))
-    ps = 0.5 * (xs + 1.0)
-    pi2 = math.pi ** 2
-    pi4 = math.pi ** 4
-    pi6 = math.pi ** 6
-    c_vals = np.empty((4, ps.size))
-    for i, p in enumerate(ps):
-        d = _psi_derivs_at(float(p), (0, 1, 2, 3, 5, 6, 9))
-        c_vals[0, i] = d[0]
-        c_vals[1, i] = -d[3] / (96.0 * pi2)
-        c_vals[2, i] = d[2] / (64.0 * pi2) + d[6] / (18432.0 * pi4)
-        c_vals[3, i] = (-d[1] / (64.0 * pi2) - d[5] / (3840.0 * pi4)
-                        - d[9] / (5308416.0 * pi6))
-    _cheb_models = [chebyshev.chebfit(xs, c_vals[j], _CHEB_NODES) for j in range(4)]
+    coeffs = _correction_fit()
+    # tails[j, k] = sum of |coefficient i of C_k| over i >= j
+    tails = np.cumsum(np.abs(coeffs[::-1]), axis=0)[::-1]
+    limit = 1e-3 * float(np.min(riemann_siegel_err(np.geomspace(RS_SWITCH, 1e6, 2001))))
+    keep = int(np.flatnonzero(np.any(tails >= limit, axis=1))[-1]) + 1
+    _cheb_models = coeffs[:keep].copy()
     return _cheb_models
 
 
@@ -291,22 +312,18 @@ def _hardy_z_rs_batch(ts: np.ndarray) -> np.ndarray:
     theta = rs_theta(ts)
     out = np.zeros(ts.shape, dtype=float)
     order = np.argsort(ts)
-    chunk = 200_000
-    pos = 0
-    while pos < order.size:
+    chunk = max(1, _BATCH_ELEMENTS // int(big_n.max()))
+    for pos in range(0, order.size, chunk):
         idx = order[pos:pos + chunk]
         n_max = int(big_n[idx].max())
         n = np.arange(1, n_max + 1)
         mask = n[None, :] <= big_n[idx, None]
         phases = theta[idx, None] - ts[idx, None] * np.log(n)[None, :]
         out[idx] = 2.0 * np.where(mask, np.cos(phases) / np.sqrt(n)[None, :], 0.0).sum(axis=1)
-        pos += chunk
     x = 2.0 * p - 1.0
     u = 1.0 / tau
-    corr = (chebyshev.chebval(x, models[0])
-            + chebyshev.chebval(x, models[1]) * u
-            + chebyshev.chebval(x, models[2]) * u ** 2
-            + chebyshev.chebval(x, models[3]) * u ** 3)
+    c0, c1, c2, c3 = chebyshev.chebval(x, models)
+    corr = c0 + c1 * u + c2 * u ** 2 + c3 * u ** 3
     sign = np.where(big_n % 2 == 1, 1.0, -1.0)  # (-1)^(N-1)
     out += sign * tau ** -0.5 * corr
     return out
@@ -323,6 +340,11 @@ def _hardy_z_em_batch(ts: np.ndarray) -> np.ndarray:
     return np.real(np.exp(1j * _theta_gamma_arg(ts)) * zv)
 
 
+def em_path(ts, polish: bool = False) -> np.ndarray:
+    """Where hardy_z_many(ts, polish) takes the Euler-Maclaurin path."""
+    return np.asarray(ts, dtype=float) < (EM_POLISH_MAX if polish else RS_SWITCH)
+
+
 def hardy_z_many(ts, polish: bool = False) -> np.ndarray:
     """Z(t) for an array of heights t >= 2, with per-height path selection.
 
@@ -337,7 +359,7 @@ def hardy_z_many(ts, polish: bool = False) -> np.ndarray:
     if not polish and np.any(ts > 1e6):
         raise DomainError("hardy_z validated for t <= 1e6")
     out = np.empty(ts.shape, dtype=float)
-    lo = ts < (EM_POLISH_MAX if polish else RS_SWITCH)
+    lo = em_path(ts, polish)
     if np.any(lo):
         out[lo] = _hardy_z_em_batch(ts[lo])
     if np.any(~lo):
@@ -374,7 +396,6 @@ def hardy_z_err(t, polish: bool = False):
     Accepts scalars or arrays, like riemann_siegel_err.
     """
     arr = np.asarray(t, dtype=float)
-    em = arr < (EM_POLISH_MAX if polish else RS_SWITCH)
-    out = np.where(em, 1e-14 + 3e-15 * (1.0 + arr),
+    out = np.where(em_path(arr, polish), 1e-14 + 3e-15 * (1.0 + arr),
                    riemann_siegel_err(np.maximum(arr, RS_SWITCH)))
     return float(out) if np.isscalar(t) else out

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from zgb import ingestion, zeros
+from zgb import ingestion, zeros, zeta
 from zgb.errors import AuditError, ConvergenceError, CoverageError, DomainError
 from zgb.ingestion import parse_reference
 from zgb.zeros import (
@@ -139,6 +139,26 @@ def test_refine_zero_gives_up_after_one_retry(monkeypatch):
     with pytest.raises(ConvergenceError):
         refine_zero(bracket)
     assert len(calls) <= 2
+
+
+def test_refine_spends_few_z_points_per_zero(monkeypatch):
+    # Illinois steps plus a secant polish from the last two iterates take
+    # 10.0 Z points per zero to 1e3 (6504 for 649 zeros; 28.1 with bisection
+    # to 1e-6 before the polish); the bound leaves 20 % headroom
+    brackets = isolate_zeros(2.0, 1e3)
+    points = []
+    for name in ("_hardy_z_rs_batch", "_hardy_z_em_batch"):
+        original = getattr(zeta, name)
+
+        def counting(ts, original=original):
+            points.append(len(ts))
+            return original(ts)
+
+        monkeypatch.setattr(zeta, name, counting)
+    refined = zeros._refine_many(brackets)
+    assert len(refined) == 649
+    assert sum(points) / len(refined) <= 12.0
+    assert max(e for _, e in refined) <= 1e-8
 
 
 def test_refine_lehmer_pair():

@@ -6,15 +6,20 @@ arbitrary-precision references.
 """
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from zgb import zeta
 from zgb.errors import DomainError, OracleRangeError, PoleError
 from zgb.zeta import (
     EM_T_MAX,
+    RS_SWITCH,
+    _correction_fit,
+    _correction_models,
     _hardy_z_em_batch,
     _hardy_z_rs_batch,
     hardy_z,
@@ -200,6 +205,51 @@ def test_methods_agree_within_estimates_at_sampled_points():
         z_rs = float(_hardy_z_rs_batch(np.array([t]))[0])
         z_em = float(_hardy_z_em_batch(np.array([t]))[0])
         assert abs(z_rs - z_em) <= hardy_z_err(t) + 1e-11
+
+
+def test_correction_models_drop_only_a_negligible_tail():
+    # every C_k's dropped coefficients sum to below 1e-3 of the smallest RS
+    # error on [RS_SWITCH, 1e6], and one coefficient fewer would not
+    full = _correction_fit()
+    kept = _correction_models()
+    limit = 1e-3 * riemann_siegel_err(np.linspace(RS_SWITCH, 1e6, 200001)).min()
+    assert kept.shape[1] == 4 and kept.shape[0] < full.shape[0]
+    assert np.array_equal(kept, full[:kept.shape[0]])
+    tails = np.abs(full[kept.shape[0]:]).sum(axis=0)
+    assert np.all(tails < limit)
+    assert np.abs(full[kept.shape[0] - 1:]).sum(axis=0).max() >= limit
+
+
+def test_rs_batch_makes_one_chebval_call(monkeypatch):
+    # 2000 heights near 1e6 span several main-sum chunks; C0..C3 still take
+    # one Chebyshev pass
+    calls = []
+    original = zeta.chebyshev.chebval
+
+    def counting(x, c, *args, **kwargs):
+        calls.append(np.shape(c))
+        return original(x, c, *args, **kwargs)
+
+    _correction_models()
+    monkeypatch.setattr(zeta.chebyshev, "chebval", counting)
+    out = _hardy_z_rs_batch(np.linspace(999000.0, 1e6, 2000))
+    assert out.shape == (2000,) and np.all(np.isfinite(out))
+    assert calls == [_correction_models().shape]
+
+
+def test_batch_kernels_bound_their_working_set():
+    # one dense heights x terms array for these batches takes 64 MB (RS,
+    # 20000 x 400 floats) or 67 MB (EM, 1400 x 3000 complex); chunked by one
+    # element budget, the peaks measure 7.6 and 8.6 MB
+    for kernel, ts in ((_hardy_z_rs_batch, np.linspace(9.9e5, 1e6, 20000)),
+                       (_hardy_z_em_batch, np.linspace(1400.0, 1499.0, 1400))):
+        tracemalloc.start()
+        try:
+            kernel(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 def test_zeta_sigma_domain_error():
