@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from scipy.integrate import quad
-
 from .errors import ConvergenceError, DomainError
 
 TWO_PI = 2.0 * math.pi
@@ -170,6 +168,10 @@ def e_frak_quadrature(t: float) -> float:
     """E(t) by adaptive quadrature of the defining integral (oracle path)."""
     if t < 1.0 + 1e-6:
         raise DomainError(f"e_frak_quadrature requires t >= 1 + 1e-6, got {t}")
+    # imported here: scipy.integrate adds ~26 MB and its import time to
+    # every process, and only this oracle uses it
+    from scipy.integrate import quad
+
     lt = math.log(t)
     val, _ = quad(lambda s: math.exp(-s * lt) / s, 1.0, math.inf,
                   epsabs=1e-14, epsrel=1e-13, limit=300)

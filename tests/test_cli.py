@@ -168,6 +168,15 @@ def test_zeros_default_destination(capsys, tmp_path, monkeypatch):
     assert report["count"] == 1
 
 
+def test_package_defers_scipy_integrate():
+    # only the e_frak_quadrature oracle needs scipy.integrate (~26 MB)
+    env = dict(os.environ, PYTHONPATH=str(Path(zgb.__file__).parents[1]))
+    subprocess.run(
+        [sys.executable, "-c", "import zgb, sys; assert 'scipy.integrate' not in sys.modules"],
+        env=env, check=True, timeout=120,
+    )
+
+
 def test_package_does_not_import_mpmath():
     # mpmath is a test oracle only; the package must run without it
     env = dict(os.environ, PYTHONPATH=str(Path(zgb.__file__).parents[1]))
