@@ -51,9 +51,9 @@ from .zeta import (
 from .summation import (
     PartialSumCheck,
     SweepResult,
+    SweepRecords,
     TheoremCheck,
     a_of_t,
-    asymptotic_residual,
     partial_sum,
     theorem_sweep,
 )

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import ConvergenceError, DomainError
 
 TWO_PI = 2.0 * math.pi
@@ -70,11 +72,15 @@ def big_r(T: float) -> float:
     return 0.137 * lt + 0.433 * math.log(lt) + 397.0 / 250.0
 
 
-def main_term(T: float) -> float:
-    """Main term M(T) = log^2(T)/(4pi) - log(2pi) log(T)/(2pi) of A(T)."""
-    if T <= 1:
-        raise DomainError(f"main_term requires T > 1, got {T}")
-    lt = math.log(T)
+def main_term(T: float | np.ndarray) -> float | np.ndarray:
+    """Main term M(T) = log^2(T)/(4pi) - log(2pi) log(T)/(2pi) of A(T), at
+    one height or at each of an array of them.  The logs of an array come
+    from math.log too, since np.log can differ from it in the last place."""
+    many = isinstance(T, np.ndarray)
+    lowest = T.min(initial=math.inf) if many else T
+    if lowest <= 1:
+        raise DomainError(f"main_term requires T > 1, got {lowest}")
+    lt = np.array([math.log(t) for t in T.tolist()]) if many else math.log(T)
     return lt * lt / FOUR_PI - LOG_2PI * lt / TWO_PI
 
 

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import __version__
 from .bounds import big_f, big_r, compute_constants, main_term
-from .errors import ZgbError
+from .errors import TableFormatError, ZgbError
 from .ingestion import cross_validate, parse_reference
 from .summation import a_of_t, theorem_sweep
 from .zeros import ZeroTable, build_table, count_up_to, load_table, save_table
@@ -48,7 +48,11 @@ def _cache_file(t_max: float) -> str:
 
 
 def _resolve_table(path: str | None, needed_t_max: float) -> ZeroTable:
-    """--table file, else an adequate cached table, else a fresh build."""
+    """--table file, else an adequate cached table, else a fresh build.
+
+    A cached table that fails to load with TableFormatError, or loads
+    unaudited, is rebuilt and saved over; a --table file is used as given.
+    """
     if path:
         return load_table(path)
     cache = _cache_dir()
@@ -62,7 +66,14 @@ def _resolve_table(path: str | None, needed_t_max: float) -> ZeroTable:
             if t >= needed_t_max:
                 candidates.append((t, f))
         if candidates:
-            return load_table(min(candidates)[1])
+            t, f = min(candidates)
+            try:
+                table = load_table(f)
+            except TableFormatError:
+                table = None
+            if table is not None and table.audited:
+                return table
+            needed_t_max = t  # a corrupt or unaudited entry is built again
     table = build_table(max(20.0, needed_t_max))
     if cache is not None:
         cache.mkdir(parents=True, exist_ok=True)
@@ -168,12 +179,7 @@ def _cmd_verify(args) -> int:
     sweep = theorem_sweep(table, args.t_min, args.t_max, args.samples)
     passed = sweep.all_lower_ok and sweep.all_upper_ok
     if args.format == "csv":
-        rows = [
-            [r.T, r.a_val, r.m_val, r.delta, r.lower_ok, r.upper_ok,
-             r.margin_lo, r.margin_hi]
-            for r in sweep.records
-        ]
-        _emit({}, "csv", args.out, rows=rows, columns=VERIFY_CSV_COLUMNS)
+        _emit({}, "csv", args.out, rows=sweep.records.rows(), columns=VERIFY_CSV_COLUMNS)
     else:
         report = {
             "command": "verify",

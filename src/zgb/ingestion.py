@@ -10,7 +10,6 @@ from the printed precision, never assumed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,69 +22,78 @@ _SANITY_FIRST = 14.1347
 _SANITY_TOL = 1e-3
 
 
-def _read_ordinates(path: str | Path,
-                    declared_count: int | None = None) -> tuple[list[float], float]:
-    """The ordinates of a table file and their common abs_err, 10^-d for the
-    fewest decimals d printed on any line."""
+def _read_ordinates(path: str | Path, declared_count: int | None = None
+                    ) -> tuple[np.ndarray, float, bytes]:
+    """The ordinates of a table file, their common abs_err, 10^-d for the
+    fewest decimals d printed on any line, and the bytes read.
+
+    The checks run on whole columns, and only a failed one looks for its
+    line: the first failure in file order, with a line's checks in the
+    order field count, layout, decimal, finite, increasing.
+    """
     path = Path(path)
-    values: list[float] = []
-    n_cols = None
-    min_decimals = None
-    with path.open() as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) not in (1, 2):
-                raise TableFormatError(
-                    f"expected 1 or 2 whitespace-separated fields, got {len(fields)}",
-                    line=lineno,
-                )
-            if n_cols is None:
-                n_cols = len(fields)
-            elif len(fields) != n_cols:
-                raise TableFormatError(
-                    f"layout switched from {n_cols} to {len(fields)} fields",
-                    line=lineno,
-                )
-            token = fields[-1]
+    data = path.read_bytes()
+    text = data.decode()
+    # the line ends of text-mode reading: \n, \r\n and \r
+    fields = list(map(str.split, text.replace("\r\n", "\n").replace("\r", "\n").split("\n")))
+    tokens = [f[-1] for f in fields if f]
+    width = np.fromiter(map(len, fields), dtype=np.intp, count=len(fields))
+    rows = np.flatnonzero(width)  # 0-based numbers of the nonblank lines
+    width = width[rows]
+    bad = len(tokens)  # the first token that is not a decimal
+    try:
+        values = np.array(tokens, dtype=float)  # parses as float() does
+    except ValueError:
+        for bad, token in enumerate(tokens):
             try:
-                value = float(token)
-            except ValueError as exc:
-                raise TableFormatError(f"not a decimal: {token!r}", line=lineno) from exc
-            if not math.isfinite(value):
-                raise TableFormatError(f"non-finite ordinate {token!r}", line=lineno)
-            if values and value <= values[-1]:
-                raise TableFormatError(
-                    f"ordinates must increase strictly: {value} after {values[-1]}",
-                    line=lineno,
-                )
-            dec = len(token.split(".", 1)[1]) if "." in token else 0
-            min_decimals = dec if min_decimals is None else min(min_decimals, dec)
-            values.append(value)
-    if not values:
+                float(token)
+            except ValueError:
+                break
+        values = np.array(tokens[:bad], dtype=float)
+    n_cols = int(width[0]) if rows.size else 1
+    broken = np.flatnonzero((width != n_cols) | (width > 2))
+    # a NaN fails the rise too, but its line reports it as non-finite
+    faults = np.flatnonzero(~np.isfinite(values) | ~(values > np.append(-np.inf, values[:-1])))
+    first = min([bad, *broken[:1].tolist(), *faults[:1].tolist()])
+    if first < rows.size:
+        line, got, token = int(rows[first]) + 1, int(width[first]), tokens[first]
+        if got > 2:
+            raise TableFormatError(
+                f"expected 1 or 2 whitespace-separated fields, got {got}", line=line)
+        if got != n_cols:
+            raise TableFormatError(f"layout switched from {n_cols} to {got} fields", line=line)
+        if first == bad:
+            raise TableFormatError(f"not a decimal: {token!r}", line=line)
+        if not np.isfinite(values[first]):
+            raise TableFormatError(f"non-finite ordinate {token!r}", line=line)
+        raise TableFormatError(f"ordinates must increase strictly: {float(values[first])} "
+                               f"after {float(values[first - 1])}", line=line)
+
+    if not values.size:
         raise TableFormatError(f"no ordinates found in {path}")
     if abs(values[0] - _SANITY_FIRST) > _SANITY_TOL:
         raise TableFormatError(
-            f"sanity gate: first ordinate {values[0]} is not ~{_SANITY_FIRST}",
+            f"sanity gate: first ordinate {float(values[0])} is not ~{_SANITY_FIRST}",
             line=1,
         )
-    if declared_count is not None and declared_count != len(values):
+    if declared_count is not None and declared_count != values.size:
         raise TableFormatError(
-            f"declared count {declared_count} != parsed count {len(values)}"
+            f"declared count {declared_count} != parsed count {values.size}"
         )
-    return values, 10.0 ** (-int(min_decimals or 0))
+    arr = np.array(tokens)
+    point = np.char.find(arr, ".")
+    decimals = np.where(point >= 0, np.char.str_len(arr) - point - 1, 0)
+    return values, 10.0 ** (-int(decimals.min())), data
 
 
 def parse_reference(path: str | Path,
                     declared_count: int | None = None) -> ZeroTable:
     """Parse a published ordinate file into a ZeroTable, audited at its coverage height."""
-    gammas, abs_err = _read_ordinates(path, declared_count)
+    gammas, abs_err, _ = _read_ordinates(path, declared_count)
     # coverage reaches just past the last printed ordinate so the inclusive
     # boundary convention survives the file's rounding
-    return _assemble(((g, abs_err) for g in gammas),
-                     t_max=gammas[-1] + abs_err, source="ingested")
+    return _assemble(np.column_stack((gammas, np.full(gammas.size, abs_err))),
+                     t_max=float(gammas[-1]) + abs_err, source="ingested")
 
 
 @dataclass(frozen=True)
@@ -116,9 +124,7 @@ def cross_validate(computed: ZeroTable, reference: ZeroTable) -> ValidationRepor
     if n == 0:
         raise CoverageError("no comparable ordinates in common coverage")
 
-    err_c = max((z.abs_err for z in computed.ordinates), default=0.0)
-    err_r = max((z.abs_err for z in reference.ordinates), default=0.0)
-    tolerance = err_c + err_r
+    tolerance = float(computed.abs_err.max(initial=0.0) + reference.abs_err.max(initial=0.0))
 
     diffs = np.abs(computed.gammas[:n] - reference.gammas[:n])
     worst = int(np.argmax(diffs))
@@ -151,3 +157,4 @@ def cross_validate(computed: ZeroTable, reference: ZeroTable) -> ValidationRepor
         passed=aligned,
         boundary_note=boundary_note,
     )
+

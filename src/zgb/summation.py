@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -26,6 +27,9 @@ SWEEP_EPS = 1e-6
 
 _LOWER = float(C_AL_FLOOR)
 _UPPER = float(C_AU_CAP)
+
+#: Records converted to Python objects at a time when rows are read.
+_ROW_CHUNK = 4096
 
 
 def a_of_t(table: ZeroTable, T: float) -> float:
@@ -91,33 +95,40 @@ class TheoremCheck:
     margin_hi: float
 
 
+class SweepRecords(Sequence):
+    """The records of a sweep, held as one array per TheoremCheck field; a
+    record is built only when it is read."""
+
+    def __init__(self, *columns: np.ndarray):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return self._columns[0].size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        j = range(len(self))[i]  # IndexError past either end
+        return TheoremCheck(*(c[j].item() for c in self._columns))
+
+    def __iter__(self):
+        return (TheoremCheck(*row) for row in self.rows())
+
+    def rows(self):
+        """Field tuples of Python floats and bools, converted a chunk at a time."""
+        for lo in range(0, len(self), _ROW_CHUNK):
+            yield from zip(*(c[lo:lo + _ROW_CHUNK].tolist() for c in self._columns))
+
+
 @dataclass(frozen=True)
 class SweepResult:
-    records: tuple[TheoremCheck, ...]
+    records: SweepRecords
     delta_min: float
     delta_max: float
     min_margin_lo: float
     min_margin_hi: float
     all_lower_ok: bool
     all_upper_ok: bool
-
-
-def _check_at(T: float, a_val: float) -> TheoremCheck:
-    m = main_term(T)
-    delta = a_val - m
-    margin_lo = delta - _LOWER
-    margin_hi = _UPPER - delta
-    upper_applies = T >= UPPER_THRESHOLD
-    return TheoremCheck(
-        T=T,
-        a_val=a_val,
-        m_val=m,
-        delta=delta,
-        lower_ok=margin_lo > 0.0,
-        upper_ok=(margin_hi > 0.0) if upper_applies else True,
-        margin_lo=margin_lo,
-        margin_hi=margin_hi,
-    )
 
 
 def theorem_sweep(table: ZeroTable, t_min: float, t_max: float,
@@ -133,56 +144,25 @@ def theorem_sweep(table: ZeroTable, t_min: float, t_max: float,
         raise DomainError("theorem_sweep requires samples >= 1")
     count_up_to(table, t_max)  # coverage and audit guard
 
-    gammas = table.gammas
-    prefix = table.prefix
-
-    points = set(np.linspace(t_min, t_max, samples))
-    for g in gammas:
-        for T in (g - SWEEP_EPS, g, g + SWEEP_EPS):
-            if t_min <= T <= t_max:
-                points.add(float(T))
-
-    records = []
-    for T in sorted(points):
-        k = int(np.searchsorted(gammas, T, side="right"))
-        records.append(_check_at(float(T), float(prefix[k])))
-
-    deltas = [r.delta for r in records]
-    hi_margins = [r.margin_hi for r in records if r.T >= UPPER_THRESHOLD]
+    g = table.gammas
+    near = np.concatenate((g - SWEEP_EPS, g, g + SWEEP_EPS))
+    near = near[(near >= t_min) & (near <= t_max)]
+    T = np.unique(np.concatenate((np.linspace(t_min, t_max, samples), near)))
+    a_val = table.prefix[np.searchsorted(g, T, side="right")]
+    m_val = main_term(T)
+    delta = a_val - m_val
+    margin_lo = delta - _LOWER
+    margin_hi = _UPPER - delta
+    lower_ok = margin_lo > 0.0
+    upper_applies = T >= UPPER_THRESHOLD
+    upper_ok = (margin_hi > 0.0) | ~upper_applies
     return SweepResult(
-        records=tuple(records),
-        delta_min=min(deltas),
-        delta_max=max(deltas),
-        min_margin_lo=min(r.margin_lo for r in records),
-        min_margin_hi=min(hi_margins) if hi_margins else math.inf,
-        all_lower_ok=all(r.lower_ok for r in records),
-        all_upper_ok=all(r.upper_ok for r in records),
+        records=SweepRecords(T, a_val, m_val, delta, lower_ok, upper_ok,
+                             margin_lo, margin_hi),
+        delta_min=float(delta.min()),
+        delta_max=float(delta.max()),
+        min_margin_lo=float(margin_lo.min()),
+        min_margin_hi=float(margin_hi.min(initial=math.inf, where=upper_applies)),
+        all_lower_ok=bool(lower_ok.all()),
+        all_upper_ok=bool(upper_ok.all()),
     )
-
-
-@dataclass(frozen=True)
-class ResidualPoint:
-    T: float
-    residual: float
-    within_bounds: bool
-
-
-def asymptotic_residual(table: ZeroTable,
-                        heights: Sequence[float]) -> list[ResidualPoint]:
-    """A(T) - M(T) at the given heights, each flagged against (3/50, 109/250).
-
-    The flag applies each side only over its validity range (lower for T >= 2,
-    upper for T >= 2.222).  Duplicate heights produce duplicate records.
-    """
-    prefix = table.prefix
-    out = []
-    for T in heights:
-        k = count_up_to(table, T)
-        residual = float(prefix[k]) - main_term(T)
-        ok = True
-        if T >= 2.0 and not residual > _LOWER:
-            ok = False
-        if T >= UPPER_THRESHOLD and not residual < _UPPER:
-            ok = False
-        out.append(ResidualPoint(T=float(T), residual=residual, within_bounds=ok))
-    return out

@@ -24,6 +24,7 @@ surface as a block that stays short, not as a wrong table.
 from __future__ import annotations
 
 import bisect
+import hashlib
 import json
 import math
 import os
@@ -31,14 +32,14 @@ import uuid
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Literal
+from typing import Literal
 
 import numpy as np
 from scipy.special import lambertw
 
 from . import zeta
 from .bounds import big_f, big_r
-from .errors import AuditError, ConvergenceError, CoverageError, DomainError
+from .errors import AuditError, ConvergenceError, CoverageError, DomainError, TableFormatError
 
 TWO_PI = 2.0 * math.pi
 
@@ -49,9 +50,8 @@ REFINE_FLOOR = 1e-4
 
 @dataclass(frozen=True)
 class ZeroOrdinate:
-    """One zero ordinate: 1-based rank, height, and absolute error bound."""
+    """One refined zero ordinate: height and absolute error bound."""
 
-    index: int
     gamma: float
     abs_err: float
 
@@ -75,28 +75,27 @@ class AuditReport:
 
 @dataclass(eq=False)
 class ZeroTable:
-    """Sorted, optionally audited list of ordinates covering (0, t_max]."""
+    """Sorted, optionally audited ordinates covering (0, t_max], held as two
+    columns: the heights gammas and their absolute error bounds abs_err."""
 
-    ordinates: tuple[ZeroOrdinate, ...]
+    gammas: np.ndarray
+    abs_err: np.ndarray
     t_max: float
     audited: bool
     source: Literal["computed", "ingested", "merged"]
     audit: AuditReport | None = None
 
     def __post_init__(self):
-        prev = 0.0
-        for rank, z in enumerate(self.ordinates, start=1):
-            if z.index != rank:
-                raise ValueError(f"ordinate indices must be consecutive from 1, got {z.index} at rank {rank}")
-            if z.gamma <= 14.0:
-                raise ValueError(f"no zero ordinate lies at or below 14, got {z.gamma}")
-            if not z.gamma > prev:
-                raise ValueError(f"ordinates must increase strictly, got {z.gamma} after {prev}")
-            prev = z.gamma
-
-    @cached_property
-    def gammas(self) -> np.ndarray:
-        return np.array([z.gamma for z in self.ordinates], dtype=float)
+        g = self.gammas = np.ascontiguousarray(self.gammas, dtype=float)
+        self.abs_err = np.ascontiguousarray(self.abs_err, dtype=float)
+        prev = np.append(0.0, g[:-1])
+        bad = np.flatnonzero((g <= 14.0) | ~(g > prev))  # NaN fails the rise
+        if bad.size:
+            i = int(bad[0])
+            if g[i] <= 14.0:
+                raise ValueError(f"no zero ordinate lies at or below 14, got {float(g[i])}")
+            raise ValueError(f"ordinates must increase strictly, got {float(g[i])} "
+                             f"after {float(prev[i])}")
 
     @cached_property
     def prefix(self) -> np.ndarray:
@@ -104,7 +103,7 @@ class ZeroTable:
         return _neumaier_prefix(1.0 / self.gammas)
 
     def __len__(self) -> int:
-        return len(self.ordinates)
+        return self.gammas.size
 
     def count_at(self, T: float) -> int:
         """Number of ordinates <= T (no audit requirement; internal queries)."""
@@ -112,19 +111,19 @@ class ZeroTable:
 
 
 def _neumaier_prefix(values: np.ndarray) -> np.ndarray:
-    """Compensated running sums; prefix[k] = sum of the first k values."""
-    out = [0.0]
-    total = 0.0
-    comp = 0.0
-    for v in values.tolist():  # Python floats: same IEEE sums, no numpy scalars
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-        out.append(total + comp)
-    return np.array(out)
+    """Compensated running sums; prefix[k] = sum of the first k values.
+
+    Neumaier's sum, done on columns: the running totals are one sequential
+    cumsum, each step's rounding error follows from them, and the errors
+    are summed by a second cumsum, so every rounding is the loop's own.
+    """
+    values = np.asarray(values, dtype=float)
+    total = np.cumsum(values)
+    before = np.concatenate(([0.0], total[:-1]))
+    err = np.where(np.abs(before) >= np.abs(values),
+                   (before - total) + values, (values - total) + before)
+    comp = np.cumsum(np.concatenate(([0.0], err)))[1:]  # 0.0 + e, as the loop adds it
+    return np.concatenate(([0.0], total + comp))
 
 
 def count_up_to(table: ZeroTable, T: float) -> int:
@@ -279,8 +278,8 @@ def isolate_zeros(t_lo: float, t_hi: float) -> list[tuple[float, float]]:
     return _cut(_cut(brackets, t_lo)[1], t_hi)[0]
 
 
-def _refine_many(brackets: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Refine sign-change brackets all at once; returns (gamma, abs_err) pairs.
+def _refine_many(brackets: list[tuple[float, float]]) -> np.ndarray:
+    """Refine sign-change brackets all at once; returns (gamma, abs_err) rows.
 
     Bracketed Illinois steps (regula falsi that halves the value kept at an
     end that stays twice in a row) narrow each bracket on the grid path of Z.
@@ -291,7 +290,7 @@ def _refine_many(brackets: list[tuple[float, float]]) -> list[tuple[float, float
     abs_err = last secant step + hardy_z_err / |slope| + 1e-15 gamma.
     """
     if not brackets:
-        return []
+        return np.empty((0, 2))
     a = np.array([br[0] for br in brackets], dtype=float)
     b = np.array([br[1] for br in brackets], dtype=float)
     # adjacent brackets share an end: evaluate Z once per distinct end
@@ -358,41 +357,35 @@ def _refine_many(brackets: list[tuple[float, float]]) -> list[tuple[float, float
 
     zerr = zeta.hardy_z_err(x1, polish=True)
     abs_err = last_step + zerr / np.maximum(slope, 1e-12) + 1e-15 * np.abs(x1)
-    return list(zip(x1.tolist(), abs_err.tolist()))
+    return np.column_stack((x1, abs_err))
 
 
 def refine_zero(bracket: tuple[float, float]) -> ZeroOrdinate:
     """Refine one sign-change bracket to a zero ordinate (abs_err <= 1e-9).
 
-    The rank field is 0 (unranked); table assembly assigns real indices.
     Raises ConvergenceError when one retry from a tightened bracket still
     misses the error target.
     """
     a, b = float(bracket[0]), float(bracket[1])
     if not b > a:
         raise DomainError(f"degenerate bracket ({a}, {b})")
-    gamma, abs_err = _refine_many([(a, b)])[0]
+    gamma, abs_err = _refine_many([(a, b)])[0].tolist()
     if abs_err > 1e-9:
         # a second pass from a tightened bracket is the only retry that helps
         width = max(abs_err, 1e-10)
         a, b = gamma - width, gamma + width
         fa, fb = zeta.hardy_z(a), zeta.hardy_z(b)
         if math.copysign(1.0, fa) == math.copysign(1.0, fb):
-            return ZeroOrdinate(index=0, gamma=gamma, abs_err=abs_err)
-        gamma, abs_err = _refine_many([(a, b)])[0]
+            return ZeroOrdinate(gamma=gamma, abs_err=abs_err)
+        gamma, abs_err = _refine_many([(a, b)])[0].tolist()
         if abs_err > 1e-9:
             raise ConvergenceError(f"refinement did not converge for bracket ({a}, {b})")
-    return ZeroOrdinate(index=0, gamma=gamma, abs_err=abs_err)
+    return ZeroOrdinate(gamma=gamma, abs_err=abs_err)
 
 
-def _assemble(zeros: Iterable[tuple[float, float]], t_max: float,
-              source: str = "computed") -> ZeroTable:
-    """Rank ascending (gamma, abs_err) pairs into a table and audit it once."""
-    ords = tuple(
-        ZeroOrdinate(index=i, gamma=g, abs_err=e)
-        for i, (g, e) in enumerate(zeros, start=1)
-    )
-    table = ZeroTable(ordinates=ords, t_max=t_max, audited=False, source=source)
+def _assemble(zeros: np.ndarray, t_max: float, source: str = "computed") -> ZeroTable:
+    """Make ascending (gamma, abs_err) rows into a table and audit it once."""
+    table = ZeroTable(zeros[:, 0], zeros[:, 1], t_max=t_max, audited=False, source=source)
     table.audit = audit_completeness(table)
     table.audited = table.audit.passed
     return table
@@ -423,7 +416,8 @@ def build_table(t_max: float) -> ZeroTable:
     """Isolate and refine every ordinate up to t_max into an audited table."""
     if not 20.0 <= t_max <= 1e6:
         raise DomainError(f"build_table requires 20 <= t_max <= 1e6, got {t_max}")
-    table = _assemble(sorted(_refine_many(isolate_zeros(2.0, t_max))), t_max)
+    zeros = _refine_many(isolate_zeros(2.0, t_max))
+    table = _assemble(zeros[np.argsort(zeros[:, 0], kind="stable")], t_max)
     report = table.audit
     if not table.audited:
         raise AuditError(
@@ -446,13 +440,13 @@ def sidecar_path(path: str | Path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
-def _replace_atomically(path: Path, chunks: Iterable[str]) -> None:
-    """Write chunks to a temp file beside path, then move it over path, so a
+def _replace_atomically(path: Path, data: bytes) -> None:
+    """Write data to a temp file beside path, then move it over path, so a
     failed or concurrent write never leaves a partial file under that name."""
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     try:
-        with open(tmp, "x") as fh:
-            fh.writelines(chunks)
+        with open(tmp, "xb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -460,17 +454,22 @@ def _replace_atomically(path: Path, chunks: Iterable[str]) -> None:
 
 
 def save_table(table: ZeroTable, path: str | Path, sidecar: bool = True) -> None:
+    """Write the ordinates, and a sidecar with the coverage height, source,
+    audit status, ordinate count and sha256 of the table bytes."""
     path = Path(path)
-    _replace_atomically(path, (f"{z.gamma:.{_TABLE_DECIMALS}f}\n" for z in table.ordinates))
+    data = "".join(f"{g:.{_TABLE_DECIMALS}f}\n" for g in table.gammas.tolist()).encode()
+    _replace_atomically(path, data)
     if sidecar:
         meta = {
             "t_max": table.t_max,
             "source": table.source,
             "audited": table.audited,
+            "count": len(table),
+            "sha256": hashlib.sha256(data).hexdigest(),
             "tool_version": _tool_version(),
         }
         _replace_atomically(sidecar_path(path),
-                            [json.dumps(meta, indent=2, sort_keys=True) + "\n"])
+                            (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
 
 
 def load_table(path: str | Path) -> ZeroTable:
@@ -481,18 +480,29 @@ def load_table(path: str | Path) -> ZeroTable:
     the original coverage height (a computed table is complete up to the
     height it was built for, not merely up to its last zero) and the source
     tag.  Either way the file is parsed once and audited once, at the
-    coverage height.
+    coverage height.  A sidecar that is not a JSON object, or whose count or
+    sha256 disagrees with the table file, raises TableFormatError; a sidecar
+    without those two fields is trusted as it is.
     """
     from .ingestion import _read_ordinates
 
-    gammas, abs_err = _read_ordinates(path)
+    gammas, abs_err, data = _read_ordinates(path)
+    t_max, source = float(gammas[-1]) + abs_err, "ingested"
     meta_path = sidecar_path(path)
-    meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
-    return _assemble(
-        ((g, abs_err) for g in gammas),
-        t_max=float(meta.get("t_max", gammas[-1] + abs_err)),
-        source=meta.get("source", "ingested"),
-    )
+    if meta_path.exists():
+        try:
+            meta = json.loads(meta_path.read_bytes())
+            t_max = float(meta.get("t_max", t_max))
+            source = meta.get("source", source)
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise TableFormatError(f"malformed sidecar {meta_path}: {exc}") from exc
+        if meta.get("count", gammas.size) != gammas.size:
+            raise TableFormatError(f"sidecar {meta_path} counts {meta['count']} "
+                                   f"ordinates, the table file {gammas.size}")
+        if "sha256" in meta and meta["sha256"] != hashlib.sha256(data).hexdigest():
+            raise TableFormatError(f"sidecar {meta_path} sha256 does not match the table file")
+    return _assemble(np.column_stack((gammas, np.full(gammas.size, abs_err))),
+                     t_max=t_max, source=source)
 
 
 def _tool_version() -> str:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommand behaviour, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import zgb
 from zgb.cli import VERIFY_CSV_COLUMNS, main
+from zgb.zeros import save_table, sidecar_path
 
 
 def run_cli(capsys, *argv):
@@ -147,6 +149,55 @@ def test_table_cache_env(tmp_path, capsys, monkeypatch):
     code, out = run_cli(capsys, "count", "--at", "25")
     assert code == 0
     assert list(tmp_path.glob("zeros_*.txt")) == cached
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("json", "c0577b9e592b24e65507d42e93adf76166ce51924b88fc4cf0021a27dabb2e86"),
+    ("csv", "6ddebc3dc47a7b3a22ec03c3832856487bd4ce563676f18c31a844f57a4f0b29"),
+])
+def test_verify_output_is_pinned(capsys, tmp_path, table1000, fmt, digest):
+    # reports are byte-deterministic; an ulp of drift in any record changes
+    # the CSV, and in an extreme the JSON
+    path = tmp_path / "zeros1000.txt"
+    save_table(table1000, path)
+    code, out = run_cli(capsys, "verify", "--t-min", "2", "--t-max", "1000",
+                        "--samples", "500", "--table", str(path), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_malformed_sidecar_exits_2(capsys, tmp_path, table100):
+    path = tmp_path / "zeros100.txt"
+    save_table(table100, path)
+    meta = sidecar_path(path)
+    meta.write_text(meta.read_text().splitlines()[0] + "\n")
+    code, out = run_cli(capsys, "count", "--at", "50", "--table", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == "TableFormatError"
+
+
+def test_corrupt_cache_entry_is_rebuilt(tmp_path, capsys, monkeypatch, table100):
+    monkeypatch.setenv("ZGB_TABLE_DIR", str(tmp_path))
+    path = tmp_path / "zeros_100.txt"
+    good = None
+    for corrupt in ("sidecar", "truncated"):
+        save_table(table100, path)
+        good = good or (path.read_bytes(), sidecar_path(path).read_bytes())
+        if corrupt == "sidecar":
+            # a sidecar cut after its first line is not JSON
+            meta = sidecar_path(path)
+            meta.write_text(meta.read_text().splitlines()[0] + "\n")
+        else:
+            # a table cut short, under a sidecar without count and sha256 as
+            # older versions wrote, loads unaudited
+            path.write_text("".join(path.read_text().splitlines(keepends=True)[:15]))
+            meta = json.loads(sidecar_path(path).read_text())
+            del meta["count"], meta["sha256"]
+            sidecar_path(path).write_text(json.dumps(meta))
+        code, out = run_cli(capsys, "count", "--at", "50")
+        assert code == 0, out
+        assert json.loads(out)["N"] == 10
+        assert (path.read_bytes(), sidecar_path(path).read_bytes()) == good
 
 
 def test_count_csv_single_row(capsys, reference_path):

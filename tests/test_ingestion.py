@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from zgb.errors import CoverageError, TableFormatError, ValidationError
 from zgb.ingestion import cross_validate, parse_reference
-from zgb.zeros import ZeroOrdinate, ZeroTable
+from zgb.zeros import ZeroTable
 
 
 def test_parse_reference_file(reference_path):
@@ -15,11 +15,11 @@ def test_parse_reference_file(reference_path):
     assert len(table) == 649
     assert table.source == "ingested"
     assert table.audited
-    assert table.ordinates[0].gamma == pytest.approx(14.134725142, abs=1e-12)
-    assert table.ordinates[0].abs_err == pytest.approx(1e-9)
+    assert table.gammas[0] == pytest.approx(14.134725142, abs=1e-12)
+    assert table.abs_err[0] == pytest.approx(1e-9)
     # coverage reaches just past the last printed ordinate
     assert table.t_max == pytest.approx(999.791571557, abs=1e-6)
-    assert table.t_max > table.ordinates[-1].gamma
+    assert table.t_max > table.gammas[-1]
 
 
 def test_parse_reference_declared_count(reference_path):
@@ -34,7 +34,7 @@ def test_parse_two_column_layout(reference_path, tmp_path):
     dest.write_text("".join(f"{i} {line}\n" for i, line in enumerate(src, 1)))
     table = parse_reference(dest)
     assert len(table) == 50
-    assert table.ordinates[0].gamma == pytest.approx(14.134725142, abs=1e-12)
+    assert table.gammas[0] == pytest.approx(14.134725142, abs=1e-12)
 
 
 def test_parse_rejects_shuffled_line(reference_path, tmp_path):
@@ -87,9 +87,9 @@ def test_abs_err_from_printed_precision(tmp_path):
     dest = tmp_path / "coarse.txt"
     dest.write_text("14.1347\n21.0220\n25.01086\n")
     table = parse_reference(dest)
-    assert table.ordinates[0].abs_err == pytest.approx(1e-4)
+    assert table.abs_err[0] == pytest.approx(1e-4)
     # the coarsest line sets the error of every ordinate
-    assert table.ordinates[2].abs_err == pytest.approx(1e-4)
+    assert table.abs_err[2] == pytest.approx(1e-4)
 
 
 # ------------------------------------------------------------ cross-validation
@@ -111,9 +111,9 @@ def test_cross_validate_identical(table1000):
 
 def test_cross_validate_missing_zero_is_fatal(table1000, reference_path):
     reference = parse_reference(reference_path)
-    kept = [z for i, z in enumerate(table1000.ordinates) if i != 300]
     broken = ZeroTable(
-        tuple(ZeroOrdinate(i, z.gamma, z.abs_err) for i, z in enumerate(kept, 1)),
+        np.delete(table1000.gammas, 300),
+        np.delete(table1000.abs_err, 300),
         t_max=1000.0,
         audited=False,
         source="computed",
@@ -123,7 +123,7 @@ def test_cross_validate_missing_zero_is_fatal(table1000, reference_path):
 
 
 def test_cross_validate_disjoint_coverage(table1000):
-    empty = ZeroTable((), t_max=10.0, audited=False, source="computed")
+    empty = ZeroTable([], [], t_max=10.0, audited=False, source="computed")
     with pytest.raises(CoverageError):
         cross_validate(empty, table1000)
 
@@ -162,15 +162,170 @@ def test_cross_validate_boundary_straggler_excused():
     # a zero straddling the coverage cut by less than combined rounding is
     # excluded from comparison rather than treated as a missing zero
     computed = ZeroTable(
-        (ZeroOrdinate(1, 14.134725142, 1e-8),
-         ZeroOrdinate(2, 21.00000005, 1e-8)),
+        [14.134725142, 21.00000005], [1e-8, 1e-8],
         t_max=25.0, audited=False, source="computed",
     )
     reference = ZeroTable(
-        (ZeroOrdinate(1, 14.134725142, 1e-7),),
+        [14.134725142], [1e-7],
         t_max=21.0 + 1e-7, audited=False, source="ingested",
     )
     report = cross_validate(computed, reference)
     assert report.n_compared == 1
     assert report.passed
     assert "boundary" in report.boundary_note
+
+
+# ------------------------------------------------------ bulk parser vs loop
+
+
+def _read_ordinates_by_line(path, declared_count=None):
+    """The line-by-line parser the bulk one replaced, kept as its reference."""
+    import math
+    from pathlib import Path
+
+    from zgb.ingestion import _SANITY_FIRST, _SANITY_TOL
+
+    path = Path(path)
+    values: list[float] = []
+    n_cols = None
+    min_decimals = None
+    with path.open() as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            fields = line.split()
+            if len(fields) not in (1, 2):
+                raise TableFormatError(
+                    f"expected 1 or 2 whitespace-separated fields, got {len(fields)}",
+                    line=lineno,
+                )
+            if n_cols is None:
+                n_cols = len(fields)
+            elif len(fields) != n_cols:
+                raise TableFormatError(
+                    f"layout switched from {n_cols} to {len(fields)} fields",
+                    line=lineno,
+                )
+            token = fields[-1]
+            try:
+                value = float(token)
+            except ValueError as exc:
+                raise TableFormatError(f"not a decimal: {token!r}", line=lineno) from exc
+            if not math.isfinite(value):
+                raise TableFormatError(f"non-finite ordinate {token!r}", line=lineno)
+            if values and value <= values[-1]:
+                raise TableFormatError(
+                    f"ordinates must increase strictly: {value} after {values[-1]}",
+                    line=lineno,
+                )
+            dec = len(token.split(".", 1)[1]) if "." in token else 0
+            min_decimals = dec if min_decimals is None else min(min_decimals, dec)
+            values.append(value)
+    if not values:
+        raise TableFormatError(f"no ordinates found in {path}")
+    if abs(values[0] - _SANITY_FIRST) > _SANITY_TOL:
+        raise TableFormatError(
+            f"sanity gate: first ordinate {values[0]} is not ~{_SANITY_FIRST}",
+            line=1,
+        )
+    if declared_count is not None and declared_count != len(values):
+        raise TableFormatError(
+            f"declared count {declared_count} != parsed count {len(values)}"
+        )
+    return values, 10.0 ** (-int(min_decimals or 0))
+
+
+_FAULTS = ["none", "three fields", "layout switch", "non-decimal", "non-finite",
+           "not increasing", "bad first ordinate", "count mismatch", "empty"]
+
+
+@st.composite
+def _table_files(draw):
+    """A valid 1- or 2-column table file with blank lines and mixed decimal
+    counts, with at most one injected fault; returns (text, declared count)."""
+    gaps = draw(st.lists(st.floats(min_value=1e-3, max_value=3.0), min_size=0, max_size=25))
+    gammas = 14.134725142 + np.concatenate(([0.0], np.cumsum(gaps)))
+    two_cols = draw(st.booleans())
+    lines = []
+    for i, g in enumerate(gammas.tolist(), start=1):
+        token = f"{g:.{draw(st.integers(min_value=3, max_value=12))}f}"
+        lines.append(f"{i} {token}" if two_cols else token)
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+    fault = draw(st.sampled_from(_FAULTS))
+    at = draw(st.integers(min_value=0, max_value=len(lines)))
+    if fault == "three fields":
+        lines.insert(at, "1 14.5 0.5")
+    elif fault == "layout switch":
+        lines.insert(at, "30.25" if two_cols else "7 30.25")
+    elif fault == "non-decimal":
+        bad = draw(st.sampled_from(["abc", "1.2.3", "0x10", "1,5", "--1"]))
+        lines.insert(at, f"7 {bad}" if two_cols else bad)
+    elif fault == "non-finite":
+        bad = draw(st.sampled_from(["inf", "-inf", "nan", "1e400", "Infinity"]))
+        lines.insert(at, f"7 {bad}" if two_cols else bad)
+    elif fault == "not increasing" and len(gammas) > 1:
+        j = draw(st.integers(min_value=1, max_value=len(gammas) - 1))
+        value = gammas[j - 1] - draw(st.sampled_from([0.0, 0.5]))
+        rows = [k for k, line in enumerate(lines) if line.strip()]
+        token = f"{value:.9f}"
+        lines[rows[j]] = f"{j + 1} {token}" if two_cols else token
+    elif fault == "bad first ordinate":
+        lines.insert(0, "7 13.5" if two_cols else "13.5")
+    elif fault == "empty":
+        lines = [line for line in lines if not line.strip()]
+    declared = None
+    if fault == "count mismatch":
+        declared = len(gammas) + draw(st.sampled_from([-1, 1]))
+    elif draw(st.booleans()):
+        declared = len(gammas)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline])), declared
+
+
+def _outcome(parse, path, declared=None):
+    """What a parser makes of a file: its values bit for bit and abs_err, or
+    its error message and line."""
+    try:
+        values, abs_err = parse(path, declared)[:2]
+    except TableFormatError as exc:
+        return "error", str(exc), exc.line
+    return "ok", np.asarray(values, dtype=np.float64).view(np.int64).tolist(), abs_err
+
+
+@given(_table_files())
+@settings(max_examples=300, deadline=None)
+def test_bulk_parser_matches_line_parser(case):
+    import tempfile
+    from pathlib import Path
+
+    from zgb.ingestion import _read_ordinates
+
+    text, declared = case
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "table.txt"
+        path.write_bytes(text.encode())
+        assert (_outcome(_read_ordinates, path, declared)
+                == _outcome(_read_ordinates_by_line, path, declared))
+
+
+@pytest.mark.parametrize("token", ["1_00.5", "１４.１", "1e400", "١٠٠.٥"])
+def test_bulk_parser_reads_tokens_as_float_does(tmp_path, token):
+    # float() accepts underscores and non-ASCII digits and overflows to inf
+    from zgb.ingestion import _read_ordinates
+
+    path = tmp_path / "edge.txt"
+    path.write_text(f"14.134725142\n{token}\n")
+    assert _outcome(_read_ordinates, path) == _outcome(_read_ordinates_by_line, path)
+
+
+def test_parsing_builds_no_ordinate_records(reference_path, monkeypatch):
+    from zgb import zeros
+
+    made = []
+    real = zeros.ZeroOrdinate
+    monkeypatch.setattr(zeros, "ZeroOrdinate", lambda *a, **k: made.append(1) or real(*a, **k))
+    table = parse_reference(reference_path)
+    assert len(table) == 649
+    assert made == []

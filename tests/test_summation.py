@@ -4,10 +4,13 @@ Frozen sums come from arbitrary-precision evaluation over independently
 computed ordinates: A(100) = 0.59224351116440666, A(1000) = 2.0286569751459763.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zgb.bounds import main_term
 from zgb.errors import AuditError, CoverageError, DomainError
@@ -15,7 +18,6 @@ from zgb.summation import (
     SWEEP_EPS,
     _neumaier_prefix,
     a_of_t,
-    asymptotic_residual,
     partial_sum,
     theorem_sweep,
 )
@@ -47,7 +49,7 @@ def test_a_at_1000(table1000):
 def test_a_range_and_audit_guards(table100):
     with pytest.raises(CoverageError):
         a_of_t(table100, 500.0)
-    stale = ZeroTable(table100.ordinates, table100.t_max, False, "computed")
+    stale = ZeroTable(table100.gammas, table100.abs_err, table100.t_max, False, "computed")
     with pytest.raises(AuditError):
         a_of_t(stale, 50.0)
 
@@ -127,7 +129,7 @@ def test_sweep_record_at_2(table100):
 
 def test_sweep_jump_at_gamma1(table100):
     sweep = theorem_sweep(table100, 2.0, 100.0, 10)
-    g1 = table100.ordinates[0].gamma
+    g1 = table100.gammas[0]
     below = min(sweep.records, key=lambda r: abs(r.T - (g1 - SWEEP_EPS)))
     above = min(sweep.records, key=lambda r: abs(r.T - (g1 + SWEEP_EPS)))
     assert above.a_val - below.a_val == pytest.approx(1.0 / g1, abs=1e-12)
@@ -160,27 +162,108 @@ def test_sweep_vacuous_upper_below_threshold(table100):
     assert sweep.min_margin_hi == math.inf
 
 
-# ------------------------------------------------------------------ residuals
+
+# ------------------------------------------------- columnar sweep vs loop
 
 
-def test_residuals_at_decades(table1000):
-    pts = asymptotic_residual(table1000, [100.0, 1000.0])
-    for p in pts:
-        assert p.within_bounds
-        assert 3.0 / 50.0 < p.residual < 109.0 / 250.0
-    assert pts[1].residual == pytest.approx(2.0286569751459763 - 1.7766365217317267,
-                                            abs=1e-8)
+def _theorem_sweep_by_record(table, t_min, t_max, samples):
+    """The per-record sweep the columnar one replaced, kept as its reference:
+    (records as field tuples, aggregates)."""
+    from zgb.bounds import UPPER_THRESHOLD
+
+    lower, upper = 3.0 / 50.0, 109.0 / 250.0
+    gammas, prefix = table.gammas, table.prefix
+    points = set(np.linspace(t_min, t_max, samples))
+    for g in gammas:
+        for T in (g - SWEEP_EPS, g, g + SWEEP_EPS):
+            if t_min <= T <= t_max:
+                points.add(float(T))
+    records = []
+    for T in sorted(points):
+        T = float(T)
+        a_val = float(prefix[int(np.searchsorted(gammas, T, side="right"))])
+        m = main_term(T)
+        delta = a_val - m
+        margin_lo, margin_hi = delta - lower, upper - delta
+        upper_ok = (margin_hi > 0.0) if T >= UPPER_THRESHOLD else True
+        records.append((T, a_val, m, delta, margin_lo > 0.0, upper_ok, margin_lo, margin_hi))
+    hi_margins = [r[7] for r in records if r[0] >= UPPER_THRESHOLD]
+    aggregates = (min(r[3] for r in records), max(r[3] for r in records),
+                  min(r[6] for r in records), min(hi_margins) if hi_margins else math.inf,
+                  all(r[4] for r in records), all(r[5] for r in records))
+    return records, aggregates
 
 
-def test_residual_at_10_tests_lower_side(table100):
-    # below gamma_1 the sum is empty, so the residual is -M(10); the lower
-    # bound claims validity from T = 2, making this a genuine test point
-    pts = asymptotic_residual(table100, [10.0])
-    assert pts[0].residual == pytest.approx(0.25161111814164129, abs=1e-12)
-    assert pts[0].within_bounds
+def _bits(values):
+    """Each value with its exact type and, for a float, its exact bits."""
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
 
 
-def test_residual_duplicates_preserved(table100):
-    pts = asymptotic_residual(table100, [50.0, 50.0])
-    assert len(pts) == 2
-    assert pts[0] == pts[1]
+@given(st.floats(min_value=2.0, max_value=1000.0), st.floats(min_value=2.0, max_value=1000.0),
+       st.sampled_from(["t", "gamma", "gamma-eps", "gamma+eps"]),
+       st.sampled_from(["t", "gamma", "gamma-eps", "gamma+eps"]),
+       st.sampled_from([1, 2, 7, 500]) | st.integers(1, 1200))
+@settings(max_examples=40, deadline=None)
+def test_sweep_matches_per_record_sweep(table1000, lo, hi, lo_on, hi_on, samples):
+    # an end marked "gamma" moves onto the first ordinate at or above it,
+    # or onto that ordinate's one-sided point
+    g = table1000.gammas
+    offset = {"gamma": 0.0, "gamma-eps": -SWEEP_EPS, "gamma+eps": SWEEP_EPS}
+
+    def end(t, on):
+        k = int(np.searchsorted(g, t))
+        return t if on == "t" or k == g.size else float(g[k] + offset[on])
+
+    t_min, t_max = sorted((end(lo, lo_on), end(hi, hi_on)))
+    records, aggregates = _theorem_sweep_by_record(table1000, t_min, t_max, samples)
+    sweep = theorem_sweep(table1000, t_min, t_max, samples)
+    assert len(sweep.records) == len(records)
+    assert [_bits(dataclasses.astuple(r)) for r in sweep.records] == [_bits(r) for r in records]
+    assert _bits((sweep.delta_min, sweep.delta_max, sweep.min_margin_lo, sweep.min_margin_hi,
+                  sweep.all_lower_ok, sweep.all_upper_ok)) == _bits(aggregates)
+    # indexing builds the same records as iterating
+    assert sweep.records[-1] == list(sweep.records)[-1]
+    assert sweep.records[0] == sweep.records[:1][0]
+
+
+def test_sweep_builds_records_only_when_read(table1000, monkeypatch):
+    from zgb import summation
+
+    made = []
+    real = summation.TheoremCheck
+    monkeypatch.setattr(summation, "TheoremCheck",
+                        lambda *a, **k: made.append(1) or real(*a, **k))
+    sweep = theorem_sweep(table1000, 2.0, 1000.0, 500)
+    assert len(sweep.records) == 500 + 3 * len(table1000)
+    assert made == []
+    assert sweep.records[10].T > sweep.records[9].T
+    assert len(made) == 2
+
+
+def _neumaier_prefix_by_step(values):
+    """The step-by-step compensated sum the column form replaced."""
+    out, total, comp = [0.0], 0.0, 0.0
+    for v in np.asarray(values, dtype=float).tolist():
+        t = total + v
+        if abs(total) >= abs(v):
+            comp += (total - t) + v
+        else:
+            comp += (v - t) + total
+        total = t
+        out.append(total + comp)
+    return np.array(out)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300,
+                          max_value=1e300) | st.sampled_from([0.0, -0.0, 1e16, -1e16, 1.0]),
+                max_size=200))
+@settings(max_examples=200, deadline=None)
+def test_neumaier_prefix_matches_step_by_step(values):
+    got, want = _neumaier_prefix(values), _neumaier_prefix_by_step(values)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_neumaier_prefix_matches_step_by_step_on_a_table(table1000):
+    recip = 1.0 / table1000.gammas
+    assert np.array_equal(_neumaier_prefix(recip).view(np.int64),
+                          _neumaier_prefix_by_step(recip).view(np.int64))

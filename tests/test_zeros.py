@@ -12,10 +12,15 @@ import numpy as np
 import pytest
 
 from zgb import ingestion, zeros, zeta
-from zgb.errors import AuditError, ConvergenceError, CoverageError, DomainError
+from zgb.errors import (
+    AuditError,
+    ConvergenceError,
+    CoverageError,
+    DomainError,
+    TableFormatError,
+)
 from zgb.ingestion import parse_reference
 from zgb.zeros import (
-    ZeroOrdinate,
     ZeroTable,
     _scan_window,
     audit_completeness,
@@ -78,7 +83,7 @@ def test_isolate_stops_certifying_at_1e6():
     # the Turing run above the window would need Z beyond 1e6
     brackets = isolate_zeros(999990.0, 1e6)
     assert brackets and brackets[0][0] >= 999990.0 and brackets[-1][1] <= 1e6
-    report = audit_completeness(ZeroTable((), t_max=1e6, audited=False, source="computed"))
+    report = audit_completeness(ZeroTable([], [], t_max=1e6, audited=False, source="computed"))
     assert 999990.0 < report.certified_height < 1e6
     assert not report.passed
 
@@ -181,7 +186,7 @@ def test_build_table_100(table100):
 def test_build_table_20():
     table = build_table(20.0)
     assert len(table) == 1
-    assert table.ordinates[0].gamma == pytest.approx(GAMMA1, abs=1e-8)
+    assert table.gammas[0] == pytest.approx(GAMMA1, abs=1e-8)
 
 
 def test_build_table_1000(table1000):
@@ -200,9 +205,7 @@ def test_table_invariants(table1000):
     gammas = table1000.gammas
     assert np.all(np.diff(gammas) > 0)
     assert gammas[0] > 14.0
-    for rank, z in enumerate(table1000.ordinates, start=1):
-        assert z.index == rank
-        assert 0.0 <= z.abs_err <= 1e-8
+    assert np.all((table1000.abs_err >= 0.0) & (table1000.abs_err <= 1e-8))
 
 
 def test_stability_under_half_step(table1000):
@@ -217,14 +220,15 @@ def test_stability_under_half_step(table1000):
 
 
 def test_zero_table_validation():
-    z1 = ZeroOrdinate(1, 14.134725, 1e-9)
-    z2 = ZeroOrdinate(2, 21.022040, 1e-9)
-    with pytest.raises(ValueError):
-        ZeroTable((z2,), t_max=25.0, audited=False, source="computed")  # bad index
-    with pytest.raises(ValueError):
-        ZeroTable((z1, ZeroOrdinate(2, 13.0, 1e-9)), 25.0, False, "computed")
-    with pytest.raises(ValueError):
-        ZeroTable((z1, ZeroOrdinate(2, 14.0, 1e-9)), 25.0, False, "computed")
+    err = [1e-9, 1e-9]
+    with pytest.raises(ValueError, match="at or below 14"):
+        ZeroTable([14.134725, 13.0], err, 25.0, False, "computed")
+    with pytest.raises(ValueError, match="at or below 14"):
+        ZeroTable([14.134725, 14.0], err, 25.0, False, "computed")
+    with pytest.raises(ValueError, match="increase strictly, got 21.0 after 21.02204"):
+        ZeroTable([14.134725, 21.02204, 21.0], err + [1e-9], 25.0, False, "computed")
+    with pytest.raises(ValueError, match="increase strictly"):
+        ZeroTable([14.134725, float("nan")], err, 25.0, False, "computed")
 
 
 # ---------------------------------------------------------------------- count
@@ -234,7 +238,7 @@ def test_count_up_to(table100):
     assert count_up_to(table100, 10.0) == 0
     assert count_up_to(table100, 100.0) == 29
     # inclusive boundary: the ordinate itself counts
-    g1 = table100.ordinates[0].gamma
+    g1 = table100.gammas[0]
     assert count_up_to(table100, g1) == 1
     assert count_up_to(table100, np.nextafter(g1, 0.0)) == 0
 
@@ -245,7 +249,7 @@ def test_count_range_error(table100):
 
 
 def test_count_requires_audit(table100):
-    stale = ZeroTable(table100.ordinates, table100.t_max, False, "computed")
+    stale = ZeroTable(table100.gammas, table100.abs_err, table100.t_max, False, "computed")
     with pytest.raises(AuditError):
         count_up_to(stale, 50.0)
 
@@ -269,9 +273,9 @@ def test_audit_passes_table100(table100):
 def test_audit_catches_missing_pair(table100):
     # drop two mid-table zeros: envelope still holds (|27 - 29.0| <= 2.88),
     # the Turing-certified count carries the detection
-    kept = [z for i, z in enumerate(table100.ordinates) if i not in (14, 15)]
     broken = ZeroTable(
-        tuple(ZeroOrdinate(i, z.gamma, z.abs_err) for i, z in enumerate(kept, 1)),
+        np.delete(table100.gammas, [14, 15]),
+        np.delete(table100.abs_err, [14, 15]),
         t_max=100.0,
         audited=False,
         source="computed",
@@ -291,7 +295,7 @@ def test_audit_certifies_the_count(table1000):
 
 
 def test_audit_empty_table_low_coverage():
-    empty = ZeroTable((), t_max=10.0, audited=False, source="computed")
+    empty = ZeroTable([], [], t_max=10.0, audited=False, source="computed")
     report = audit_completeness(empty)
     assert report.envelope_ok
     assert report.passed
@@ -335,21 +339,78 @@ def test_load_table_audits_once(table100, tmp_path, monkeypatch):
     assert np.array_equal(loaded.gammas, parse_reference(path).gammas)
 
 
-def test_save_table_replaces_atomically(table100, tmp_path):
+def test_sidecar_records_count_and_sha256(table100, tmp_path):
+    import hashlib
+
+    path = tmp_path / "zeros100.txt"
+    save_table(table100, path)
+    meta = json.loads(sidecar_path(path).read_text())
+    assert meta["count"] == 29
+    assert meta["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_load_table_checks_the_sidecar(table100, tmp_path):
+    path = tmp_path / "zeros100.txt"
+    save_table(table100, path)
+    meta_path = sidecar_path(path)
+    meta = json.loads(meta_path.read_text())
+    # a table cut short still parses, but no longer matches its sidecar
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:20]))
+    with pytest.raises(TableFormatError, match="counts 29 ordinates, the table file 20"):
+        load_table(path)
+    # a single changed digit keeps the count and breaks the hash
+    lines[5] = lines[5][:-2] + ("1" if lines[5][-2] != "1" else "2") + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(TableFormatError, match="sha256"):
+        load_table(path)
+    # a sidecar without the two fields, as older versions wrote, still loads
+    del meta["count"], meta["sha256"]
+    meta_path.write_text(json.dumps(meta))
+    assert len(load_table(path)) == 29
+    for broken in ('{"t_max": 100.0,\n', "[1, 2]", '{"t_max": "high"}'):
+        meta_path.write_text(broken)
+        with pytest.raises(TableFormatError, match="malformed sidecar"):
+            load_table(path)
+
+
+def test_load_table_builds_no_ordinate_records(table1000, tmp_path, monkeypatch):
+    path = tmp_path / "zeros1000.txt"
+    save_table(table1000, path)
+    made = []
+    real = zeros.ZeroOrdinate
+    monkeypatch.setattr(zeros, "ZeroOrdinate", lambda *a, **k: made.append(1) or real(*a, **k))
+    assert len(load_table(path)) == 649
+    assert made == []
+
+
+def test_save_table_replaces_atomically(table100, tmp_path, monkeypatch):
     path = tmp_path / "zeros100.txt"
     save_table(table100, path)
     before = path.read_bytes()
 
-    class Unwritable:
-        @property
-        def gamma(self):
+    class DiskFull:
+        """A file that takes half of what is written, then runs out of space."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            self.fh.flush()
             raise OSError("no space left on device")
 
-    # the write fails after two of the 29 lines
-    failing = ZeroTable(table100.ordinates, table100.t_max, True, "computed")
-    failing.ordinates = table100.ordinates[:2] + (Unwritable(),)
+    real_open = open
+    monkeypatch.setattr(zeros, "open", lambda f, mode: DiskFull(real_open(f, mode)),
+                        raising=False)
     with pytest.raises(OSError):
-        save_table(failing, path)
+        save_table(table100, path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "zeros100.txt", "zeros100.txt.meta.json"]
