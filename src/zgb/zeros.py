@@ -35,7 +35,6 @@ from pathlib import Path
 from typing import Literal
 
 import numpy as np
-from scipy.special import lambertw
 
 from . import zeta
 from .bounds import big_f, big_r
@@ -139,10 +138,17 @@ def _gram_points(n) -> np.ndarray:
     """Gram points g_n, where theta(g_n) = n pi, for indices n >= -1.
 
     Newton on rs_theta, started from the root of the leading terms
-    t/2 log(t/(2 pi e)) - pi/8 = n pi, which is a Lambert W expression.
+    t/2 log(t/(2 pi e)) - pi/8 = n pi, which is t = 2 pi e exp(W(x)) for
+    x = (n + 1/8)/e.  W(x), the root of w - x exp(-w), takes Newton steps
+    from log1p(x), with slope 1 + w at the root; 8 reach double precision
+    for every Gram index below 1e6.
     """
     n = np.asarray(n, dtype=float)
-    t = TWO_PI * math.e * np.exp(lambertw((n + 0.125) / math.e).real)
+    x = (n + 0.125) / math.e
+    w = np.log1p(x)
+    for _ in range(8):
+        w = w - (w - x * np.exp(-w)) / (1.0 + w)
+    t = TWO_PI * math.e * np.exp(w)
     for _ in range(4):
         t = t - (zeta.rs_theta(t) - math.pi * n) / zeta.rs_theta_deriv(t)
     return t

@@ -31,7 +31,6 @@ import math
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy.special import loggamma
 
 from .errors import DomainError, OracleRangeError, PoleError
 
@@ -119,6 +118,9 @@ def _theta_gamma_arg(t):
     Used for the rotation e^(i theta) below the Riemann-Siegel switch, where
     the asymptotic series is not yet at machine accuracy.
     """
+    # scipy.special costs ~26 MB, and only this path needs it
+    from scipy.special import loggamma
+
     arr = np.asarray(t, dtype=float)
     val = np.imag(loggamma(0.25 + 0.5j * arr)) - 0.5 * arr * LOG_PI
     return float(val) if np.isscalar(t) else val

@@ -235,3 +235,20 @@ def test_package_does_not_import_mpmath():
         [sys.executable, "-c", "import zgb, sys; assert 'mpmath' not in sys.modules"],
         env=env, check=True, timeout=120,
     )
+
+
+def test_cached_queries_do_not_import_scipy_special(reference_path):
+    # scipy.special (~26 MB) serves only the Euler-Maclaurin rotation below
+    # 500; queries on a table audited above that never need it
+    env = dict(os.environ, PYTHONPATH=str(Path(zgb.__file__).parents[1]))
+    code = (
+        "import contextlib, io, sys\n"
+        "from zgb.cli import main\n"
+        f"ref = {str(reference_path)!r}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['count', '--at', '600'], ['verify', '--t-max', '990'],\n"
+        "                 ['ingest', '--file', ref]):\n"
+        "        assert main(argv + ['--table', ref]) == 0\n"
+        "assert 'scipy.special' not in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
