@@ -12,7 +12,6 @@ from .bounds import (
     big_r,
     compute_constants,
     e_frak,
-    e_frak_quadrature,
     e_frak_sandwich,
     lower_bound_a,
     main_term,

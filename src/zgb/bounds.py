@@ -162,26 +162,12 @@ def e_frak(t: float) -> float:
     """E(t) evaluated through the identity E(t) = E1(log t).
 
     The substitution u = s log t turns the defining integral into the
-    exponential integral; e_frak_quadrature integrates the definition
-    directly and serves as the independent check.
+    exponential integral.  Its independent check, adaptive quadrature of the
+    definition, lives with the tests in tests/oracles.py.
     """
     if t < 1.0 + 1e-6:
         raise DomainError(f"e_frak requires t >= 1 + 1e-6, got {t}")
     return exp_integral_e1(math.log(t))
-
-
-def e_frak_quadrature(t: float) -> float:
-    """E(t) by adaptive quadrature of the defining integral (oracle path)."""
-    if t < 1.0 + 1e-6:
-        raise DomainError(f"e_frak_quadrature requires t >= 1 + 1e-6, got {t}")
-    # imported here: scipy.integrate adds ~26 MB and its import time to
-    # every process, and only this oracle uses it
-    from scipy.integrate import quad
-
-    lt = math.log(t)
-    val, _ = quad(lambda s: math.exp(-s * lt) / s, 1.0, math.inf,
-                  epsabs=1e-14, epsrel=1e-13, limit=300)
-    return val
 
 
 class SandwichResult(NamedTuple):

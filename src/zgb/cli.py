@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -215,7 +216,9 @@ def _cmd_ingest(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: main may run many times per process."""
     parser = argparse.ArgumentParser(
         prog="zgb",
         description="zeta-zero tables, A(T), and its explicit two-sided bounds",

@@ -138,8 +138,9 @@ def theorem_sweep(table: ZeroTable, t_min: float, t_max: float,
     Violations are data, not exceptions: every record carries its margins and
     the result aggregates the global extremes.
     """
-    if t_min < 2:
-        raise DomainError(f"theorem_sweep requires t_min >= 2, got {t_min}")
+    if not 2 <= t_min <= t_max:  # False for a NaN end too
+        raise DomainError(
+            f"theorem_sweep requires 2 <= t_min <= t_max, got t_min={t_min}, t_max={t_max}")
     if samples < 1:
         raise DomainError("theorem_sweep requires samples >= 1")
     count_up_to(table, t_max)  # coverage and audit guard

@@ -22,6 +22,11 @@ still orders above it.  One error model covers both paths,
 1e-14 + 3e-15 (1 + t) for EM and riemann_siegel_err for RS, so downstream
 checks can demand margins that exceed accumulated error.
 
+Both paths rotate by one theta, rs_theta, exact to rounding for t >= 1: the
+asymptotic series from a switch height of 30 up, and below it the argument
+of Gamma(1/4 + it/2) from Stirling's series after a recurrence shift.  The
+package needs numpy and nothing else.
+
 All functions are pure; array-valued helpers are vectorised with numpy.
 """
 
@@ -65,17 +70,28 @@ _THETA_COEFFS = (
     127.0 / 430080.0,
 )
 
+# The series from here up: its first omitted term (1 - 2^-9) |B_10| / 180 t^-9 is 2e-17 at 30.
+_THETA_SERIES_MIN = 30.0
+# Below, Stirling at w = 1/4 + K + it/2: |w| >= 8.25 puts |B_18| / 306 |w|^-17 below 1e-16.
+_GAMMA_SHIFT = 8
+# Stirling series of log Gamma: the coefficient of w^-(2k-1) is B_2k / (2k (2k-1)).
+_STIRLING_COEFFS = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0,
+                    -691.0 / 360360.0, 1.0 / 156.0, -3617.0 / 122400.0)
+
 
 def rs_theta(t):
-    """Riemann-Siegel theta via its asymptotic expansion, for t >= 1.
+    """The Riemann-Siegel theta function, exact to rounding for t >= 1.
 
-    Absolute error is below 1e-12 for t >= 10 (the series is truncated after
-    the t^-7 term, far past the point of diminishing returns there) but grows
-    toward ~1e-3 near t = 2; see rs_theta_err.  Accepts scalars or arrays.
+    This is the one theta of the package: from _THETA_SERIES_MIN up the
+    asymptotic series truncated after its t^-7 term, below it the
+    Gamma-argument form theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi.
+    Accepts scalars or arrays.
     """
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 1.0):
-        raise DomainError("rs_theta requires t >= 1 (expansion unreliable below)")
+    low = arr < _THETA_SERIES_MIN
+    has_low = low.any()  # ndarray.any: np.any adds microseconds of dispatch a call
+    if has_low and (arr[low] < 1.0).any():
+        raise DomainError("rs_theta requires t >= 1")
     main = 0.5 * arr * (np.log(arr / TWO_PI) - 1.0) - math.pi / 8.0
     inv2 = 1.0 / (arr * arr)
     corr = np.zeros_like(arr)
@@ -83,19 +99,24 @@ def rs_theta(t):
         corr = (corr + c) * inv2
     corr *= arr  # series is in odd powers 1/t, 1/t^3, ...
     out = main + corr
+    if has_low:
+        # Im log Gamma(w) at w = 1/4 + K + it/2 by Stirling, Im[(w - 1/2) log w
+        # - w] plus the series in odd powers of 1/w, then the recurrence
+        # Gamma(w) = Gamma(1/4 + it/2) prod_{j<K} (1/4 + j + it/2) back down
+        b = 0.5 * arr[low]
+        w = (0.25 + _GAMMA_SHIFT) + 1j * b
+        inv = 1.0 / w
+        inv2 = inv * inv
+        tail = np.zeros_like(w)
+        for c in reversed(_STIRLING_COEFFS):
+            tail = tail * inv2 + c
+        val = (_GAMMA_SHIFT - 0.25) * np.angle(w) + b * (np.log(np.abs(w)) - 1.0)
+        val += np.imag(tail * inv)
+        for j in range(_GAMMA_SHIFT):
+            val -= np.arctan2(b, 0.25 + j)
+        out = np.asarray(out)  # assignable for a scalar t too
+        out[low] = val - b * LOG_PI
     return float(out) if np.isscalar(t) else out
-
-
-def rs_theta_err(t) -> float:
-    """Bound on the absolute error of rs_theta (asymptotic-series truncation)."""
-    t = float(np.min(t)) if not np.isscalar(t) else float(t)
-    if t >= 10.0:
-        return 1e-12
-    if t >= 5.0:
-        return 2e-7
-    if t >= 2.0:
-        return 2e-3
-    return 5e-2
 
 
 def rs_theta_deriv(t):
@@ -110,20 +131,6 @@ def rs_theta_deriv(t):
         out -= (2 * n - 1) * c * power
         power *= inv2
     return float(out) if np.isscalar(t) else out
-
-
-def _theta_gamma_arg(t):
-    """Im log Gamma(1/4 + it/2) - (t/2) log pi: theta without asymptotics.
-
-    Used for the rotation e^(i theta) below the Riemann-Siegel switch, where
-    the asymptotic series is not yet at machine accuracy.
-    """
-    # scipy.special costs ~26 MB, and only this path needs it
-    from scipy.special import loggamma
-
-    arr = np.asarray(t, dtype=float)
-    val = np.imag(loggamma(0.25 + 0.5j * arr)) - 0.5 * arr * LOG_PI
-    return float(val) if np.isscalar(t) else val
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +346,7 @@ def _hardy_z_em_batch(ts: np.ndarray) -> np.ndarray:
         sel = (ts >= lo) & (ts < hi)
         if np.any(sel):
             zv[sel] = _zeta_em(0.5, ts[sel])[0]
-    return np.real(np.exp(1j * _theta_gamma_arg(ts)) * zv)
+    return np.real(np.exp(1j * rs_theta(ts)) * zv)
 
 
 def em_path(ts, polish: bool = False) -> np.ndarray:

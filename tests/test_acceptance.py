@@ -20,7 +20,6 @@ from zgb.bounds import (
     big_r,
     compute_constants,
     e_frak,
-    e_frak_quadrature,
     e_frak_sandwich,
     tail_lower,
     tail_upper,
@@ -28,6 +27,8 @@ from zgb.bounds import (
 from zgb.ingestion import cross_validate, parse_reference
 from zgb.summation import partial_sum, theorem_sweep
 from zgb.zeros import build_table, count_up_to, isolate_zeros, refine_zero
+
+from oracles import e_frak_quadrature
 
 _E_FRAK_EVAL_ERR = 1e-13
 

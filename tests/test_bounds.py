@@ -22,7 +22,6 @@ from zgb.bounds import (
     big_r,
     compute_constants,
     e_frak,
-    e_frak_quadrature,
     e_frak_sandwich,
     exp_integral_e1,
     lower_bound_a,
@@ -32,6 +31,8 @@ from zgb.bounds import (
     upper_bound_a,
 )
 from zgb.errors import DomainError
+
+from oracles import e_frak_quadrature
 
 TWO_PI = 2.0 * math.pi
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommand behaviour, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -219,15 +220,6 @@ def test_zeros_default_destination(capsys, tmp_path, monkeypatch):
     assert report["count"] == 1
 
 
-def test_package_defers_scipy_integrate():
-    # only the e_frak_quadrature oracle needs scipy.integrate (~26 MB)
-    env = dict(os.environ, PYTHONPATH=str(Path(zgb.__file__).parents[1]))
-    subprocess.run(
-        [sys.executable, "-c", "import zgb, sys; assert 'scipy.integrate' not in sys.modules"],
-        env=env, check=True, timeout=120,
-    )
-
-
 def test_package_does_not_import_mpmath():
     # mpmath is a test oracle only; the package must run without it
     env = dict(os.environ, PYTHONPATH=str(Path(zgb.__file__).parents[1]))
@@ -237,18 +229,46 @@ def test_package_does_not_import_mpmath():
     )
 
 
-def test_cached_queries_do_not_import_scipy_special(reference_path):
-    # scipy.special (~26 MB) serves only the Euler-Maclaurin rotation below
-    # 500; queries on a table audited above that never need it
+def test_package_runs_without_scipy(reference_path):
+    # scipy is a test extra: with every scipy import made to fail, Z on both
+    # paths, a build and the cached queries still run
     env = dict(os.environ, PYTHONPATH=str(Path(zgb.__file__).parents[1]))
     code = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, math, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import zgb\n"
         "from zgb.cli import main\n"
+        "assert all(math.isfinite(zgb.hardy_z(t)) for t in (2.0, 499.0))\n"
+        "assert len(zgb.build_table(20.0)) == 1\n"
         f"ref = {str(reference_path)!r}\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    for argv in (['count', '--at', '600'], ['verify', '--t-max', '990'],\n"
         "                 ['ingest', '--file', ref]):\n"
         "        assert main(argv + ['--table', ref]) == 0\n"
-        "assert 'scipy.special' not in sys.modules\n"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+@pytest.mark.parametrize("t_min, t_max", [("500", "100"), ("2", "nan"), ("nan", "100")])
+def test_verify_rejects_an_empty_or_nan_range(capsys, reference_path, t_min, t_max):
+    code, out = run_cli(capsys, "verify", "--t-min", t_min, "--t-max", t_max,
+                        "--samples", "5", "--table", str(reference_path))
+    assert code == 2
+    assert json.loads(out)["error"] == "DomainError"
+
+
+def test_main_builds_the_parser_once(capsys, reference_path, monkeypatch):
+    # the first call may build the parser; later calls in the process reuse it
+    argv = ("sum", "--at", "10", "--table", str(reference_path))
+    assert run_cli(capsys, *argv)[0] == 0
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(2):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert built == []

@@ -28,7 +28,6 @@ from zgb.zeta import (
     riemann_siegel_err,
     rs_theta,
     rs_theta_deriv,
-    rs_theta_err,
     zeta_euler_maclaurin,
     zeta_euler_maclaurin_with_err,
 )
@@ -97,12 +96,19 @@ def test_theta_domain_error():
         rs_theta(0.5)
 
 
-def test_theta_err_profile():
-    assert rs_theta_err(100.0) <= 1e-12
-    assert rs_theta_err(3.0) <= 2e-3
-    # measured: err(2) ~ 9.4e-4, err(5) ~ 7.6e-8
-    assert abs(rs_theta(2.0) - float(mp.siegeltheta(2.0))) < rs_theta_err(2.0)
-    assert abs(rs_theta(5.0) - float(mp.siegeltheta(5.0))) < rs_theta_err(5.0)
+def test_theta_exact_to_rounding():
+    # the Gamma-argument form below the series' switch height, the series
+    # from there up; the series alone is 9.4e-4 off at t = 2
+    switch = zeta._THETA_SERIES_MIN
+    spots = [2.0, 5.0, float(mp.grampoint(-1)),
+             math.nextafter(switch, 0.0), switch, math.nextafter(switch, math.inf)]
+    ts = np.concatenate((spots, np.linspace(2.0, 40.0, 761),
+                         np.logspace(math.log10(2.0), 6.0, 200)))
+    eps = np.finfo(float).eps
+    for t, got in zip(ts, rs_theta(ts)):
+        ref = float(mp.siegeltheta(float(t)))
+        assert abs(got - ref) <= 1e-13 + 4.0 * eps * abs(ref), t
+    assert rs_theta(2.0) == rs_theta(np.array([2.0]))[0]
 
 
 # ------------------------------------------------------------- Euler-Maclaurin
