@@ -220,6 +220,15 @@ def test_zeros_default_destination(capsys, tmp_path, monkeypatch):
     assert report["count"] == 1
 
 
+def test_package_defers_scipy_integrate():
+    # scipy.integrate (~26 MB) serves only the e_frak_quadrature test oracle
+    env = dict(os.environ, PYTHONPATH=str(Path(zgb.__file__).parents[1]))
+    subprocess.run(
+        [sys.executable, "-c", "import zgb, sys; assert 'scipy.integrate' not in sys.modules"],
+        env=env, check=True, timeout=120,
+    )
+
+
 def test_package_does_not_import_mpmath():
     # mpmath is a test oracle only; the package must run without it
     env = dict(os.environ, PYTHONPATH=str(Path(zgb.__file__).parents[1]))
@@ -227,6 +236,23 @@ def test_package_does_not_import_mpmath():
         [sys.executable, "-c", "import zgb, sys; assert 'mpmath' not in sys.modules"],
         env=env, check=True, timeout=120,
     )
+
+
+def test_cached_queries_do_not_import_scipy_special(reference_path):
+    # with scipy installed, queries on a table audited above 500 still leave
+    # scipy.special (~26 MB) unloaded
+    env = dict(os.environ, PYTHONPATH=str(Path(zgb.__file__).parents[1]))
+    code = (
+        "import contextlib, io, sys\n"
+        "from zgb.cli import main\n"
+        f"ref = {str(reference_path)!r}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['count', '--at', '600'], ['verify', '--t-max', '990'],\n"
+        "                 ['ingest', '--file', ref]):\n"
+        "        assert main(argv + ['--table', ref]) == 0\n"
+        "assert 'scipy.special' not in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 def test_package_runs_without_scipy(reference_path):
