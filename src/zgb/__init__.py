@@ -24,8 +24,6 @@ from .errors import (
     ConvergenceError,
     CoverageError,
     DomainError,
-    OracleRangeError,
-    PoleError,
     TableFormatError,
     ValidationError,
     ZgbError,
@@ -42,11 +40,7 @@ from .zeros import (
     refine_zero,
     save_table,
 )
-from .zeta import (
-    hardy_z,
-    rs_theta,
-    zeta_euler_maclaurin,
-)
+from .zeta import hardy_z, rs_theta
 from .summation import (
     PartialSumCheck,
     SweepResult,

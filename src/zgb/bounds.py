@@ -58,7 +58,7 @@ E_FRAK_EVAL_ERR = 1e-13
 
 def big_f(T: float) -> float:
     """Smooth main term F(T) of the zero count, defined for T >= 2."""
-    if T < 2:
+    if not T >= 2:  # True for a NaN T too
         raise DomainError(f"big_f requires T >= 2, got {T}")
     x = T / TWO_PI
     return x * math.log(x) - x + 0.875
@@ -66,7 +66,7 @@ def big_f(T: float) -> float:
 
 def big_r(T: float) -> float:
     """Rosser's explicit envelope radius R(T), defined for T >= 2."""
-    if T < 2:
+    if not T >= 2:
         raise DomainError(f"big_r requires T >= 2, got {T}")
     lt = math.log(T)
     return 0.137 * lt + 0.433 * math.log(lt) + 397.0 / 250.0
@@ -78,7 +78,7 @@ def main_term(T: float | np.ndarray) -> float | np.ndarray:
     from math.log too, since np.log can differ from it in the last place."""
     many = isinstance(T, np.ndarray)
     lowest = T.min(initial=math.inf) if many else T
-    if lowest <= 1:
+    if not lowest > 1:  # True for a NaN T too
         raise DomainError(f"main_term requires T > 1, got {lowest}")
     lt = np.array([math.log(t) for t in T.tolist()]) if many else math.log(T)
     return lt * lt / FOUR_PI - LOG_2PI * lt / TWO_PI

@@ -30,7 +30,7 @@ from . import __version__
 from .bounds import big_f, big_r, compute_constants, main_term
 from .errors import TableFormatError, ZgbError
 from .ingestion import cross_validate, parse_reference
-from .summation import a_of_t, theorem_sweep
+from .summation import a_of_t, check_sweep_range, theorem_sweep
 from .zeros import ZeroTable, build_table, count_up_to, load_table, save_table
 
 ENV_TABLE_DIR = "ZGB_TABLE_DIR"
@@ -122,10 +122,10 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    f = big_f(args.at)  # rejects an invalid height before any table work
+    r = big_r(args.at)
     table = _resolve_table(args.table, args.at)
     n = count_up_to(table, args.at)
-    f = big_f(args.at)
-    r = big_r(args.at)
     ok = abs(n - f) <= r
     report = {
         "command": "count",
@@ -140,9 +140,9 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_sum(args) -> int:
+    m = main_term(args.at)  # rejects an invalid height before any table work
     table = _resolve_table(args.table, max(args.at, 20.0))
     a = a_of_t(table, args.at)
-    m = main_term(args.at)
     report = {
         "command": "sum",
         "T": args.at,
@@ -176,6 +176,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    check_sweep_range(args.t_min, args.t_max, args.samples)
     table = _resolve_table(args.table, args.t_max)
     sweep = theorem_sweep(table, args.t_min, args.t_max, args.samples)
     passed = sweep.all_lower_ok and sweep.all_upper_ok

@@ -9,14 +9,6 @@ class DomainError(ZgbError, ValueError):
     """Argument outside the validated domain of an operation."""
 
 
-class PoleError(DomainError):
-    """Evaluation requested at the pole s = 1 of the zeta function."""
-
-
-class OracleRangeError(DomainError):
-    """Evaluation requested outside the range where the accuracy contract holds."""
-
-
 class ConvergenceError(ZgbError, RuntimeError):
     """An iterative method failed to converge within its iteration budget."""
 

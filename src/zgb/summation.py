@@ -131,6 +131,16 @@ class SweepResult:
     all_upper_ok: bool
 
 
+def check_sweep_range(t_min: float, t_max: float, samples: int) -> None:
+    """Raise DomainError unless theorem_sweep can sweep [t_min, t_max] with
+    samples grid points, whatever the table."""
+    if not 2 <= t_min <= t_max:  # False for a NaN end too
+        raise DomainError(
+            f"theorem_sweep requires 2 <= t_min <= t_max, got t_min={t_min}, t_max={t_max}")
+    if samples < 1:
+        raise DomainError("theorem_sweep requires samples >= 1")
+
+
 def theorem_sweep(table: ZeroTable, t_min: float, t_max: float,
                   samples: int) -> SweepResult:
     """Evaluate the bound on a grid plus at every ordinate and gamma +- eps.
@@ -138,11 +148,7 @@ def theorem_sweep(table: ZeroTable, t_min: float, t_max: float,
     Violations are data, not exceptions: every record carries its margins and
     the result aggregates the global extremes.
     """
-    if not 2 <= t_min <= t_max:  # False for a NaN end too
-        raise DomainError(
-            f"theorem_sweep requires 2 <= t_min <= t_max, got t_min={t_min}, t_max={t_max}")
-    if samples < 1:
-        raise DomainError("theorem_sweep requires samples >= 1")
+    check_sweep_range(t_min, t_max, samples)
     count_up_to(table, t_max)  # coverage and audit guard
 
     g = table.gammas

@@ -127,7 +127,7 @@ def _neumaier_prefix(values: np.ndarray) -> np.ndarray:
 
 def count_up_to(table: ZeroTable, T: float) -> int:
     """N(T) for an audited table, inclusive of an ordinate equal to T."""
-    if T > table.t_max:
+    if not T <= table.t_max:  # True for a NaN T too
         raise CoverageError(f"T={T} beyond audited coverage t_max={table.t_max}")
     if not table.audited:
         raise AuditError("count_up_to requires an audited table", table.audit)
@@ -333,7 +333,7 @@ def _refine_many(brackets: list[tuple[float, float]]) -> np.ndarray:
     # secant polish on the polish path of Z, from the last two iterates
     for x, f in ((x0, f0), (x1, f1)):
         redo = zeta.em_path(x, polish=True) != zeta.em_path(x)
-        if np.any(redo):
+        if redo.any():
             f[redo] = zeta.hardy_z_many(x[redo], polish=True)
     last_step = np.abs(x1 - x0)
     slope = np.abs(f1 - f0) / np.maximum(last_step, 1e-300)
@@ -370,7 +370,8 @@ def refine_zero(bracket: tuple[float, float]) -> ZeroOrdinate:
     """Refine one sign-change bracket to a zero ordinate (abs_err <= 1e-9).
 
     Raises ConvergenceError when one retry from a tightened bracket still
-    misses the error target.
+    misses the error target, or when Z shows no sign change across that
+    bracket.
     """
     a, b = float(bracket[0]), float(bracket[1])
     if not b > a:
@@ -381,9 +382,8 @@ def refine_zero(bracket: tuple[float, float]) -> ZeroOrdinate:
         width = max(abs_err, 1e-10)
         a, b = gamma - width, gamma + width
         fa, fb = zeta.hardy_z(a), zeta.hardy_z(b)
-        if math.copysign(1.0, fa) == math.copysign(1.0, fb):
-            return ZeroOrdinate(gamma=gamma, abs_err=abs_err)
-        gamma, abs_err = _refine_many([(a, b)])[0].tolist()
+        if math.copysign(1.0, fa) != math.copysign(1.0, fb):
+            gamma, abs_err = _refine_many([(a, b)])[0].tolist()
         if abs_err > 1e-9:
             raise ConvergenceError(f"refinement did not converge for bracket ({a}, {b})")
     return ZeroOrdinate(gamma=gamma, abs_err=abs_err)
@@ -436,7 +436,7 @@ def build_table(t_max: float) -> ZeroTable:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: one decimal ordinate per line, plus an optional JSON sidecar.
+# Persistence: one decimal ordinate per line, plus a JSON sidecar.
 # ---------------------------------------------------------------------------
 
 _TABLE_DECIMALS = 9
@@ -459,23 +459,22 @@ def _replace_atomically(path: Path, data: bytes) -> None:
         raise
 
 
-def save_table(table: ZeroTable, path: str | Path, sidecar: bool = True) -> None:
+def save_table(table: ZeroTable, path: str | Path) -> None:
     """Write the ordinates, and a sidecar with the coverage height, source,
     audit status, ordinate count and sha256 of the table bytes."""
     path = Path(path)
     data = "".join(f"{g:.{_TABLE_DECIMALS}f}\n" for g in table.gammas.tolist()).encode()
     _replace_atomically(path, data)
-    if sidecar:
-        meta = {
-            "t_max": table.t_max,
-            "source": table.source,
-            "audited": table.audited,
-            "count": len(table),
-            "sha256": hashlib.sha256(data).hexdigest(),
-            "tool_version": _tool_version(),
-        }
-        _replace_atomically(sidecar_path(path),
-                            (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
+    meta = {
+        "t_max": table.t_max,
+        "source": table.source,
+        "audited": table.audited,
+        "count": len(table),
+        "sha256": hashlib.sha256(data).hexdigest(),
+        "tool_version": _tool_version(),
+    }
+    _replace_atomically(sidecar_path(path),
+                        (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
 
 
 def load_table(path: str | Path) -> ZeroTable:

@@ -1,12 +1,12 @@
 """Critical-line machinery: the Riemann-Siegel theta function, an
-Euler-Maclaurin evaluation of zeta(s), and the Hardy Z-function.
+Euler-Maclaurin evaluation of zeta(1/2 + it), and the Hardy Z-function.
 
 Two independent evaluation routes are kept alive on purpose:
 
-* Euler-Maclaurin (EM): slow (term count grows with t) but near machine
-  accuracy; validated for |t| <= 1e4 and used both as the low-height path of
-  Z and as the cross-check oracle for the fast path.  One vectorised core
-  serves every EM call and returns a value and an error bound per point.
+* Euler-Maclaurin (EM), on the critical line only: slow (term count grows
+  with t) but near machine accuracy.  It is the low-height path of Z and the
+  reference the fast path is checked against up to 1e4.  One vectorised
+  core, _zeta_em, serves every EM call.
 * Riemann-Siegel (RS): main sum of ~sqrt(t/2pi) terms plus four correction
   terms C0..C3 built from derivatives of the entire function
   Psi(p) = cos(2pi(p^2 - p - 1/16))/cos(2pi p).  Truncation error decays
@@ -18,9 +18,10 @@ already far below what sign decisions on the isolation grid and in the
 bracketed refinement need, at a fraction of EM's cost.  The secant polish
 turns the Z error into an ordinate's abs_err, so with polish set EM keeps
 running up to EM_POLISH_MAX, where it is still affordable and RS's error is
-still orders above it.  One error model covers both paths,
-1e-14 + 3e-15 (1 + t) for EM and riemann_siegel_err for RS, so downstream
-checks can demand margins that exceed accumulated error.
+still orders above it.  hardy_z_err is the one error model of Z, for both
+paths: 1e-14 + 3e-15 (1 + t) on EM and riemann_siegel_err on RS.  Every
+sign decision and every abs_err rests on it, so downstream checks can
+demand margins that exceed accumulated error.
 
 Both paths rotate by one theta, rs_theta, exact to rounding for t >= 1: the
 asymptotic series from a switch height of 30 up, and below it the argument
@@ -37,7 +38,7 @@ import math
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .errors import DomainError, OracleRangeError, PoleError
+from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
 LOG_PI = math.log(math.pi)
@@ -53,9 +54,6 @@ EM_POLISH_MAX = 1500.0
 # The EM term count is shared within a batch and set by its highest point, so
 # batches are split at these heights to keep low points cheap.
 _EM_BUCKET_EDGES = (0.0, 250.0, 500.0, 1000.0, EM_POLISH_MAX, math.inf)
-
-#: Range over which the Euler-Maclaurin accuracy contract (<= 1e-10) is validated.
-EM_T_MAX = 1.0e4
 
 # Matrix elements (heights x terms) one chunk of the EM or RS sum may hold:
 # 2 MB per float64 array and 4 MB per complex one, at any batch size.
@@ -122,7 +120,7 @@ def rs_theta(t):
 def rs_theta_deriv(t):
     """Derivative of the theta expansion; ~ 0.5 log(t/2pi) for large t."""
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 1.0):
+    if (arr < 1.0).any():
         raise DomainError("rs_theta_deriv requires t >= 1")
     out = 0.5 * np.log(arr / TWO_PI)
     inv2 = 1.0 / (arr * arr)
@@ -137,82 +135,44 @@ def rs_theta_deriv(t):
 # Euler-Maclaurin zeta.
 # ---------------------------------------------------------------------------
 
-# B_2, B_4, ..., B_12 over (2k)! -- one extra pair beyond the B_10 cutoff so
-# the first omitted term can be bounded, not guessed.
+# B_2, B_4, ..., B_10 over (2k)!: the Bernoulli corrections of the EM sum.
 _BERN_OVER_FACT = (
     1.0 / 6.0 / 2.0,
     -1.0 / 30.0 / 24.0,
     1.0 / 42.0 / 720.0,
     -1.0 / 30.0 / 40320.0,
     5.0 / 66.0 / 3628800.0,
-    -691.0 / 2730.0 / 479001600.0,
 )
-_EM_BERN_TERMS = 5  # corrections through B_10
+_EM_BERN_TERMS = len(_BERN_OVER_FACT)
 
 
 def _em_n_terms(t: float) -> int:
     return max(20, int(math.ceil(2.0 * abs(t))))
 
 
-def _zeta_em(sigma: float, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """zeta(sigma + i t) by Euler-Maclaurin for an array of heights.
+def _zeta_em(ts: np.ndarray) -> np.ndarray:
+    """zeta(1/2 + i t) by Euler-Maclaurin for an array of heights.
 
-    The term count is shared, set by the largest |t|.  Returns (values, errs).
+    The term count is shared, set by the largest |t|.
     """
     ts = np.asarray(ts, dtype=float)
     n_terms = _em_n_terms(float(np.max(np.abs(ts))))
     n = np.arange(1, n_terms)
     logn = np.log(n)
-    rsq = n ** -sigma
+    rsq = n ** -0.5
     out = np.empty(ts.shape, dtype=complex)
     chunk = max(1, _BATCH_ELEMENTS // n_terms)
     for i in range(0, ts.size, chunk):
         tt = ts[i:i + chunk, None]
         out[i:i + chunk] = (rsq * np.exp(-1j * tt * logn)).sum(axis=1)
-    s = sigma + 1j * ts
+    s = 0.5 + 1j * ts
     big_n = float(n_terms)
     out += 0.5 * big_n ** (-s) + big_n ** (1 - s) / (s - 1.0)
     fac = s * big_n ** (-s - 1.0)
     for k in range(1, _EM_BERN_TERMS + 1):
         out += _BERN_OVER_FACT[k - 1] * fac
         fac = fac * (s + 2 * k - 1) * (s + 2 * k) / (big_n * big_n)
-    # First omitted Bernoulli term, inflated by the standard |s+2K+1|/(sigma+2K+1)
-    # factor, plus a phase-rounding model: each power carries an argument error
-    # ~|t| eps, so the sum's rounding scales with |t| eps sum|n^-s| (coefficient
-    # calibrated against arbitrary-precision references, kept 3x conservative).
-    k1 = _EM_BERN_TERMS + 1
-    tail = np.abs(_BERN_OVER_FACT[k1 - 1] * fac) * (
-        np.abs(s + 2 * k1 - 1) / (sigma + 2 * k1 - 1)
-    )
-    power_sum = float(rsq.sum()) + 1.0
-    rounding = 0.15 * _EPS * (1.0 + np.abs(ts)) * power_sum + 3e-15
-    return out, tail + rounding
-
-
-def zeta_euler_maclaurin(sigma: float, t: float) -> complex:
-    """zeta(sigma + it) by Euler-Maclaurin.
-
-    Absolute error <= 1e-10 throughout |t| <= 1e4 for sigma >= 0.4 (which
-    covers every oracle use; the companion error bound stays honest for
-    smaller sigma, where |zeta| itself grows and only relative accuracy
-    ~1e-12 is achievable in double precision).
-    """
-    value, _ = zeta_euler_maclaurin_with_err(sigma, t)
-    return value
-
-
-def zeta_euler_maclaurin_with_err(sigma: float, t: float) -> tuple[complex, float]:
-    """Like zeta_euler_maclaurin but also returns the computed error bound."""
-    if sigma == 1.0 and t == 0.0:
-        raise PoleError("zeta has a pole at s = 1")
-    if abs(t) > EM_T_MAX:
-        raise OracleRangeError(
-            f"Euler-Maclaurin accuracy contract covers |t| <= {EM_T_MAX:g}, got t={t}"
-        )
-    if sigma <= -8.0:
-        raise DomainError("Bernoulli corrections through B_10 require sigma > -8")
-    values, errs = _zeta_em(float(sigma), np.array([float(t)]))
-    return complex(values[0]), float(errs[0])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +195,7 @@ def _psi(z: np.ndarray) -> np.ndarray:
     near = np.abs(den) < 0.1
     safe = ~near
     out[safe] = np.cos(a[safe]) / den[safe]
-    if np.any(near):
+    if near.any():
         an, bn = a[near], b[near]
         j = np.round(an.real / math.pi - 0.5)
         l = np.round(bn.real / math.pi - 0.5)
@@ -344,8 +304,8 @@ def _hardy_z_em_batch(ts: np.ndarray) -> np.ndarray:
     zv = np.empty(ts.shape, dtype=complex)
     for lo, hi in zip(_EM_BUCKET_EDGES[:-1], _EM_BUCKET_EDGES[1:]):
         sel = (ts >= lo) & (ts < hi)
-        if np.any(sel):
-            zv[sel] = _zeta_em(0.5, ts[sel])[0]
+        if sel.any():
+            zv[sel] = _zeta_em(ts[sel])
     return np.real(np.exp(1j * rs_theta(ts)) * zv)
 
 
@@ -363,15 +323,15 @@ def hardy_z_many(ts, polish: bool = False) -> np.ndarray:
     may be polished just past it.
     """
     ts = np.asarray(ts, dtype=float)
-    if not polish and np.any(ts < 2.0):
+    if not polish and (ts < 2.0).any():
         raise DomainError("hardy_z requires t >= 2")
-    if not polish and np.any(ts > 1e6):
+    if not polish and (ts > 1e6).any():
         raise DomainError("hardy_z validated for t <= 1e6")
     out = np.empty(ts.shape, dtype=float)
     lo = em_path(ts, polish)
-    if np.any(lo):
+    if lo.any():
         out[lo] = _hardy_z_em_batch(ts[lo])
-    if np.any(~lo):
+    if not lo.all():
         out[~lo] = _hardy_z_rs_batch(ts[~lo])
     return out
 

@@ -283,6 +283,22 @@ def test_verify_rejects_an_empty_or_nan_range(capsys, reference_path, t_min, t_m
     assert json.loads(out)["error"] == "DomainError"
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--t-min", "500", "--t-max", "100"),
+    ("verify", "--t-max", "nan"),
+    ("count", "--at", "nan"),
+    ("sum", "--at", "nan"),
+])
+def test_invalid_heights_exit_2_before_any_table_work(capsys, tmp_path, monkeypatch, argv):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("ZGB_TABLE_DIR", str(cache))
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"] == "DomainError"
+    assert list(cache.iterdir()) == []
+
+
 def test_main_builds_the_parser_once(capsys, reference_path, monkeypatch):
     # the first call may build the parser; later calls in the process reuse it
     argv = ("sum", "--at", "10", "--table", str(reference_path))

@@ -146,6 +146,25 @@ def test_refine_zero_gives_up_after_one_retry(monkeypatch):
     assert len(calls) <= 2
 
 
+def test_refine_zero_raises_without_a_sign_change_to_retry(monkeypatch):
+    # the first pass misses 1e-9 here; when Z shows no sign change across
+    # gamma +- abs_err there is nothing to retry, and the miss must not be
+    # returned as a result
+    bracket = isolate_zeros(950000.0, 950002.0)[0]
+    calls = []
+    original = zeros._refine_many
+
+    def counting(brackets):
+        calls.append(brackets)
+        return original(brackets)
+
+    monkeypatch.setattr(zeros, "_refine_many", counting)
+    monkeypatch.setattr(zeta, "hardy_z", lambda t: 1.0)
+    with pytest.raises(ConvergenceError):
+        refine_zero(bracket)
+    assert len(calls) == 1
+
+
 def test_refine_spends_few_z_points_per_zero(monkeypatch):
     # Illinois steps plus a secant polish from the last two iterates take
     # 10.0 Z points per zero to 1e3 (6504 for 649 zeros; 28.1 with bisection
@@ -246,6 +265,9 @@ def test_count_up_to(table100):
 def test_count_range_error(table100):
     with pytest.raises(CoverageError):
         count_up_to(table100, 101.0)
+    # NaN > t_max is False, so only a test of T <= t_max keeps it out
+    with pytest.raises(CoverageError):
+        count_up_to(table100, float("nan"))
 
 
 def test_count_requires_audit(table100):
@@ -418,11 +440,10 @@ def test_save_table_replaces_atomically(table100, tmp_path, monkeypatch):
 
 def test_save_layout_is_one_ordinate_per_line(table100, tmp_path):
     path = tmp_path / "zeros.txt"
-    save_table(table100, path, sidecar=False)
+    save_table(table100, path)
     lines = path.read_text().splitlines()
     assert len(lines) == 29
     assert lines[0] == "14.134725142"
-    assert not sidecar_path(path).exists()
 
 
 def test_isolate_at_height_1e5():

@@ -1,7 +1,7 @@
 """Critical-line machinery: theta expansion, Euler-Maclaurin zeta, Hardy Z.
 
 The two evaluation routes check each other; where an external oracle is
-wanted (theta as a Gamma argument, zeta spot values), mpmath provides
+wanted (theta as a Gamma argument, Z and its error model), mpmath provides
 arbitrary-precision references.
 """
 
@@ -14,22 +14,21 @@ import pytest
 from scipy.optimize import brentq
 
 from zgb import zeta
-from zgb.errors import DomainError, OracleRangeError, PoleError
+from zgb.errors import DomainError
 from zgb.zeta import (
-    EM_T_MAX,
+    EM_POLISH_MAX,
     RS_SWITCH,
     _correction_fit,
     _correction_models,
     _hardy_z_em_batch,
     _hardy_z_rs_batch,
+    em_path,
     hardy_z,
     hardy_z_err,
     hardy_z_many,
     riemann_siegel_err,
     rs_theta,
     rs_theta_deriv,
-    zeta_euler_maclaurin,
-    zeta_euler_maclaurin_with_err,
 )
 
 mp.mp.dps = 30
@@ -114,43 +113,21 @@ def test_theta_exact_to_rounding():
 # ------------------------------------------------------------- Euler-Maclaurin
 
 
-def test_zeta_at_2():
-    assert zeta_euler_maclaurin(2.0, 0.0) == pytest.approx(math.pi**2 / 6, abs=1e-12)
-
-
-def test_zeta_at_0():
-    assert zeta_euler_maclaurin(0.0, 0.0) == pytest.approx(-0.5, abs=1e-13)
-
-
-def test_zeta_vanishes_at_first_zero():
-    assert abs(zeta_euler_maclaurin(0.5, GAMMA1)) < 1e-6
-
-
-def test_zeta_pole_error():
-    with pytest.raises(PoleError):
-        zeta_euler_maclaurin(1.0, 0.0)
-
-
-def test_zeta_oracle_range_error():
-    with pytest.raises(OracleRangeError):
-        zeta_euler_maclaurin(0.5, EM_T_MAX + 1.0)
-
-
-def test_zeta_accuracy_against_mpmath():
-    rng = np.random.default_rng(42)
-    for _ in range(25):
-        sigma = rng.uniform(-0.5, 2.0)
-        t = rng.uniform(0.0, EM_T_MAX)
-        got, err = zeta_euler_maclaurin_with_err(sigma, t)
-        ref = complex(mp.zeta(mp.mpc(sigma, t)))
-        assert abs(got - ref) <= max(err, 1e-15)
-        if sigma >= 0.4:
-            assert abs(got - ref) <= 1e-10
-
-
-def test_zeta_error_bound_is_finite_and_small():
-    _, err = zeta_euler_maclaurin_with_err(0.5, 9000.0)
-    assert 0.0 < err < 1e-10
+def test_z_within_its_error_model_against_mpmath():
+    # hardy_z_err is the one error model of Z, so every sign decision and
+    # abs_err rests on it: check it at seeded heights on both EM paths, the
+    # grid path below RS_SWITCH and the polish path below EM_POLISH_MAX
+    rng = np.random.default_rng(8)
+    for polish, top in ((False, RS_SWITCH), (True, EM_POLISH_MAX)):
+        ts = rng.uniform(2.0, top, 40)
+        assert em_path(ts, polish).all()
+        got = hardy_z_many(ts, polish)
+        for t, z, err in zip(ts.tolist(), got, hardy_z_err(ts, polish)):
+            assert abs(z - float(mp.siegelz(t))) <= err, (polish, t)
+    # above, EM is the reference the RS tests compare against within 1e-10
+    ts = np.geomspace(EM_POLISH_MAX, 1e4, 6)
+    for t, z in zip(ts.tolist(), _hardy_z_em_batch(ts)):
+        assert abs(z - float(mp.siegelz(t))) <= 1e-10, t
 
 
 # --------------------------------------------------------------------- hardy Z
@@ -182,10 +159,7 @@ def test_modulus_identity_1000_samples():
     rng = np.random.default_rng(7)
     ts = rng.uniform(2.0, 1e4, 1000)
     z = hardy_z_many(ts)
-    worst = 0.0
-    for t, zv in zip(ts, z):
-        zeta_mod = abs(zeta_euler_maclaurin(0.5, float(t)))
-        worst = max(worst, abs(abs(zv) - zeta_mod))
+    worst = float(np.max(np.abs(np.abs(z) - np.abs(_hardy_z_em_batch(ts)))))
     assert worst < 1e-7
 
 
@@ -256,11 +230,6 @@ def test_batch_kernels_bound_their_working_set():
         finally:
             tracemalloc.stop()
         assert peak < 16e6
-
-
-def test_zeta_sigma_domain_error():
-    with pytest.raises(DomainError):
-        zeta_euler_maclaurin(-8.5, 10.0)
 
 
 def test_hardy_z_accepts_arrays():
