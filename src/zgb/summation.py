@@ -68,15 +68,15 @@ def partial_sum(table: ZeroTable, phi: Callable[[float], float],
     lo = int(np.searchsorted(gammas, U, side="right"))
     inside = gammas[lo:hi]
 
-    direct = float(_neumaier_prefix(np.array([phi(g) for g in inside]))[-1])
+    values = [phi(x) for x in [U, *inside.tolist(), V]]  # one call per point
+    direct = float(_neumaier_prefix(np.array(values[1:-1]))[-1])
 
     # exact step integral of N(t) phi'(t) over [U, V]
-    pieces = np.concatenate(([U], inside, [V]))
     integral = 0.0
-    for j in range(pieces.size - 1):
-        n_val = lo + j  # N on the open interval (pieces[j], pieces[j+1])
-        integral += n_val * (phi(float(pieces[j + 1])) - phi(float(pieces[j])))
-    stieltjes = -integral + hi * phi(V) - lo * phi(U)
+    for j in range(len(values) - 1):
+        n_val = lo + j  # N on the open interval between points j and j + 1
+        integral += n_val * (values[j + 1] - values[j])
+    stieltjes = -integral + hi * values[-1] - lo * values[0]
     return PartialSumCheck(direct=direct, stieltjes=stieltjes,
                            difference=direct - stieltjes)
 

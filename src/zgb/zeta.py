@@ -1,12 +1,11 @@
-"""Critical-line machinery: the Riemann-Siegel theta function, an
-Euler-Maclaurin evaluation of zeta(1/2 + it), and the Hardy Z-function.
+"""Critical-line machinery: the Riemann-Siegel theta function and the Hardy
+Z-function, by two routes over one main-sum kernel, _cos_sum, which adds
+n^-1/2 cos(theta(t) - t log n) up to a term count of each height's own:
 
-Two independent evaluation routes are kept alive on purpose:
-
-* Euler-Maclaurin (EM), on the critical line only: slow (term count grows
-  with t) but near machine accuracy.  It is the low-height path of Z and the
-  reference the fast path is checked against up to 1e4.  One vectorised
-  core, _zeta_em, serves every EM call.
+* Euler-Maclaurin (EM): slow (N - 1 terms, N = max(60, ceil(2t))) but near
+  machine accuracy.  It is the low-height path of Z and the reference the
+  fast path is checked against up to 1e4.  Its remainder at N is added as a
+  complex number rotated by theta.  N does not depend on the rest of a batch.
 * Riemann-Siegel (RS): main sum of ~sqrt(t/2pi) terms plus four correction
   terms C0..C3 built from derivatives of the entire function
   Psi(p) = cos(2pi(p^2 - p - 1/16))/cos(2pi p).  Truncation error decays
@@ -51,12 +50,12 @@ RS_SWITCH = 500.0
 #: which is near machine accuracy there.
 EM_POLISH_MAX = 1500.0
 
-# The EM term count is shared within a batch and set by its highest point, so
-# batches are split at these heights to keep low points cheap.
-_EM_BUCKET_EDGES = (0.0, 250.0, 500.0, 1000.0, EM_POLISH_MAX, math.inf)
+# The least EM term count N: against mpmath, heights in [10, 20) reach 5.2x
+# hardy_z_err with 20 and 0.72x with 40; with 60, 0.22x.
+_EM_MIN_TERMS = 60
 
-# Matrix elements (heights x terms) one chunk of the EM or RS sum may hold:
-# 2 MB per float64 array and 4 MB per complex one, at any batch size.
+# Matrix elements (heights x terms) one chunk of the main sum may hold:
+# 2 MB per float64 array, at any batch size.
 _BATCH_ELEMENTS = 1 << 18
 
 # Riemann-Siegel theta asymptotic series: coefficient of t^-(2n-1) is
@@ -132,46 +131,27 @@ def rs_theta_deriv(t):
 
 
 # ---------------------------------------------------------------------------
-# Euler-Maclaurin zeta.
+# The main sum of both paths.
 # ---------------------------------------------------------------------------
 
-# B_2, B_4, ..., B_10 over (2k)!: the Bernoulli corrections of the EM sum.
-_BERN_OVER_FACT = (
-    1.0 / 6.0 / 2.0,
-    -1.0 / 30.0 / 24.0,
-    1.0 / 42.0 / 720.0,
-    -1.0 / 30.0 / 40320.0,
-    5.0 / 66.0 / 3628800.0,
-)
-_EM_BERN_TERMS = len(_BERN_OVER_FACT)
 
+def _cos_sum(ts: np.ndarray, theta: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum of n^-1/2 cos(theta - t log n) over 1 <= n <= counts, per height.
 
-def _em_n_terms(t: float) -> int:
-    return max(20, int(math.ceil(2.0 * abs(t))))
-
-
-def _zeta_em(ts: np.ndarray) -> np.ndarray:
-    """zeta(1/2 + i t) by Euler-Maclaurin for an array of heights.
-
-    The term count is shared, set by the largest |t|.
+    Heights are taken in ascending order, in chunks of at most
+    _BATCH_ELEMENTS heights x terms, so a chunk's term count stays close to
+    that of each of its heights.
     """
-    ts = np.asarray(ts, dtype=float)
-    n_terms = _em_n_terms(float(np.max(np.abs(ts))))
-    n = np.arange(1, n_terms)
-    logn = np.log(n)
-    rsq = n ** -0.5
-    out = np.empty(ts.shape, dtype=complex)
-    chunk = max(1, _BATCH_ELEMENTS // n_terms)
-    for i in range(0, ts.size, chunk):
-        tt = ts[i:i + chunk, None]
-        out[i:i + chunk] = (rsq * np.exp(-1j * tt * logn)).sum(axis=1)
-    s = 0.5 + 1j * ts
-    big_n = float(n_terms)
-    out += 0.5 * big_n ** (-s) + big_n ** (1 - s) / (s - 1.0)
-    fac = s * big_n ** (-s - 1.0)
-    for k in range(1, _EM_BERN_TERMS + 1):
-        out += _BERN_OVER_FACT[k - 1] * fac
-        fac = fac * (s + 2 * k - 1) * (s + 2 * k) / (big_n * big_n)
+    out = np.zeros(ts.shape, dtype=float)
+    order = np.argsort(ts)
+    chunk = max(1, _BATCH_ELEMENTS // int(counts.max(initial=1)))
+    for pos in range(0, order.size, chunk):
+        idx = order[pos:pos + chunk]
+        n_max = int(counts[idx].max())
+        n = np.arange(1, n_max + 1)
+        mask = n[None, :] <= counts[idx, None]
+        phases = theta[idx, None] - ts[idx, None] * np.log(n)[None, :]
+        out[idx] = np.where(mask, np.cos(phases) / np.sqrt(n)[None, :], 0.0).sum(axis=1)
     return out
 
 
@@ -278,17 +258,7 @@ def _hardy_z_rs_batch(ts: np.ndarray) -> np.ndarray:
     tau = np.sqrt(ts / TWO_PI)
     big_n = np.floor(tau).astype(int)
     p = tau - big_n
-    theta = rs_theta(ts)
-    out = np.zeros(ts.shape, dtype=float)
-    order = np.argsort(ts)
-    chunk = max(1, _BATCH_ELEMENTS // int(big_n.max()))
-    for pos in range(0, order.size, chunk):
-        idx = order[pos:pos + chunk]
-        n_max = int(big_n[idx].max())
-        n = np.arange(1, n_max + 1)
-        mask = n[None, :] <= big_n[idx, None]
-        phases = theta[idx, None] - ts[idx, None] * np.log(n)[None, :]
-        out[idx] = 2.0 * np.where(mask, np.cos(phases) / np.sqrt(n)[None, :], 0.0).sum(axis=1)
+    out = 2.0 * _cos_sum(ts, rs_theta(ts), big_n)
     x = 2.0 * p - 1.0
     u = 1.0 / tau
     c0, c1, c2, c3 = chebyshev.chebval(x, models)
@@ -298,15 +268,32 @@ def _hardy_z_rs_batch(ts: np.ndarray) -> np.ndarray:
     return out
 
 
+# B_2, B_4, ..., B_10 over (2k)!: the Bernoulli corrections of the EM remainder.
+_BERN_OVER_FACT = (
+    1.0 / 6.0 / 2.0,
+    -1.0 / 30.0 / 24.0,
+    1.0 / 42.0 / 720.0,
+    -1.0 / 30.0 / 40320.0,
+    5.0 / 66.0 / 3628800.0,
+)
+
+
 def _hardy_z_em_batch(ts: np.ndarray) -> np.ndarray:
-    """Z via Euler-Maclaurin rotation, one shared term count per height bucket."""
+    """Euler-Maclaurin Z = Re e^(i theta) zeta(1/2 + it) for an array of heights.
+
+    zeta is the sum over n < N plus the remainder 1/2 N^-s + N^(1-s)/(s-1) +
+    sum_k B_2k/(2k)! s(s+1)...(s+2k-2) N^(1-s-2k), with N = max(_EM_MIN_TERMS,
+    ceil(2t)) for each height."""
     ts = np.asarray(ts, dtype=float)
-    zv = np.empty(ts.shape, dtype=complex)
-    for lo, hi in zip(_EM_BUCKET_EDGES[:-1], _EM_BUCKET_EDGES[1:]):
-        sel = (ts >= lo) & (ts < hi)
-        if sel.any():
-            zv[sel] = _zeta_em(ts[sel])
-    return np.real(np.exp(1j * rs_theta(ts)) * zv)
+    theta = rs_theta(ts)
+    nf = np.maximum(_EM_MIN_TERMS, np.ceil(2.0 * ts))
+    s = 0.5 + 1j * ts
+    rem = 0.5 * nf ** (-s) + nf ** (1 - s) / (s - 1.0)
+    fac = s * nf ** (-s - 1.0)
+    for k, b in enumerate(_BERN_OVER_FACT, start=1):
+        rem += b * fac
+        fac = fac * (s + 2 * k - 1) * (s + 2 * k) / (nf * nf)
+    return _cos_sum(ts, theta, nf.astype(int) - 1) + np.real(np.exp(1j * theta) * rem)
 
 
 def em_path(ts, polish: bool = False) -> np.ndarray:
@@ -337,9 +324,8 @@ def hardy_z_many(ts, polish: bool = False) -> np.ndarray:
 
 
 def hardy_z(t: float) -> float:
-    """Hardy's Z(t) = e^(i theta(t)) zeta(1/2 + it), real on the critical line."""
-    if np.ndim(t) != 0:
-        return hardy_z_many(t)
+    """Hardy's Z(t) = e^(i theta(t)) zeta(1/2 + it), real on the critical line,
+    at one height t >= 2."""
     return float(hardy_z_many(np.array([float(t)]))[0])
 
 

@@ -99,6 +99,19 @@ def test_partial_sum_random_weights(table1000):
         assert abs(res.difference) < 1e-8
 
 
+def test_partial_sum_evaluates_phi_once_per_point(table100):
+    # once at U, at each of the 29 ordinates in (2, 100] and at V
+    calls = []
+
+    def phi(t):
+        calls.append(t)
+        return 1.0 / t
+
+    res = partial_sum(table100, phi, 2.0, 100.0)
+    assert len(calls) == 29 + 2
+    assert abs(res.difference) < 1e-9
+
+
 def test_partial_sum_domain(table100):
     with pytest.raises(DomainError):
         partial_sum(table100, lambda t: 1.0, 0.5, 50.0)

@@ -167,8 +167,8 @@ def test_refine_zero_raises_without_a_sign_change_to_retry(monkeypatch):
 
 def test_refine_spends_few_z_points_per_zero(monkeypatch):
     # Illinois steps plus a secant polish from the last two iterates take
-    # 10.0 Z points per zero to 1e3 (6504 for 649 zeros; 28.1 with bisection
-    # to 1e-6 before the polish); the bound leaves 20 % headroom
+    # 10.05 Z points per zero to 1e3 (6523 for 649 zeros; 28.1 with bisection
+    # to 1e-6 before the polish); the bound leaves 19 % headroom
     brackets = isolate_zeros(2.0, 1e3)
     points = []
     for name in ("_hardy_z_rs_batch", "_hardy_z_em_batch"):

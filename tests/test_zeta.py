@@ -116,18 +116,31 @@ def test_theta_exact_to_rounding():
 def test_z_within_its_error_model_against_mpmath():
     # hardy_z_err is the one error model of Z, so every sign decision and
     # abs_err rests on it: check it at seeded heights on both EM paths, the
-    # grid path below RS_SWITCH and the polish path below EM_POLISH_MAX
+    # grid path below RS_SWITCH and the polish path below EM_POLISH_MAX, each
+    # in one batch and one height at a time
     rng = np.random.default_rng(8)
     for polish, top in ((False, RS_SWITCH), (True, EM_POLISH_MAX)):
         ts = rng.uniform(2.0, top, 40)
         assert em_path(ts, polish).all()
         got = hardy_z_many(ts, polish)
         for t, z, err in zip(ts.tolist(), got, hardy_z_err(ts, polish)):
-            assert abs(z - float(mp.siegelz(t))) <= err, (polish, t)
+            ref = float(mp.siegelz(t))
+            assert abs(z - ref) <= err, (polish, t)
+            alone = float(hardy_z_many(np.array([t]), polish)[0])
+            assert abs(alone - ref) <= err, (polish, t, "alone")
     # above, EM is the reference the RS tests compare against within 1e-10
     ts = np.geomspace(EM_POLISH_MAX, 1e4, 6)
     for t, z in zip(ts.tolist(), _hardy_z_em_batch(ts)):
         assert abs(z - float(mp.siegelz(t))) <= 1e-10, t
+
+
+def test_em_value_does_not_depend_on_its_batch():
+    # each height takes its own term count, so a value computed alone and
+    # inside a shared batch differ only by the rounding of the batch's order
+    ts = np.random.default_rng(9).uniform(2.0, EM_POLISH_MAX, 200)
+    batched = _hardy_z_em_batch(ts)
+    for t, z in zip(ts.tolist(), batched):
+        assert abs(float(_hardy_z_em_batch(np.array([t]))[0]) - z) <= 1e-14, t
 
 
 # --------------------------------------------------------------------- hardy Z
@@ -219,8 +232,8 @@ def test_rs_batch_makes_one_chebval_call(monkeypatch):
 
 def test_batch_kernels_bound_their_working_set():
     # one dense heights x terms array for these batches takes 64 MB (RS,
-    # 20000 x 400 floats) or 67 MB (EM, 1400 x 3000 complex); chunked by one
-    # element budget, the peaks measure 7.6 and 8.6 MB
+    # 20000 x 400 floats) or 34 MB (EM, 1400 x 3000 floats); chunked by one
+    # element budget, the peaks measure 7.6 and 6.7 MB
     for kernel, ts in ((_hardy_z_rs_batch, np.linspace(9.9e5, 1e6, 20000)),
                        (_hardy_z_em_batch, np.linspace(1400.0, 1499.0, 1400))):
         tracemalloc.start()
@@ -230,10 +243,3 @@ def test_batch_kernels_bound_their_working_set():
         finally:
             tracemalloc.stop()
         assert peak < 16e6
-
-
-def test_hardy_z_accepts_arrays():
-    ts = np.array([14.2, 100.0, 1000.0])
-    out = hardy_z(ts)
-    assert out.shape == ts.shape
-    assert out[0] == pytest.approx(hardy_z(14.2))
