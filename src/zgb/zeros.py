@@ -165,8 +165,8 @@ def _brackets_from_grid(grid: np.ndarray, zvals: np.ndarray) -> list[tuple[float
     # a sample whose |Z| is within hardy_z_err of zero has no sign to count
     keep = np.abs(zvals) > zeta.hardy_z_err(grid)
     grid, s = grid[keep], np.sign(zvals[keep])
-    flips = np.flatnonzero(s[:-1] != s[1:])
-    return [(float(grid[i]), float(grid[i + 1])) for i in flips]
+    ends = grid.tolist()  # adjacent brackets share the float of their common end
+    return [(ends[i], ends[i + 1]) for i in np.flatnonzero(s[:-1] != s[1:]).tolist()]
 
 
 def _scan_window(a: float, b: float, step: float) -> list[tuple[float, float]]:

@@ -8,8 +8,9 @@ n^-1/2 cos(theta(t) - t log n) up to a term count of each height's own:
   complex number rotated by theta.  N does not depend on the rest of a batch.
 * Riemann-Siegel (RS): main sum of ~sqrt(t/2pi) terms plus four correction
   terms C0..C3 built from derivatives of the entire function
-  Psi(p) = cos(2pi(p^2 - p - 1/16))/cos(2pi p).  Truncation error decays
-  like (t/2pi)^(-11/4).
+  Psi(p) = cos(2pi(p^2 - p - 1/16))/cos(2pi p), all four from one product of
+  a Chebyshev basis with their models.  Truncation error decays like
+  (t/2pi)^(-11/4).
 
 em_path is the only place that chooses between the two, for hardy_z_many
 and hardy_z_err alike.  RS runs from RS_SWITCH up: there its error is
@@ -140,18 +141,22 @@ def _cos_sum(ts: np.ndarray, theta: np.ndarray, counts: np.ndarray) -> np.ndarra
 
     Heights are taken in ascending order, in chunks of at most
     _BATCH_ELEMENTS heights x terms, so a chunk's term count stays close to
-    that of each of its heights.
+    that of each of its heights; a chunk is worked in one buffer.
     """
     out = np.zeros(ts.shape, dtype=float)
     order = np.argsort(ts)
     chunk = max(1, _BATCH_ELEMENTS // int(counts.max(initial=1)))
     for pos in range(0, order.size, chunk):
         idx = order[pos:pos + chunk]
-        n_max = int(counts[idx].max())
-        n = np.arange(1, n_max + 1)
-        mask = n[None, :] <= counts[idx, None]
-        phases = theta[idx, None] - ts[idx, None] * np.log(n)[None, :]
-        out[idx] = np.where(mask, np.cos(phases) / np.sqrt(n)[None, :], 0.0).sum(axis=1)
+        cnt = counts[idx, None]
+        n = np.arange(1, int(cnt.max()) + 1)
+        buf = np.multiply(ts[idx, None], np.log(n))  # one buffer, each step in place
+        np.subtract(theta[idx, None], buf, out=buf)
+        np.cos(buf, out=buf)
+        np.divide(buf, np.sqrt(n), out=buf)
+        if cnt.min() < n.size:  # mask only where the counts differ
+            buf *= n <= cnt
+        out[idx] = buf.sum(axis=1)
     return out
 
 
@@ -228,8 +233,8 @@ def _correction_fit() -> np.ndarray:
 
 
 def _correction_models() -> np.ndarray:
-    """The models of _correction_fit, cut for one chebval pass over C0..C3,
-    built once per process.
+    """The models of _correction_fit, cut for one product with _cheb_basis
+    over C0..C3, built once per process.
 
     The cut keeps the lowest common degree at which every dropped tail (the
     sum of the dropped |coefficients|, which bounds the truncation error
@@ -251,6 +256,11 @@ def _correction_models() -> np.ndarray:
     return _cheb_models
 
 
+def _cheb_basis(x: np.ndarray, count: int) -> np.ndarray:
+    """T_j(x) = cos(j arccos x) for j < count, as a (len(x), count) array."""
+    return np.cos(np.arccos(x)[:, None] * np.arange(count))
+
+
 def _hardy_z_rs_batch(ts: np.ndarray) -> np.ndarray:
     """Riemann-Siegel Z for an array of heights (all >= RS_SWITCH)."""
     models = _correction_models()
@@ -259,9 +269,8 @@ def _hardy_z_rs_batch(ts: np.ndarray) -> np.ndarray:
     big_n = np.floor(tau).astype(int)
     p = tau - big_n
     out = 2.0 * _cos_sum(ts, rs_theta(ts), big_n)
-    x = 2.0 * p - 1.0
     u = 1.0 / tau
-    c0, c1, c2, c3 = chebyshev.chebval(x, models)
+    c0, c1, c2, c3 = (_cheb_basis(2.0 * p - 1.0, models.shape[0]) @ models).T
     corr = c0 + c1 * u + c2 * u ** 2 + c3 * u ** 3
     sign = np.where(big_n % 2 == 1, 1.0, -1.0)  # (-1)^(N-1)
     out += sign * tau ** -0.5 * corr
@@ -310,16 +319,20 @@ def hardy_z_many(ts, polish: bool = False) -> np.ndarray:
     may be polished just past it.
     """
     ts = np.asarray(ts, dtype=float)
-    if not polish and (ts < 2.0).any():
+    if not polish and not (ts >= 2.0).all():  # NaN fails it too
         raise DomainError("hardy_z requires t >= 2")
     if not polish and (ts > 1e6).any():
         raise DomainError("hardy_z validated for t <= 1e6")
-    out = np.empty(ts.shape, dtype=float)
     lo = em_path(ts, polish)
-    if lo.any():
-        out[lo] = _hardy_z_em_batch(ts[lo])
-    if not lo.all():
-        out[~lo] = _hardy_z_rs_batch(ts[~lo])
+    if not ts.size:
+        return np.empty(ts.shape)
+    all_em = lo.all()
+    if all_em or not lo.any():  # one path: no scatter
+        kernel = _hardy_z_em_batch if all_em else _hardy_z_rs_batch
+        return kernel(ts.ravel()).reshape(ts.shape)
+    out = np.empty(ts.shape)
+    out[lo] = _hardy_z_em_batch(ts[lo])
+    out[~lo] = _hardy_z_rs_batch(ts[~lo])
     return out
 
 

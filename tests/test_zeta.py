@@ -11,6 +11,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 from scipy.optimize import brentq
 
 from zgb import zeta
@@ -18,6 +19,7 @@ from zgb.errors import DomainError
 from zgb.zeta import (
     EM_POLISH_MAX,
     RS_SWITCH,
+    _cheb_basis,
     _correction_fit,
     _correction_models,
     _hardy_z_em_batch,
@@ -155,6 +157,11 @@ def test_z_domain_error():
         hardy_z(1.9)
     with pytest.raises(DomainError):
         hardy_z_many(np.array([1e6 + 1e-9]))
+    # NaN is no height: it fails the t >= 2 check alone or in a batch
+    with pytest.raises(DomainError):
+        hardy_z(math.nan)
+    with pytest.raises(DomainError):
+        hardy_z_many(np.array([600.0, math.nan]))
     # a secant polish may step 1e-9 past a bracket that ends at 1e6
     assert np.isfinite(hardy_z_many(np.array([1e6 + 1e-9]), polish=True)).all()
 
@@ -186,7 +193,8 @@ def test_rs_and_em_agree_within_combined_estimates():
 
 
 def test_z_spot_values_against_mpmath():
-    for t in (2.0, 14.2, 100.0, 550.0, 5000.0, 9999.0):
+    for t in (2.0, 14.2, 100.0, 550.0, 5000.0, 9999.0,
+              925000.123, 950000.5, 975000.25, 999000.75):
         ref = float(mp.siegelz(t))
         assert hardy_z(t) == pytest.approx(ref, abs=hardy_z_err(t) + 1e-12)
         polished = float(hardy_z_many(np.array([t]), polish=True)[0])
@@ -213,21 +221,28 @@ def test_correction_models_drop_only_a_negligible_tail():
     assert np.abs(full[kept.shape[0] - 1:]).sum(axis=0).max() >= limit
 
 
-def test_rs_batch_makes_one_chebval_call(monkeypatch):
+def test_rs_batch_makes_one_cheb_basis_call(monkeypatch):
     # 2000 heights near 1e6 span several main-sum chunks; C0..C3 still take
     # one Chebyshev pass
     calls = []
-    original = zeta.chebyshev.chebval
+    original = zeta._cheb_basis
 
-    def counting(x, c, *args, **kwargs):
-        calls.append(np.shape(c))
-        return original(x, c, *args, **kwargs)
+    def counting(x, count):
+        calls.append((np.shape(x), count))
+        return original(x, count)
 
     _correction_models()
-    monkeypatch.setattr(zeta.chebyshev, "chebval", counting)
+    monkeypatch.setattr(zeta, "_cheb_basis", counting)
     out = _hardy_z_rs_batch(np.linspace(999000.0, 1e6, 2000))
     assert out.shape == (2000,) and np.all(np.isfinite(out))
-    assert calls == [_correction_models().shape]
+    assert calls == [((2000,), _correction_models().shape[0])]
+
+
+def test_cheb_basis_product_matches_chebval():
+    models = _correction_models()
+    x = np.linspace(-1.0, 1.0, 10001)
+    got = _cheb_basis(x, models.shape[0]) @ models
+    assert np.max(np.abs(got - chebyshev.chebval(x, models).T)) < 1e-14
 
 
 def test_batch_kernels_bound_their_working_set():
