@@ -7,6 +7,8 @@ g_n, where theta(g_n) = n pi.  A Gram block runs from one good Gram point
 holds m zeros; a block whose samples show fewer sign changes is rescanned at
 halving steps.  Turing's method certifies the zero count at both ends of the
 range, so each sign change brackets exactly one zero and none is missed.
+Each bracket is a row (a, b, Z(a), Z(b)) with grid-path Z at both ends, so no
+end is evaluated twice; an end within hardy_z_err of zero is the zero's place.
 Brackets are refined by Illinois steps on the grid path of Z plus a secant
 polish on its polish path (hardy_z_many with polish=True, Euler-Maclaurin up
 to zeta.EM_POLISH_MAX).  The finished table is audited two ways:
@@ -23,7 +25,6 @@ surface as a block that stays short, not as a wrong table.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
 import math
@@ -161,21 +162,21 @@ def _turing_blocks(t: float) -> int:
     return math.ceil(min(0.0061 * L * L + 0.08 * L, 0.0031 * L * L + 0.11 * L))
 
 
-def _brackets_from_grid(grid: np.ndarray, zvals: np.ndarray) -> list[tuple[float, float]]:
+def _brackets_from_grid(grid: np.ndarray, zvals: np.ndarray) -> np.ndarray:
     # a sample whose |Z| is within hardy_z_err of zero has no sign to count
     keep = np.abs(zvals) > zeta.hardy_z_err(grid)
-    grid, s = grid[keep], np.sign(zvals[keep])
-    ends = grid.tolist()  # adjacent brackets share the float of their common end
-    return [(ends[i], ends[i + 1]) for i in np.flatnonzero(s[:-1] != s[1:]).tolist()]
+    grid, zvals = grid[keep], zvals[keep]
+    i = np.flatnonzero((zvals[:-1] > 0) != (zvals[1:] > 0))
+    return np.column_stack((grid[i], grid[i + 1], zvals[i], zvals[i + 1]))
 
 
-def _scan_window(a: float, b: float, step: float) -> list[tuple[float, float]]:
+def _scan_window(a: float, b: float, step: float) -> np.ndarray:
     npts = max(3, int(math.ceil((b - a) / step)) + 1)
     grid = np.linspace(a, b, npts)
     return _brackets_from_grid(grid, zeta.hardy_z_many(grid))
 
 
-def _gram_scan(t_lo: float, t_hi: float) -> tuple[list[tuple[float, float]], int, float, int]:
+def _gram_scan(t_lo: float, t_hi: float) -> tuple[np.ndarray, int, float, int]:
     """Sign-change brackets, one per zero, from a Gram point g_c <= t_lo up,
     with the count certified by Turing's method from g_c to a Gram point
     g_d >= t_hi.
@@ -197,7 +198,7 @@ def _gram_scan(t_lo: float, t_hi: float) -> tuple[list[tuple[float, float]], int
     below it, g_d drops below t_hi, and the brackets above the last good
     Gram point come from the samples unchecked.
 
-    Returns (the brackets above g_c, c, g_d, k).
+    Returns (the bracket rows (a, b, Z(a), Z(b)) above g_c, c, g_d, k).
     """
     n_top = int(zeta.rs_theta(1e6) // math.pi)  # the last Gram point below 1e6
     first = max(-1, int(zeta.rs_theta(max(t_lo, 10.0)) // math.pi))
@@ -225,11 +226,11 @@ def _gram_scan(t_lo: float, t_hi: float) -> tuple[list[tuple[float, float]], int
 
     found = _brackets_from_grid(g, z)
     # brackets never straddle a good Gram point: its sample is reliable
-    idx = np.searchsorted(np.array([a for a, _ in found]), ge)
+    idx = np.searchsorted(found[:, 0], ge)
     lengths = np.diff(ns[ends])
     start, stop = max(c - k, 0), hi + k
-    out: list[tuple[float, float]] = []
-    pos = int(idx[c])
+    out = []
+    pos = idx[c]
     for j in np.flatnonzero(np.diff(idx)[start:stop] != lengths[start:stop]) + start:
         a, b, want = float(ge[j]), float(ge[j + 1]), int(lengths[j])
         got = found[idx[j]:idx[j + 1]]
@@ -243,27 +244,28 @@ def _gram_scan(t_lo: float, t_hi: float) -> tuple[list[tuple[float, float]], int
                 f"where Rosser's rule and Turing's method count {want} zeros"
             )
         if j >= c:
-            out += found[pos:idx[j]] + got
-            pos = int(idx[j + 1])
-    out += found[pos:]
-    return out, int(ns[ends[c]]), float(ge[hi]), k
+            out += [found[pos:idx[j]], got]
+            pos = idx[j + 1]
+    out.append(found[pos:])
+    return np.concatenate(out), int(ns[ends[c]]), float(ge[hi]), k
 
 
-def _cut(brackets: list[tuple[float, float]], t: float):
-    """Split ascending one-zero brackets at t into (zeros <= t, zeros > t).
+def _cut(rows: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Split ascending one-zero bracket rows at t into (zeros <= t, zeros > t).
 
-    A bracket across t is trimmed to the side of t its zero lies on, as Z(t)
-    tells; a zero within hardy_z_err of t counts as lying at t.
+    A row across t is trimmed to the side of t its zero lies on, as Z(t)
+    tells, and carries Z(t) at its new end; a zero within hardy_z_err of t
+    counts as lying at t, the end of its row.
     """
-    i = bisect.bisect_right([b for _, b in brackets], t)
-    below, above = brackets[:i], brackets[i:]
-    if not above or above[0][0] >= t:
+    i = int(np.searchsorted(rows[:, 1], t, side="right"))
+    below, above = rows[:i], rows[i:]
+    if not above.size or above[0, 0] >= t:
         return below, above
-    a, b = above[0]
-    za, zt = zeta.hardy_z_many(np.array([a, t]))
+    a, b, za, zb = above[0]
+    zt = zeta.hardy_z_many(np.array([t]))[0]
     if abs(zt) <= zeta.hardy_z_err(t) or (za > 0) != (zt > 0):
-        return below + [(a, t)], above[1:]
-    return below, [(t, b)] + above[1:]
+        return np.vstack((below, (a, t, za, zt))), above[1:]
+    return below, np.vstack(((t, b, zt, zb), above[1:]))
 
 
 def isolate_zeros(t_lo: float, t_hi: float) -> list[tuple[float, float]]:
@@ -280,12 +282,15 @@ def isolate_zeros(t_lo: float, t_hi: float) -> list[tuple[float, float]]:
         raise DomainError("isolate_zeros requires t_hi > t_lo")
     if t_hi > 1e6:
         raise DomainError("isolate_zeros validated for t_hi <= 1e6")
-    brackets = _gram_scan(t_lo, t_hi)[0]
-    return _cut(_cut(brackets, t_lo)[1], t_hi)[0]
+    rows = _cut(_cut(_gram_scan(t_lo, t_hi)[0], t_lo)[1], t_hi)[0]
+    ends, where = np.unique(rows[:, :2], return_inverse=True)
+    ends = ends.tolist()  # adjacent brackets share the float of their common end
+    return [(ends[i], ends[j]) for i, j in where.reshape(-1, 2).tolist()]
 
 
-def _refine_many(brackets: list[tuple[float, float]]) -> np.ndarray:
-    """Refine sign-change brackets all at once; returns (gamma, abs_err) rows.
+def _refine_many(rows: np.ndarray) -> np.ndarray:
+    """Refine bracket rows (a, b, Z(a), Z(b)), with grid-path Z at both ends,
+    all at once; returns (gamma, abs_err) rows.
 
     Bracketed Illinois steps (regula falsi that halves the value kept at an
     end that stays twice in a row) narrow each bracket on the grid path of Z.
@@ -295,13 +300,7 @@ def _refine_many(brackets: list[tuple[float, float]]) -> np.ndarray:
     reusing their values where the two paths are the same function.
     abs_err = last secant step + hardy_z_err / |slope| + 1e-15 gamma.
     """
-    if not brackets:
-        return np.empty((0, 2))
-    a = np.array([br[0] for br in brackets], dtype=float)
-    b = np.array([br[1] for br in brackets], dtype=float)
-    # adjacent brackets share an end: evaluate Z once per distinct end
-    ends, where = np.unique(np.concatenate([a, b]), return_inverse=True)
-    fa, fb = np.split(zeta.hardy_z_many(ends)[where], 2)
+    a, b, fa, fb = np.asarray(rows, dtype=float).T.copy()
     bad = np.flatnonzero(np.sign(fa) * np.sign(fb) >= 0)
     if bad.size:
         i = int(bad[0])
@@ -376,14 +375,15 @@ def refine_zero(bracket: tuple[float, float]) -> ZeroOrdinate:
     a, b = float(bracket[0]), float(bracket[1])
     if not b > a:
         raise DomainError(f"degenerate bracket ({a}, {b})")
-    gamma, abs_err = _refine_many([(a, b)])[0].tolist()
+    fa, fb = zeta.hardy_z_many(np.array([a, b]))
+    gamma, abs_err = _refine_many(np.array([[a, b, fa, fb]]))[0].tolist()
     if abs_err > 1e-9:
         # a second pass from a tightened bracket is the only retry that helps
         width = max(abs_err, 1e-10)
         a, b = gamma - width, gamma + width
         fa, fb = zeta.hardy_z(a), zeta.hardy_z(b)
         if math.copysign(1.0, fa) != math.copysign(1.0, fb):
-            gamma, abs_err = _refine_many([(a, b)])[0].tolist()
+            gamma, abs_err = _refine_many(np.array([[a, b, fa, fb]]))[0].tolist()
         if abs_err > 1e-9:
             raise ConvergenceError(f"refinement did not converge for bracket ({a}, {b})")
     return ZeroOrdinate(gamma=gamma, abs_err=abs_err)
@@ -422,7 +422,7 @@ def build_table(t_max: float) -> ZeroTable:
     """Isolate and refine every ordinate up to t_max into an audited table."""
     if not 20.0 <= t_max <= 1e6:
         raise DomainError(f"build_table requires 20 <= t_max <= 1e6, got {t_max}")
-    zeros = _refine_many(isolate_zeros(2.0, t_max))
+    zeros = _refine_many(_cut(_gram_scan(2.0, t_max)[0], t_max)[0])
     table = _assemble(zeros[np.argsort(zeros[:, 0], kind="stable")], t_max)
     report = table.audit
     if not table.audited:

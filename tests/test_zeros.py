@@ -166,10 +166,11 @@ def test_refine_zero_raises_without_a_sign_change_to_retry(monkeypatch):
 
 
 def test_refine_spends_few_z_points_per_zero(monkeypatch):
-    # Illinois steps plus a secant polish from the last two iterates take
-    # 10.05 Z points per zero to 1e3 (6523 for 649 zeros; 28.1 with bisection
-    # to 1e-6 before the polish); the bound leaves 19 % headroom
-    brackets = isolate_zeros(2.0, 1e3)
+    # Illinois steps plus a secant polish from the last two iterates, on rows
+    # that carry Z at both ends, take 9.00 Z points per zero to 1e3 (5844 for
+    # 649 zeros; 10.05 when the ends were evaluated again, 28.1 with bisection
+    # to 1e-6 before the polish); the bound leaves 33 % headroom
+    rows = zeros._cut(zeros._gram_scan(2.0, 1e3)[0], 1e3)[0]
     points = []
     for name in ("_hardy_z_rs_batch", "_hardy_z_em_batch"):
         original = getattr(zeta, name)
@@ -179,10 +180,57 @@ def test_refine_spends_few_z_points_per_zero(monkeypatch):
             return original(ts)
 
         monkeypatch.setattr(zeta, name, counting)
-    refined = zeros._refine_many(brackets)
+    refined = zeros._refine_many(rows)
     assert len(refined) == 649
     assert sum(points) / len(refined) <= 12.0
     assert max(e for _, e in refined) <= 1e-8
+
+
+def test_refine_evaluates_no_bracket_end(monkeypatch):
+    # each row carries Z at both of its ends, so the refinement spends no
+    # point on them
+    rows = zeros._cut(zeros._gram_scan(2.0, 1e3)[0], 1e3)[0]
+    heights = []
+    original = zeta.hardy_z_many
+
+    def recording(ts, polish=False):
+        heights.extend(np.atleast_1d(ts).tolist())
+        return original(ts, polish)
+
+    monkeypatch.setattr(zeta, "hardy_z_many", recording)
+    assert len(zeros._refine_many(rows)) == 649
+    assert heights
+    assert not set(rows[:, :2].ravel().tolist()) & set(heights)
+
+
+def test_isolate_returns_tuples_that_share_ends():
+    lo, hi = 7000.0, 7010.0  # a rescanned block among the brackets
+    brackets = isolate_zeros(lo, hi)
+    rows = zeros._cut(zeros._cut(zeros._gram_scan(lo, hi)[0], lo)[1], hi)[0]
+    assert type(brackets) is list
+    assert all(type(br) is tuple and len(br) == 2 for br in brackets)
+    assert all(type(x) is float for br in brackets for x in br)
+    assert brackets == [tuple(r) for r in rows[:, :2].tolist()]
+    shared = [(p, q) for p, q in zip(brackets, brackets[1:]) if p[1] == q[0]]
+    assert shared and all(p[1] is q[0] for p, q in shared)
+
+
+@pytest.mark.parametrize("centre", [1e3, 1e5, 9.5e5])
+def test_rows_carry_z_at_their_ends(centre):
+    rng = np.random.default_rng(int(centre))
+    lo = centre + rng.uniform(0.0, 20.0)
+    hi = lo + 10.0
+    rows = np.vstack((zeros._cut(zeros._cut(zeros._gram_scan(lo, hi)[0], lo)[1], hi)[0],
+                      _scan_window(lo, lo + 2.0, 0.05)))
+    assert len(rows) > 4
+    ends = rows[:, :2]
+    err = zeta.hardy_z_err(ends)
+    fresh = zeta.hardy_z_many(ends.ravel()).reshape(-1, 2)
+    assert np.all(np.abs(fresh - rows[:, 2:]) <= err)
+    # opposite signs, unless an end is within Z's error: the zero's place
+    sure = np.abs(rows[:, 2:]) > err
+    flips = (rows[:, 2] > 0) != (rows[:, 3] > 0)
+    assert np.all(flips | ~sure[:, 0] | ~sure[:, 1])
 
 
 def test_refine_lehmer_pair():
