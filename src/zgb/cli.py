@@ -51,8 +51,10 @@ def _cache_file(t_max: float) -> str:
 def _resolve_table(path: str | None, needed_t_max: float) -> ZeroTable:
     """--table file, else an adequate cached table, else a fresh build.
 
-    A cached table that fails to load with TableFormatError, or loads
-    unaudited, is rebuilt and saved over; a --table file is used as given.
+    A cached table that fails to load with TableFormatError, loads
+    unaudited, or covers less than its file name says (the name rounds t_max
+    to six digits), is rebuilt and saved over; a --table file is used as
+    given.
     """
     if path:
         return load_table(path)
@@ -72,9 +74,9 @@ def _resolve_table(path: str | None, needed_t_max: float) -> ZeroTable:
                 table = load_table(f)
             except TableFormatError:
                 table = None
-            if table is not None and table.audited:
+            if table is not None and table.audited and table.t_max >= needed_t_max:
                 return table
-            needed_t_max = t  # a corrupt or unaudited entry is built again
+            needed_t_max = t  # a corrupt, unaudited or short entry is built again
     table = build_table(max(20.0, needed_t_max))
     if cache is not None:
         cache.mkdir(parents=True, exist_ok=True)

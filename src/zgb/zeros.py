@@ -290,7 +290,9 @@ def isolate_zeros(t_lo: float, t_hi: float) -> list[tuple[float, float]]:
 
 def _refine_many(rows: np.ndarray) -> np.ndarray:
     """Refine bracket rows (a, b, Z(a), Z(b)), with grid-path Z at both ends,
-    all at once; returns (gamma, abs_err) rows.
+    all at once; returns (gamma, abs_err) rows.  An end within hardy_z_err of
+    zero is the zero's place, and its Z counts as 0; only ends of one strict
+    sign raise DomainError.
 
     Bracketed Illinois steps (regula falsi that halves the value kept at an
     end that stays twice in a row) narrow each bracket on the grid path of Z.
@@ -301,7 +303,11 @@ def _refine_many(rows: np.ndarray) -> np.ndarray:
     abs_err = last secant step + hardy_z_err / |slope| + 1e-15 gamma.
     """
     a, b, fa, fb = np.asarray(rows, dtype=float).T.copy()
-    bad = np.flatnonzero(np.sign(fa) * np.sign(fb) >= 0)
+    same = np.flatnonzero(fa * fb > 0)
+    if same.size:  # an end within hardy_z_err of zero is the zero's place
+        for x, f in ((a, fa), (b, fb)):
+            f[same] = np.where(np.abs(f[same]) > zeta.hardy_z_err(x[same]), f[same], 0.0)
+    bad = np.flatnonzero(fa * fb > 0)
     if bad.size:
         i = int(bad[0])
         raise DomainError(f"bracket ({a[i]}, {b[i]}) carries no sign change")

@@ -152,6 +152,26 @@ def test_table_cache_env(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.glob("zeros_*.txt")) == cached
 
 
+def test_count_at_a_zero_ordinate(tmp_path, capsys, monkeypatch):
+    # the third ordinate as a double: Z there is within its error of zero,
+    # and the zero counts as lying at T
+    monkeypatch.setenv("ZGB_TABLE_DIR", str(tmp_path))
+    code, out = run_cli(capsys, "count", "--at", "25.01085758014569")
+    assert code == 0, out
+    assert json.loads(out)["N"] == 3
+
+
+def test_cache_entry_named_above_its_coverage_is_rebuilt(tmp_path, capsys, monkeypatch):
+    # zeros_1234.57.txt covers 1234.5678 only: its name rounds t_max up
+    monkeypatch.setenv("ZGB_TABLE_DIR", str(tmp_path))
+    code, out = run_cli(capsys, "count", "--at", "1234.5678")
+    assert code == 0, out
+    assert [f.name for f in tmp_path.glob("zeros_*.txt")] == ["zeros_1234.57.txt"]
+    code, out = run_cli(capsys, "count", "--at", "1234.569")
+    assert code == 0, out
+    assert json.loads(out)["T"] == 1234.569
+
+
 @pytest.mark.parametrize("fmt, digest", [
     ("json", "c0577b9e592b24e65507d42e93adf76166ce51924b88fc4cf0021a27dabb2e86"),
     ("csv", "6ddebc3dc47a7b3a22ec03c3832856487bd4ce563676f18c31a844f57a4f0b29"),

@@ -129,6 +129,19 @@ def test_refine_no_sign_change():
         refine_zero((15.0, 16.0))
 
 
+@pytest.mark.parametrize("n", [1, 3, 4, 6, 7])
+def test_refine_a_bracket_that_ends_at_a_zero(n):
+    # isolating up to the ordinate itself trims the last bracket to end
+    # there, where |Z| is within its error: that end is the zero's place
+    mpmath = pytest.importorskip("mpmath")
+    gamma = mpmath.zetazero(n).imag
+    bracket = isolate_zeros(2.0, float(gamma))[-1]
+    assert bracket[1] == float(gamma)
+    z = refine_zero(bracket)
+    assert z.abs_err <= 1e-9
+    assert abs(mpmath.mpf(z.gamma) - gamma) <= z.abs_err
+
+
 def test_refine_zero_gives_up_after_one_retry(monkeypatch):
     # near 1e6 the refinement of this bracket cannot reach abs_err <= 1e-9;
     # one retry from a tightened bracket is all refine_zero may spend on it
