@@ -300,9 +300,10 @@ def _refine_many(rows: np.ndarray) -> np.ndarray:
     since that sign could point the next step away from the zero.  A secant
     polish on the polish path of Z then starts from the last two iterates,
     reusing their values where the two paths are the same function.
-    abs_err = last secant step + hardy_z_err / |slope| + 1e-15 gamma.
+    abs_err = last secant step + hardy_z_err / |slope| + 1e-15 gamma, plus
+    the step back onto the row's end where the polish went past it.
     """
-    a, b, fa, fb = np.asarray(rows, dtype=float).T.copy()
+    a, b, fa, fb = rows.T.copy()
     same = np.flatnonzero(fa * fb > 0)
     if same.size:  # an end within hardy_z_err of zero is the zero's place
         for x, f in ((a, fa), (b, fb)):
@@ -366,9 +367,11 @@ def _refine_many(rows: np.ndarray) -> np.ndarray:
         x1[live], f1[live] = x2, f2
         live = live[step > 1e-13]
 
+    # the polish may step past an end that is the zero's place: keep it there
+    gamma = np.clip(x1, rows[:, 0], rows[:, 1])
     zerr = zeta.hardy_z_err(x1, polish=True)
     abs_err = last_step + zerr / np.maximum(slope, 1e-12) + 1e-15 * np.abs(x1)
-    return np.column_stack((x1, abs_err))
+    return np.column_stack((gamma, abs_err + np.abs(x1 - gamma)))
 
 
 def refine_zero(bracket: tuple[float, float]) -> ZeroOrdinate:

@@ -181,8 +181,8 @@ def test_refine_zero_raises_without_a_sign_change_to_retry(monkeypatch):
 def test_refine_spends_few_z_points_per_zero(monkeypatch):
     # Illinois steps plus a secant polish from the last two iterates, on rows
     # that carry Z at both ends, take 9.00 Z points per zero to 1e3 (5844 for
-    # 649 zeros; 10.05 when the ends were evaluated again, 28.1 with bisection
-    # to 1e-6 before the polish); the bound leaves 33 % headroom
+    # 649 zeros; 28.1 with bisection to 1e-6 before the polish); the bound
+    # leaves 33 % headroom
     rows = zeros._cut(zeros._gram_scan(2.0, 1e3)[0], 1e3)[0]
     points = []
     for name in ("_hardy_z_rs_batch", "_hardy_z_em_batch"):
@@ -272,6 +272,15 @@ def test_build_table_20():
 def test_build_table_1000(table1000):
     assert len(table1000) == 649
     assert table1000.audited
+
+
+def test_build_table_up_to_a_zero_ordinate():
+    # the 600th ordinate (mpmath zetazero) as a double: grid-path Z there is
+    # within its error, and the polish path puts the zero an ulp above it
+    t_max = 939.0243008992184
+    table = build_table(t_max)
+    assert table.audited and len(table) == 600
+    assert t_max - table.abs_err[-1] <= table.gammas[-1] <= t_max
 
 
 def test_build_table_domain():
