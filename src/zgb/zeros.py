@@ -166,8 +166,8 @@ def _brackets_from_grid(grid: np.ndarray, zvals: np.ndarray) -> np.ndarray:
     # a sample whose |Z| is within hardy_z_err of zero has no sign to count
     keep = np.abs(zvals) > zeta.hardy_z_err(grid)
     grid, zvals = grid[keep], zvals[keep]
-    i = np.flatnonzero((zvals[:-1] > 0) != (zvals[1:] > 0))
-    return np.column_stack((grid[i], grid[i + 1], zvals[i], zvals[i + 1]))
+    i = np.flatnonzero(np.signbit(zvals[:-1]) != np.signbit(zvals[1:]))
+    return np.array((grid[i], grid[i + 1], zvals[i], zvals[i + 1])).T
 
 
 def _scan_window(a: float, b: float, step: float) -> np.ndarray:
