@@ -305,7 +305,7 @@ def _refine_many(rows: np.ndarray) -> np.ndarray:
     """
     a, b, fa, fb = rows.T.copy()
     same = np.flatnonzero(fa * fb > 0)
-    if same.size:  # an end within hardy_z_err of zero is the zero's place
+    if same.size:  # ends of one sign: one within hardy_z_err of zero is the zero's place
         for x, f in ((a, fa), (b, fb)):
             f[same] = np.where(np.abs(f[same]) > zeta.hardy_z_err(x[same]), f[same], 0.0)
     bad = np.flatnonzero(fa * fb > 0)
