@@ -377,24 +377,17 @@ def _refine_many(rows: np.ndarray) -> np.ndarray:
 def refine_zero(bracket: tuple[float, float]) -> ZeroOrdinate:
     """Refine one sign-change bracket to a zero ordinate (abs_err <= 1e-9).
 
-    Raises ConvergenceError when one retry from a tightened bracket still
-    misses the error target, or when Z shows no sign change across that
-    bracket.
+    One pass of _refine_many on the bracket, with Z at both ends from one
+    hardy_z_many call.  Raises ConvergenceError, naming the bracket and the
+    abs_err reached, when that pass misses the target.
     """
     a, b = float(bracket[0]), float(bracket[1])
     if not b > a:
         raise DomainError(f"degenerate bracket ({a}, {b})")
     fa, fb = zeta.hardy_z_many(np.array([a, b]))
     gamma, abs_err = _refine_many(np.array([[a, b, fa, fb]]))[0].tolist()
-    if abs_err > 1e-9:
-        # a second pass from a tightened bracket is the only retry that helps
-        width = max(abs_err, 1e-10)
-        a, b = gamma - width, gamma + width
-        fa, fb = zeta.hardy_z(a), zeta.hardy_z(b)
-        if math.copysign(1.0, fa) != math.copysign(1.0, fb):
-            gamma, abs_err = _refine_many(np.array([[a, b, fa, fb]]))[0].tolist()
-        if abs_err > 1e-9:
-            raise ConvergenceError(f"refinement did not converge for bracket ({a}, {b})")
+    if not abs_err <= 1e-9:
+        raise ConvergenceError(f"bracket ({a}, {b}) refined to abs_err {abs_err:.3e} > 1e-9")
     return ZeroOrdinate(gamma=gamma, abs_err=abs_err)
 
 

@@ -7,6 +7,7 @@ the initial grid step.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -142,40 +143,27 @@ def test_refine_a_bracket_that_ends_at_a_zero(n):
     assert abs(mpmath.mpf(z.gamma) - gamma) <= z.abs_err
 
 
-def test_refine_zero_gives_up_after_one_retry(monkeypatch):
+def test_refine_zero_refines_once_and_raises_on_a_miss(monkeypatch):
     # near 1e6 the refinement of this bracket cannot reach abs_err <= 1e-9;
-    # one retry from a tightened bracket is all refine_zero may spend on it
+    # refine_zero spends one pass on it, evaluates no end point by point,
+    # and raises rather than return the miss
     bracket = isolate_zeros(950000.0, 950002.0)[0]
-    calls = []
+    results = []
     original = zeros._refine_many
 
-    def counting(brackets):
-        calls.append(brackets)
-        return original(brackets)
+    def counting(rows):
+        results.append(original(rows))
+        return results[-1]
+
+    def no_hardy_z(t):
+        raise AssertionError(f"hardy_z({t}) called")
 
     monkeypatch.setattr(zeros, "_refine_many", counting)
-    with pytest.raises(ConvergenceError):
+    monkeypatch.setattr(zeta, "hardy_z", no_hardy_z)
+    with pytest.raises(ConvergenceError, match=re.escape(f"bracket ({bracket[0]}, {bracket[1]})")):
         refine_zero(bracket)
-    assert len(calls) <= 2
-
-
-def test_refine_zero_raises_without_a_sign_change_to_retry(monkeypatch):
-    # the first pass misses 1e-9 here; when Z shows no sign change across
-    # gamma +- abs_err there is nothing to retry, and the miss must not be
-    # returned as a result
-    bracket = isolate_zeros(950000.0, 950002.0)[0]
-    calls = []
-    original = zeros._refine_many
-
-    def counting(brackets):
-        calls.append(brackets)
-        return original(brackets)
-
-    monkeypatch.setattr(zeros, "_refine_many", counting)
-    monkeypatch.setattr(zeta, "hardy_z", lambda t: 1.0)
-    with pytest.raises(ConvergenceError):
-        refine_zero(bracket)
-    assert len(calls) == 1
+    assert len(results) == 1
+    assert results[0][0, 1] > 1e-9
 
 
 def test_refine_spends_few_z_points_per_zero(monkeypatch):
