@@ -487,9 +487,10 @@ def load_table(path: str | Path) -> ZeroTable:
     the original coverage height (a computed table is complete up to the
     height it was built for, not merely up to its last zero) and the source
     tag.  Either way the file is parsed once and audited once, at the
-    coverage height.  A sidecar that is not a JSON object, or whose count or
-    sha256 disagrees with the table file, raises TableFormatError; a sidecar
-    without those two fields is trusted as it is.
+    coverage height.  A sidecar that is not a JSON object, whose t_max is not
+    finite or lies below the last ordinate (less its printed rounding), or
+    whose count or sha256 disagrees with the table file, raises
+    TableFormatError; a sidecar without those two fields is trusted as it is.
     """
     from .ingestion import _read_ordinates
 
@@ -503,6 +504,9 @@ def load_table(path: str | Path) -> ZeroTable:
             source = meta.get("source", source)
         except (ValueError, TypeError, AttributeError) as exc:
             raise TableFormatError(f"malformed sidecar {meta_path}: {exc}") from exc
+        if not gammas[-1] - abs_err <= t_max < math.inf:  # NaN fails too
+            raise TableFormatError(f"sidecar {meta_path} t_max {t_max} is not a finite height "
+                                   f"at or above the last ordinate {float(gammas[-1])}")
         if meta.get("count", gammas.size) != gammas.size:
             raise TableFormatError(f"sidecar {meta_path} counts {meta['count']} "
                                    f"ordinates, the table file {gammas.size}")

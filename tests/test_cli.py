@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -189,25 +190,32 @@ def test_verify_output_is_pinned(capsys, tmp_path, table1000, fmt, digest):
 
 def test_malformed_sidecar_exits_2(capsys, tmp_path, table100):
     path = tmp_path / "zeros100.txt"
-    save_table(table100, path)
     meta = sidecar_path(path)
-    meta.write_text(meta.read_text().splitlines()[0] + "\n")
-    code, out = run_cli(capsys, "count", "--at", "50", "--table", str(path))
-    assert code == 2
-    assert json.loads(out)["error"] == "TableFormatError"
+    for corrupt in ("cut", "infinite t_max"):
+        save_table(table100, path)
+        if corrupt == "cut":
+            meta.write_text(meta.read_text().splitlines()[0] + "\n")
+        else:
+            meta.write_text(json.dumps({**json.loads(meta.read_text()), "t_max": math.inf}))
+        code, out = run_cli(capsys, "count", "--at", "50", "--table", str(path))
+        assert code == 2
+        assert json.loads(out)["error"] == "TableFormatError"
 
 
 def test_corrupt_cache_entry_is_rebuilt(tmp_path, capsys, monkeypatch, table100):
     monkeypatch.setenv("ZGB_TABLE_DIR", str(tmp_path))
     path = tmp_path / "zeros_100.txt"
     good = None
-    for corrupt in ("sidecar", "truncated"):
+    for corrupt in ("sidecar", "t_max", "truncated"):
         save_table(table100, path)
         good = good or (path.read_bytes(), sidecar_path(path).read_bytes())
+        meta = sidecar_path(path)
         if corrupt == "sidecar":
             # a sidecar cut after its first line is not JSON
-            meta = sidecar_path(path)
             meta.write_text(meta.read_text().splitlines()[0] + "\n")
+        elif corrupt == "t_max":
+            # a NaN coverage height is no height the audit can use
+            meta.write_text(json.dumps({**json.loads(meta.read_text()), "t_max": math.nan}))
         else:
             # a table cut short, under a sidecar without count and sha256 as
             # older versions wrote, loads unaudited

@@ -452,6 +452,15 @@ def test_load_table_checks_the_sidecar(table100, tmp_path):
         meta_path.write_text(broken)
         with pytest.raises(TableFormatError, match="malformed sidecar"):
             load_table(path)
+    # a t_max the audit cannot use: not finite, or below the last ordinate
+    # (98.831194218) by more than its printed rounding
+    for t_max in ("Infinity", "-Infinity", "NaN", "-1", "98.8311942", "true"):
+        meta_path.write_text(f'{{"t_max": {t_max}}}')
+        with pytest.raises(TableFormatError, match="not a finite height"):
+            load_table(path)
+    for t_max in ("98.8311942175", "100"):
+        meta_path.write_text(f'{{"t_max": {t_max}}}')
+        assert load_table(path).t_max == float(t_max)
 
 
 def test_load_table_builds_no_ordinate_records(table1000, tmp_path, monkeypatch):
