@@ -2,19 +2,28 @@
 package; a renamed private name costs its metrics there, so it fails here."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
-from zgb import zeros
+import pytest
+
+from zgb import summation, zeros
+from zgb.errors import ConvergenceError
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
-def test_benchmark_tracer_finds_every_hook(monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("zgb_bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)
-    spec.loader.exec_module(tracing)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_finds_every_hook(tracing):
     original = zeros.isolate_zeros
     tracer = tracing.Tracer()
     tracer.install()
@@ -26,3 +35,23 @@ def test_benchmark_tracer_finds_every_hook(monkeypatch):
         tracer.uninstall()
     assert zeros.isolate_zeros is original
     assert hasattr(zeros, "REFINE_FLOOR")
+
+
+def test_traced_pass_reports_every_metric_as_a_finite_number(tracing):
+    # a small pass through each traced layer: the benchmark's traced run
+    # prints these values as its last line, which must parse as strict JSON
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        brackets = zeros.isolate_zeros(999000.0, 999002.0)
+        with pytest.raises(ConvergenceError):
+            zeros.refine_zero(brackets[0])
+        table = zeros.build_table(100.0)
+        summation.theorem_sweep(table, 2.0, 100.0, 50)
+    finally:
+        tracer.uninstall()
+    values, missing = tracing.layer_metrics(tracer, len(table))
+    assert missing == []
+    json.dumps(values, allow_nan=False)
+    assert values["zeros.refine_zero.failed"] == 1.0
+    assert values["zeros.grid.points"] > 0 and values["summation.sweep.records"] > 0

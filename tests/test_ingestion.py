@@ -128,6 +128,13 @@ def test_cross_validate_disjoint_coverage(table1000):
         cross_validate(empty, table1000)
 
 
+def test_cross_validate_without_comparable_ordinates(table1000):
+    # common coverage up to 30, but one table holds no ordinate there
+    empty = ZeroTable([], [], t_max=30.0, audited=False, source="computed")
+    with pytest.raises(CoverageError, match="no comparable ordinates"):
+        cross_validate(empty, table1000)
+
+
 def test_rosser_envelope_on_ingested_data(reference_path):
     table = parse_reference(reference_path)
     assert table.audit is not None

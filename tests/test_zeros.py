@@ -102,6 +102,24 @@ def test_isolate_domain_errors():
         isolate_zeros(1.0, 10.0)
     with pytest.raises(DomainError):
         isolate_zeros(10.0, 5.0)
+    with pytest.raises(DomainError, match="t_hi <= 1e6"):
+        isolate_zeros(999990.0, 1000001.0)
+
+
+def test_gram_scan_doubles_a_pad_too_short_for_turing(monkeypatch):
+    # the first guess of one Turing block sizes the pad; ten blocks at the top
+    # Gram point sampled do not fit in it, so the scan doubles the pad
+    want = isolate_zeros(7000.0, 7010.0)
+    calls = []
+
+    def blocks(t):
+        calls.append(t)
+        return 1 if len(calls) == 1 else 10
+
+    monkeypatch.setattr(zeros, "_turing_blocks", blocks)
+    assert isolate_zeros(7000.0, 7010.0) == want
+    assert len(want) == 11
+    assert len(calls) > 2  # one for the pad, one per pass of the scan
 
 
 # --------------------------------------------------------------------- refine
@@ -276,6 +294,18 @@ def test_build_table_domain():
         build_table(10.0)
     with pytest.raises(DomainError):
         build_table(2e6)
+
+
+def test_build_table_raises_when_the_audit_fails(monkeypatch):
+    # a refinement that loses the first zero leaves 28 ordinates where
+    # Turing's method certifies 29
+    original = zeros._refine_many
+    monkeypatch.setattr(zeros, "_refine_many", lambda rows: original(rows)[1:])
+    with pytest.raises(AuditError, match="audit failed: 28 ordinates, Turing's method "
+                       "certifies 29 up to 100.0, Rosser envelope holds") as exc:
+        build_table(100.0)
+    assert exc.value.report.count == 28
+    assert not exc.value.report.passed
 
 
 def test_table_invariants(table1000):
