@@ -16,8 +16,8 @@ with M(T) = log^2(T)/(4pi) - log(2pi) log(T)/(2pi).  The lower bound holds for
 T >= 2, the upper for T >= 2.222.  Everything needed for that derivation lives
 here: both antiderivatives, the auxiliary function E(t) = integral over s >= 1
 of ds/(s t^s) (an exponential integral in disguise), its two-sided envelope,
-the sign-controlled tail terms, and the additive constants c_au and c_al
-recomputed from scratch as numeric limits.
+the sign-controlled tail terms, and the additive constants c_au and c_al,
+computed in closed form as the limits of the exact bounds.
 """
 
 from __future__ import annotations
@@ -44,12 +44,6 @@ UPPER_THRESHOLD = 2.222
 
 C_AU_CAP = Fraction(109, 250)
 C_AL_FLOOR = Fraction(3, 50)
-
-#: compute_constants reads the constants off at this height, where every 1/T
-#: and E(T) term has decayed below 1e-8, and flags non-convergence when the
-#: value at CHECK_HEIGHT disagrees by more than 1e-7.
-LIMIT_HEIGHT = 1e10
-CHECK_HEIGHT = 1e9
 
 # Evaluation-error scale for the E1-based path of e_frak (relative ~1e-15,
 # kept with generous headroom; used to assert strict inequalities with margin).
@@ -236,7 +230,8 @@ def upper_bound_a(T: float, constants: "BoundConstants | None" = None) -> BoundP
 
 
 def lower_bound_a(T: float, constants: "BoundConstants | None" = None) -> BoundPair:
-    """Lower bounds for A(T), sharp and simplified, valid for T >= 2."""
+    """Lower bounds for A(T), defined for T >= 2.  The simplified form holds
+    there, the sharp form only from the fourth ordinate, 30.4249, up."""
     if T < 2:
         raise DomainError(f"lower_bound_a requires T >= 2, got {T}")
     c = constants if constants is not None else compute_constants()
@@ -267,50 +262,27 @@ class BoundConstants:
     c_al_floor: Fraction
     c_au_sharp: float
     c_al_sharp: float
-    converged: bool
-
-
-def _bound_gap_at(T: float, e_at_gamma1: float, sign: float) -> float:
-    """UB_exact(T) - M(T) for sign=+1, LB_exact(T) - M(T) for sign=-1.
-
-    UB_exact/LB_exact are the exact pre-extraction bounds
-    [P(T) - P(g1)] +- [Q(T) - Q(g1)] + (F(T) +- R(T))/T, with the E-value
-    used inside Q(g1) supplied by the caller.
-    """
-    q_g1 = _antideriv_r_elementary(GAMMA1) - 0.433 * e_at_gamma1
-    p_part = antideriv_f(T) - antideriv_f(GAMMA1)
-    q_part = antideriv_r(T) - q_g1
-    return (p_part + sign * q_part
-            + (big_f(T) + sign * big_r(T)) / T
-            - main_term(T))
 
 
 def compute_constants() -> BoundConstants:
-    """Recompute c_au and c_al as numeric limits of the exact bounds.
+    """Compute c_au and c_al in closed form, as the limits of the exact bounds.
 
-    The extraction evaluates UB_exact(T) - M(T) and LB_exact(T) - M(T) at
-    LIMIT_HEIGHT and checks them against CHECK_HEIGHT.
+    The exact bounds are [P(T) - P(g1)] +- [Q(T) - Q(g1)] + (F(T) +- R(T))/T.
+    P(T) + F(T)/T - M(T) is the same constant K at every T, and
+    Q(T) + R(T)/T = -0.137/T - 0.433 E(T) goes to 0, so the exact bounds
+    minus M(T) are c_au - (0.137/T + 0.433 E(T)) and
+    c_al + (0.137/T + 0.433 E(T)), with c_au, c_al = K - P(g1) -+ Q(g1).
     """
-    e_envelope = (1.0 / (GAMMA1 * math.log(GAMMA1))
-                  - (31.0 / 95.0) / (GAMMA1 * math.log(GAMMA1) ** 2))
-    e_exact = e_frak(GAMMA1)
-
-    c_au = _bound_gap_at(LIMIT_HEIGHT, e_envelope, +1.0)
-    c_al = _bound_gap_at(LIMIT_HEIGHT, e_envelope, -1.0)
-    c_au_sharp = _bound_gap_at(LIMIT_HEIGHT, e_exact, +1.0)
-    c_al_sharp = _bound_gap_at(LIMIT_HEIGHT, e_exact, -1.0)
-
-    converged = (
-        abs(c_au - _bound_gap_at(CHECK_HEIGHT, e_envelope, +1.0)) <= 1e-7
-        and abs(c_al - _bound_gap_at(CHECK_HEIGHT, e_envelope, -1.0)) <= 1e-7
-    )
+    k = (LOG_2PI * LOG_2PI - 4.0 * LOG_2PI - 2.0) / FOUR_PI
+    base = k - antideriv_f(GAMMA1)
+    q_envelope = _antideriv_r_elementary(GAMMA1) - 0.433 * e_frak_sandwich(GAMMA1).hi
+    q_exact = antideriv_r(GAMMA1)
     return BoundConstants(
         gamma1=GAMMA1,
-        c_au=c_au,
-        c_al=c_al,
+        c_au=base - q_envelope,
+        c_al=base + q_envelope,
         c_au_cap=C_AU_CAP,
         c_al_floor=C_AL_FLOOR,
-        c_au_sharp=c_au_sharp,
-        c_al_sharp=c_al_sharp,
-        converged=converged,
+        c_au_sharp=base - q_exact,
+        c_al_sharp=base + q_exact,
     )

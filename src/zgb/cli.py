@@ -11,7 +11,7 @@ Subcommands:
 Reports are JSON (default) or CSV, deterministic for identical inputs: no
 timestamps, sorted keys.  Exit status is 0 only when every check in scope
 passed; failed checks exit 1 with a machine-readable error object, invalid
-inputs exit 2.
+inputs and paths that cannot be read or written exit 2.
 """
 
 from __future__ import annotations
@@ -169,12 +169,11 @@ def _cmd_constants(args) -> int:
         "c_al_floor": str(c.c_al_floor),
         "c_au_below_cap": "PASS" if upper_ok else "FAIL",
         "c_al_above_floor": "PASS" if lower_ok else "FAIL",
-        "converged": c.converged,
         "c_au_sharp": c.c_au_sharp,
         "c_al_sharp": c.c_al_sharp,
     }
     _emit(report, args.format, args.out)
-    return 0 if (upper_ok and lower_ok and c.converged) else 1
+    return 0 if (upper_ok and lower_ok) else 1
 
 
 def _cmd_verify(args) -> int:
@@ -277,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ZgbError as exc:
+    except (ZgbError, OSError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         sys.stdout.write(json.dumps(error, indent=2, sort_keys=True) + "\n")
         return 2

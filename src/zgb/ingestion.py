@@ -33,7 +33,12 @@ def _read_ordinates(path: str | Path, declared_count: int | None = None
     """
     path = Path(path)
     data = path.read_bytes()
-    text = data.decode()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise TableFormatError(f"not UTF-8: byte {data[exc.start]:#04x}",
+                               line=before.count(b"\n") + 1) from exc
     # the line ends of text-mode reading: \n, \r\n and \r
     fields = list(map(str.split, text.replace("\r\n", "\n").replace("\r", "\n").split("\n")))
     tokens = [f[-1] for f in fields if f]
@@ -92,8 +97,8 @@ def parse_reference(path: str | Path,
     gammas, abs_err, _ = _read_ordinates(path, declared_count)
     # coverage reaches just past the last printed ordinate so the inclusive
     # boundary convention survives the file's rounding
-    return _assemble(np.column_stack((gammas, np.full(gammas.size, abs_err))),
-                     t_max=float(gammas[-1]) + abs_err, source="ingested")
+    return _assemble(ZeroTable(gammas, np.full(gammas.size, abs_err),
+                               float(gammas[-1]) + abs_err, False, "ingested"))
 
 
 @dataclass(frozen=True)

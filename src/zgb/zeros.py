@@ -76,7 +76,8 @@ class AuditReport:
 @dataclass(eq=False)
 class ZeroTable:
     """Sorted, optionally audited ordinates covering (0, t_max], held as two
-    columns: the heights gammas and their absolute error bounds abs_err."""
+    columns: the heights gammas and their absolute error bounds abs_err.
+    t_max must be finite and no lower than the last ordinate less its abs_err."""
 
     gammas: np.ndarray
     abs_err: np.ndarray
@@ -96,6 +97,10 @@ class ZeroTable:
                 raise ValueError(f"no zero ordinate lies at or below 14, got {float(g[i])}")
             raise ValueError(f"ordinates must increase strictly, got {float(g[i])} "
                              f"after {float(prev[i])}")
+        last = float(g[-1] - self.abs_err[-1]) if g.size else -math.inf
+        if not (math.isfinite(self.t_max) and self.t_max >= last):
+            raise ValueError(f"t_max {self.t_max} is not a finite height at or above "
+                             f"the last ordinate less its abs_err, {last}")
 
     @cached_property
     def prefix(self) -> np.ndarray:
@@ -391,9 +396,8 @@ def refine_zero(bracket: tuple[float, float]) -> ZeroOrdinate:
     return ZeroOrdinate(gamma=gamma, abs_err=abs_err)
 
 
-def _assemble(zeros: np.ndarray, t_max: float, source: str = "computed") -> ZeroTable:
-    """Make ascending (gamma, abs_err) rows into a table and audit it once."""
-    table = ZeroTable(zeros[:, 0], zeros[:, 1], t_max=t_max, audited=False, source=source)
+def _assemble(table: ZeroTable) -> ZeroTable:
+    """Audit a table once, and mark it audited if it passes."""
     table.audit = audit_completeness(table)
     table.audited = table.audit.passed
     return table
@@ -425,7 +429,8 @@ def build_table(t_max: float) -> ZeroTable:
     if not 20.0 <= t_max <= 1e6:
         raise DomainError(f"build_table requires 20 <= t_max <= 1e6, got {t_max}")
     zeros = _refine_many(_cut(_gram_scan(2.0, t_max)[0], t_max)[0])
-    table = _assemble(zeros[np.argsort(zeros[:, 0], kind="stable")], t_max)
+    zeros = zeros[np.argsort(zeros[:, 0], kind="stable")]
+    table = _assemble(ZeroTable(zeros[:, 0], zeros[:, 1], t_max, False, "computed"))
     report = table.audit
     if not table.audited:
         raise AuditError(
@@ -487,10 +492,10 @@ def load_table(path: str | Path) -> ZeroTable:
     the original coverage height (a computed table is complete up to the
     height it was built for, not merely up to its last zero) and the source
     tag.  Either way the file is parsed once and audited once, at the
-    coverage height.  A sidecar that is not a JSON object, whose t_max is not
-    finite or lies below the last ordinate (less its printed rounding), or
-    whose count or sha256 disagrees with the table file, raises
-    TableFormatError; a sidecar without those two fields is trusted as it is.
+    coverage height.  A sidecar that is not a JSON object, whose t_max
+    ZeroTable rejects, or whose count or sha256 disagrees with the table file,
+    raises TableFormatError; a sidecar without those two fields is trusted as
+    it is.
     """
     from .ingestion import _read_ordinates
 
@@ -504,16 +509,16 @@ def load_table(path: str | Path) -> ZeroTable:
             source = meta.get("source", source)
         except (ValueError, TypeError, AttributeError) as exc:
             raise TableFormatError(f"malformed sidecar {meta_path}: {exc}") from exc
-        if not gammas[-1] - abs_err <= t_max < math.inf:  # NaN fails too
-            raise TableFormatError(f"sidecar {meta_path} t_max {t_max} is not a finite height "
-                                   f"at or above the last ordinate {float(gammas[-1])}")
         if meta.get("count", gammas.size) != gammas.size:
             raise TableFormatError(f"sidecar {meta_path} counts {meta['count']} "
                                    f"ordinates, the table file {gammas.size}")
         if "sha256" in meta and meta["sha256"] != hashlib.sha256(data).hexdigest():
             raise TableFormatError(f"sidecar {meta_path} sha256 does not match the table file")
-    return _assemble(np.column_stack((gammas, np.full(gammas.size, abs_err))),
-                     t_max=t_max, source=source)
+    try:
+        table = ZeroTable(gammas, np.full(gammas.size, abs_err), t_max, False, source)
+    except ValueError as exc:  # a t_max the audit cannot use
+        raise TableFormatError(f"sidecar {meta_path}: {exc}") from exc
+    return _assemble(table)
 
 
 def _tool_version() -> str:

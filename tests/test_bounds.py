@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from zgb import bounds
 from zgb.bounds import (
+    FOUR_PI,
     GAMMA1,
+    LOG_2PI,
     antideriv_f,
     antideriv_r,
     big_f,
@@ -259,6 +261,21 @@ def test_lower_bound_consistent_below_gamma1(constants):
     assert 0.0 > lb.simplified
 
 
+def test_sharp_bounds_hold_on_the_table(constants, table1000):
+    # A(T) is a step function, so its extremes against the bounds lie at the
+    # ordinates (A = prefix[k + 1]) and at their left limits (A = prefix[k])
+    gammas, prefix = table1000.gammas.tolist(), table1000.prefix.tolist()
+    for T in np.linspace(2.222, gammas[0], 100, endpoint=False).tolist():
+        assert upper_bound_a(T, constants).sharp >= 0.0
+    for k, g in enumerate(gammas):
+        assert upper_bound_a(g, constants).sharp >= prefix[k + 1]
+        if k >= 3:  # the sharp lower form exceeds A on [2, gamma_4)
+            assert lower_bound_a(g, constants).sharp <= prefix[k + 1]
+        if k >= 4:
+            assert lower_bound_a(g, constants).sharp <= prefix[k]
+    assert lower_bound_a(1000.0, constants).sharp <= prefix[-1]
+
+
 def test_bound_domain_errors(constants):
     with pytest.raises(DomainError):
         upper_bound_a(2.2, constants)
@@ -275,7 +292,7 @@ def test_constants_match_published_decimals(constants):
 
 
 def test_constants_high_precision(constants):
-    # limit evaluation at T=1e10 against the closed-form extraction
+    # the closed-form limits against an independent high-precision evaluation
     assert constants.c_au == pytest.approx(0.435964277761, abs=1e-8)
     assert constants.c_al == pytest.approx(0.060581879542, abs=1e-8)
 
@@ -285,8 +302,24 @@ def test_constants_rational_comparisons(constants):
     assert constants.c_al > float(constants.c_al_floor) == 3 / 50
 
 
-def test_constants_converged(constants):
-    assert constants.converged
+def test_constants_are_the_limits_of_the_exact_bounds(constants):
+    # The exact bounds [P(T) - P(g1)] +- [Q(T) - Q(g1)] + (F(T) +- R(T))/T,
+    # with E(g1) inside Q(g1) replaced by its upper envelope, minus M(T), are
+    # c_au and c_al off by 0.137/T + 0.433 E(T) at every T.
+    k = (LOG_2PI**2 - 4.0 * LOG_2PI - 2.0) / FOUR_PI
+    q_g1 = antideriv_r(GAMMA1) + 0.433 * (e_frak(GAMMA1) - e_frak_sandwich(GAMMA1).hi)
+    for T in np.logspace(2, 12, 61).tolist():
+        m = main_term(T)
+        p_part = antideriv_f(T) - antideriv_f(GAMMA1)
+        q_part = antideriv_r(T) - q_g1
+        upper = p_part + q_part + (big_f(T) + big_r(T)) / T
+        lower = p_part - q_part + (big_f(T) - big_r(T)) / T
+        rest = 0.137 / T + 0.433 * e_frak(T)
+        assert antideriv_f(T) + big_f(T) / T - m == pytest.approx(k, abs=1e-13)
+        assert upper - m == pytest.approx(constants.c_au - rest, abs=1e-13)
+        assert lower - m == pytest.approx(constants.c_al + rest, abs=1e-13)
+        # the sharp form lies above the exact bound, up to four ulps of M(T)
+        assert upper_bound_a(T, constants).sharp >= upper - 4 * math.ulp(m)
 
 
 def test_constants_sharp_variants_are_tighter(constants):

@@ -30,7 +30,7 @@ def test_constants_command(capsys):
     assert report["c_al"] == pytest.approx(0.06058187, abs=1e-7)
     assert report["c_au_below_cap"] == "PASS"
     assert report["c_al_above_floor"] == "PASS"
-    assert report["converged"] is True
+    assert "converged" not in report
 
 
 def test_sum_at_10(capsys, reference_path):
@@ -202,11 +202,50 @@ def test_malformed_sidecar_exits_2(capsys, tmp_path, table100):
         assert json.loads(out)["error"] == "TableFormatError"
 
 
+def _unreadable_path_cases():
+    def bad_bytes(tmp_path, monkeypatch):
+        (tmp_path / "bad.txt").write_bytes(b"14.134725142\n\xff\n")
+
+    def cache_is_a_file(tmp_path, monkeypatch):
+        (tmp_path / "cache").write_text("")
+        monkeypatch.setenv("ZGB_TABLE_DIR", str(tmp_path / "cache"))
+
+    return [
+        pytest.param(["count", "--at", "50", "--table", "{tmp}/missing/t.txt"], None,
+                     "FileNotFoundError", id="missing-table"),
+        pytest.param(["ingest", "--file", "{tmp}/missing.txt"], None,
+                     "FileNotFoundError", id="missing-ingest-file"),
+        pytest.param(["count", "--at", "20", "--table", "{tmp}/bad.txt"], bad_bytes,
+                     "TableFormatError", id="table-not-utf8"),
+        pytest.param(["constants", "--out", "{tmp}/missing/r.json"], None,
+                     "FileNotFoundError", id="report-dir-missing"),
+        pytest.param(["zeros", "--t-max", "30", "--out", "{tmp}/missing/x.txt"], None,
+                     "FileNotFoundError", id="table-dir-missing"),
+        pytest.param(["count", "--at", "50"], cache_is_a_file,
+                     "FileExistsError", id="cache-dir-is-a-file"),
+    ]
+
+
+@pytest.mark.parametrize("argv, setup, error", _unreadable_path_cases())
+def test_unreadable_path_exits_2(capsys, tmp_path, monkeypatch, argv, setup, error):
+    # a path that is missing, not UTF-8 or in the way is an invalid input
+    monkeypatch.delenv("ZGB_TABLE_DIR", raising=False)
+    if setup is not None:
+        setup(tmp_path, monkeypatch)
+    code = main([arg.format(tmp=tmp_path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(captured.out)
+    assert sorted(report) == ["error", "message"]
+    assert report["error"] == error
+    assert captured.err == ""
+
+
 def test_corrupt_cache_entry_is_rebuilt(tmp_path, capsys, monkeypatch, table100):
     monkeypatch.setenv("ZGB_TABLE_DIR", str(tmp_path))
     path = tmp_path / "zeros_100.txt"
     good = None
-    for corrupt in ("sidecar", "t_max", "truncated"):
+    for corrupt in ("sidecar", "t_max", "truncated", "not UTF-8"):
         save_table(table100, path)
         good = good or (path.read_bytes(), sidecar_path(path).read_bytes())
         meta = sidecar_path(path)
@@ -216,6 +255,8 @@ def test_corrupt_cache_entry_is_rebuilt(tmp_path, capsys, monkeypatch, table100)
         elif corrupt == "t_max":
             # a NaN coverage height is no height the audit can use
             meta.write_text(json.dumps({**json.loads(meta.read_text()), "t_max": math.nan}))
+        elif corrupt == "not UTF-8":
+            path.write_bytes(path.read_bytes() + b"\xff")
         else:
             # a table cut short, under a sidecar without count and sha256 as
             # older versions wrote, loads unaudited

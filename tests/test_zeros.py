@@ -336,6 +336,16 @@ def test_zero_table_validation():
         ZeroTable([14.134725, 21.02204, 21.0], err + [1e-9], 25.0, False, "computed")
     with pytest.raises(ValueError, match="increase strictly"):
         ZeroTable([14.134725, float("nan")], err, 25.0, False, "computed")
+    # a t_max the audit cannot use: not finite, or below the last ordinate
+    # by more than its abs_err
+    gammas = [14.134725142, 21.022039639]
+    for t_max in (float("nan"), float("inf"), 20.0, 21.022039637):
+        with pytest.raises(ValueError, match="not a finite height"):
+            ZeroTable(gammas, err, t_max, False, "computed")
+    # a t_max within the last ordinate's abs_err of it still covers it
+    assert ZeroTable(gammas, err, 21.022039638, False, "computed").t_max == 21.022039638
+    with pytest.raises(ValueError, match="not a finite height"):
+        ZeroTable([], [], float("-inf"), False, "computed")
 
 
 # ---------------------------------------------------------------------- count
