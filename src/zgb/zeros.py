@@ -455,14 +455,17 @@ def sidecar_path(path: str | Path) -> Path:
 
 def _replace_atomically(path: Path, data: bytes) -> None:
     """Write data to a temp file beside path, then move it over path, so a
-    failed or concurrent write never leaves a partial file under that name."""
+    failed or concurrent write never leaves a partial file under that name.
+    An OSError that names a file names path, the name the caller gave."""
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "xb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            exc.filename, exc.filename2 = str(path), None
         raise
 
 

@@ -2,10 +2,12 @@
 Z-function, by two routes over one main-sum kernel, _cos_sum, which adds
 n^-1/2 cos(theta(t) - t log n) up to a term count of each height's own:
 
-* Euler-Maclaurin (EM): slow (N - 1 terms, N = max(60, ceil(2t))) but near
-  machine accuracy.  It is the low-height path of Z and the reference the
-  fast path is checked against up to 1e4.  Its remainder at N is added as a
-  complex number rotated by theta.  N does not depend on the rest of a batch.
+* Euler-Maclaurin (EM): slow (N - 1 terms, N = max(60, ceil(0.4 t))) but
+  near machine accuracy.  It is the low-height path of Z and the reference
+  the fast path is checked against up to 1e4.  Its remainder at N, with
+  B_2..B_40, is added as a complex number rotated by theta; Backlund's bound
+  on what that remainder omits is at most 2.2e-5 of Z's EM error model on
+  [2, 1e4].  N does not depend on the rest of a batch.
 * Riemann-Siegel (RS): main sum of ~sqrt(t/2pi) terms plus four correction
   terms C0..C3 built from derivatives of the entire function
   Psi(p) = cos(2pi(p^2 - p - 1/16))/cos(2pi p), all four from one product of
@@ -51,9 +53,14 @@ RS_SWITCH = 500.0
 #: which is near machine accuracy there.
 EM_POLISH_MAX = 1500.0
 
-# The least EM term count N: against mpmath, heights in [10, 20) reach 5.2x
-# hardy_z_err with 20 and 0.72x with 40; with 60, 0.22x.
+# EM term count N = max(_EM_MIN_TERMS, ceil(_EM_TERMS_PER_T * t)).  With
+# _EM_BERN_TERMS Bernoulli terms, Backlund's bound on the truncation is at
+# most 2.2e-5 of the EM error model on [2, 1e4], largest at t = 150 where the
+# floor hands over; below, the floor keeps it under 1e-11 (a floor of 20
+# would let it reach 1.3e-3 near t = 50).
 _EM_MIN_TERMS = 60
+_EM_TERMS_PER_T = 0.4
+_EM_BERN_TERMS = 20
 
 # Matrix elements (heights x terms) one chunk of the main sum may hold:
 # 2 MB per float64 array, at any batch size.
@@ -277,25 +284,36 @@ def _hardy_z_rs_batch(ts: np.ndarray) -> np.ndarray:
     return out
 
 
-# B_2, B_4, ..., B_10 over (2k)!: the Bernoulli corrections of the EM remainder.
-_BERN_OVER_FACT = (
-    1.0 / 6.0 / 2.0,
-    -1.0 / 30.0 / 24.0,
-    1.0 / 42.0 / 720.0,
-    -1.0 / 30.0 / 40320.0,
-    5.0 / 66.0 / 3628800.0,
-)
+# B_2, B_4, ..., B_40 as (numerator, denominator).
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+              (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
+              (-236364091, 2730), (8553103, 6), (-23749461029, 870),
+              (8615841276005, 14322), (-7709321041217, 510), (2577687858367, 6),
+              (-26315271553053477373, 1919190), (2929993913841559, 6),
+              (-261082718496449122051, 13530))
+# B_2k/(2k)!, each one correctly rounded division of integers: the Bernoulli
+# corrections of the EM remainder.
+_BERN_OVER_FACT = tuple(num / (den * math.factorial(2 * k))
+                        for k, (num, den) in enumerate(_BERNOULLI[:_EM_BERN_TERMS], start=1))
+
+
+def _em_term_count(ts: np.ndarray) -> np.ndarray:
+    """The EM term count N of each height, as floats."""
+    return np.maximum(_EM_MIN_TERMS, np.ceil(_EM_TERMS_PER_T * ts))
 
 
 def _hardy_z_em_batch(ts: np.ndarray) -> np.ndarray:
     """Euler-Maclaurin Z = Re e^(i theta) zeta(1/2 + it) for an array of heights.
 
     zeta is the sum over n < N plus the remainder 1/2 N^-s + N^(1-s)/(s-1) +
-    sum_k B_2k/(2k)! s(s+1)...(s+2k-2) N^(1-s-2k), with N = max(_EM_MIN_TERMS,
-    ceil(2t)) for each height."""
+    sum_k B_2k/(2k)! s(s+1)...(s+2k-2) N^(1-s-2k) over k <= _EM_BERN_TERMS,
+    with N = _em_term_count(t) for each height.  What the remainder omits is
+    at most |s + 2K + 1|/(sigma + 2K + 1) times its first omitted term, for
+    K = _EM_BERN_TERMS (Backlund; H. M. Edwards, "Riemann's Zeta Function",
+    1974, section 6.4)."""
     ts = np.asarray(ts, dtype=float)
     theta = rs_theta(ts)
-    nf = np.maximum(_EM_MIN_TERMS, np.ceil(2.0 * ts))
+    nf = _em_term_count(ts)
     s = 0.5 + 1j * ts
     rem = 0.5 * nf ** (-s) + nf ** (1 - s) / (s - 1.0)
     fac = s * nf ** (-s - 1.0)

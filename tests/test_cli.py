@@ -210,25 +210,32 @@ def _unreadable_path_cases():
         (tmp_path / "cache").write_text("")
         monkeypatch.setenv("ZGB_TABLE_DIR", str(tmp_path / "cache"))
 
+    def out_is_a_dir(tmp_path, monkeypatch):
+        (tmp_path / "adir").mkdir()
+
+    # argv, set-up, error type, and the path the message must name
     return [
         pytest.param(["count", "--at", "50", "--table", "{tmp}/missing/t.txt"], None,
-                     "FileNotFoundError", id="missing-table"),
+                     "FileNotFoundError", "{tmp}/missing/t.txt", id="missing-table"),
         pytest.param(["ingest", "--file", "{tmp}/missing.txt"], None,
-                     "FileNotFoundError", id="missing-ingest-file"),
+                     "FileNotFoundError", "{tmp}/missing.txt", id="missing-ingest-file"),
         pytest.param(["count", "--at", "20", "--table", "{tmp}/bad.txt"], bad_bytes,
-                     "TableFormatError", id="table-not-utf8"),
+                     "TableFormatError", None, id="table-not-utf8"),
         pytest.param(["constants", "--out", "{tmp}/missing/r.json"], None,
-                     "FileNotFoundError", id="report-dir-missing"),
+                     "FileNotFoundError", "{tmp}/missing/r.json", id="report-dir-missing"),
         pytest.param(["zeros", "--t-max", "30", "--out", "{tmp}/missing/x.txt"], None,
-                     "FileNotFoundError", id="table-dir-missing"),
+                     "FileNotFoundError", "{tmp}/missing/x.txt", id="table-dir-missing"),
+        pytest.param(["zeros", "--t-max", "30", "--out", "{tmp}/adir"], out_is_a_dir,
+                     "IsADirectoryError", "{tmp}/adir", id="table-path-is-a-dir"),
         pytest.param(["count", "--at", "50"], cache_is_a_file,
-                     "FileExistsError", id="cache-dir-is-a-file"),
+                     "FileExistsError", "{tmp}/cache", id="cache-dir-is-a-file"),
     ]
 
 
-@pytest.mark.parametrize("argv, setup, error", _unreadable_path_cases())
-def test_unreadable_path_exits_2(capsys, tmp_path, monkeypatch, argv, setup, error):
-    # a path that is missing, not UTF-8 or in the way is an invalid input
+@pytest.mark.parametrize("argv, setup, error, named", _unreadable_path_cases())
+def test_unreadable_path_exits_2(capsys, tmp_path, monkeypatch, argv, setup, error, named):
+    # a path that is missing, not UTF-8 or in the way is an invalid input; the
+    # message names the path given, never a temporary file, and none is left
     monkeypatch.delenv("ZGB_TABLE_DIR", raising=False)
     if setup is not None:
         setup(tmp_path, monkeypatch)
@@ -239,6 +246,10 @@ def test_unreadable_path_exits_2(capsys, tmp_path, monkeypatch, argv, setup, err
     assert sorted(report) == ["error", "message"]
     assert report["error"] == error
     assert captured.err == ""
+    if named is not None:
+        assert repr(named.format(tmp=tmp_path)) in report["message"]
+    assert ".tmp" not in report["message"].replace(str(tmp_path), "")
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_corrupt_cache_entry_is_rebuilt(tmp_path, capsys, monkeypatch, table100):

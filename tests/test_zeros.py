@@ -6,6 +6,7 @@ N(1000) = 649, and the close pair near 7005 whose gap (0.0377) is far below
 the initial grid step.
 """
 
+import hashlib
 import json
 import re
 
@@ -289,6 +290,22 @@ def test_build_table_up_to_a_zero_ordinate():
     assert t_max - table.abs_err[-1] <= table.gammas[-1] <= t_max
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("t_max, count, digest", [
+    (1e3, 649, "c4d92a81d25e9145a5b3e5d3ded90615639860e30ba70bfb16afda15f4b04883"),
+    (1e4, 10142, "3748908cee13adad4d16c56bd302ff80dfae412ec3c1413ab30072e032bca236"),
+    (1e5, 138069, "ac60ba053a5576235a3df5dd73541f1331cabae31d9aef5885dd9e893d0c091b"),
+], ids=["1e3", "1e4", "1e5"])
+def test_saved_tables_are_pinned(tmp_path, t_max, count, digest):
+    # a change to the Z kernels or the refinement must leave every printed
+    # ordinate as it is; the 1e5 build takes about 10 s
+    table = build_table(t_max)
+    assert table.audited and len(table) == count
+    path = tmp_path / "zeros.txt"
+    save_table(table, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_build_table_domain():
     with pytest.raises(DomainError):
         build_table(10.0)
@@ -460,8 +477,6 @@ def test_load_table_audits_once(table100, tmp_path, monkeypatch):
 
 
 def test_sidecar_records_count_and_sha256(table100, tmp_path):
-    import hashlib
-
     path = tmp_path / "zeros100.txt"
     save_table(table100, path)
     meta = json.loads(sidecar_path(path).read_text())

@@ -136,6 +136,35 @@ def test_z_within_its_error_model_against_mpmath():
         assert abs(z - float(mp.siegelz(t))) <= 1e-10, t
 
 
+def test_em_bernoulli_coefficients_against_mpmath():
+    coeffs = zeta._BERN_OVER_FACT
+    assert len(coeffs) == zeta._EM_BERN_TERMS == 20
+    for k, c in enumerate(coeffs, start=1):
+        assert c == pytest.approx(float(mp.bernoulli(2 * k) / mp.factorial(2 * k)), rel=1e-15)
+
+
+def test_em_truncation_within_backlund_bound():
+    # what the EM remainder omits after B_2K is at most |s + 2K + 1| /
+    # (sigma + 2K + 1) times the first omitted term, B_2K+2/(2K+2)!
+    # s(s+1)...(s+2K) N^(-s-2K-1) (Backlund; Edwards, "Riemann's Zeta
+    # Function", section 6.4); for the kernel's own N(t) and K it must stay
+    # far below the EM error model, which leaves the rest to rounding
+    steps = 2.5 * np.arange(1.0, 4001.0)  # the bound peaks where N steps up
+    ts = np.unique(np.concatenate((np.linspace(2.0, 1e4, 200001), steps,
+                                   np.nextafter(steps, 0.0))))
+    big_k = zeta._EM_BERN_TERMS
+    s = 0.5 + 1j * ts
+    first_omitted = float(mp.log(abs(mp.bernoulli(2 * big_k + 2) / mp.factorial(2 * big_k + 2))))
+    for j in range(2 * big_k + 1):
+        first_omitted += np.log(np.abs(s + j))
+    first_omitted -= (0.5 + 2 * big_k + 1) * np.log(zeta._em_term_count(ts))
+    bound = np.abs(s + 2 * big_k + 1) / (0.5 + 2 * big_k + 1) * np.exp(first_omitted)
+    model = 1e-14 + 3e-15 * (1.0 + ts)  # the EM branch of hardy_z_err
+    polish = em_path(ts, polish=True)
+    assert np.array_equal(model[polish], hardy_z_err(ts[polish], polish=True))
+    assert np.max(bound / model) <= 1e-3
+
+
 def test_em_value_does_not_depend_on_its_batch():
     # each height takes its own term count, so a value computed alone and
     # inside a shared batch differ only by the rounding of the batch's order
@@ -247,10 +276,10 @@ def test_cheb_basis_product_matches_chebval():
 
 def test_batch_kernels_bound_their_working_set():
     # one dense heights x terms array for these batches takes 64 MB (RS,
-    # 20000 x 400 floats) or 34 MB (EM, 1400 x 3000 floats); chunked by one
-    # element budget, the peaks measure 7.6 and 6.7 MB
+    # 20000 x 400 floats) or 31 MB (EM, 1400 x 2800 floats); chunked by one
+    # element budget, the peaks measure 8.0 and 4.3 MB
     for kernel, ts in ((_hardy_z_rs_batch, np.linspace(9.9e5, 1e6, 20000)),
-                       (_hardy_z_em_batch, np.linspace(1400.0, 1499.0, 1400))):
+                       (_hardy_z_em_batch, np.linspace(6900.0, 6999.0, 1400))):
         tracemalloc.start()
         try:
             kernel(ts)
