@@ -68,14 +68,17 @@ def big_r(T: float) -> float:
 
 def main_term(T: float | np.ndarray) -> float | np.ndarray:
     """Main term M(T) = log^2(T)/(4pi) - log(2pi) log(T)/(2pi) of A(T), at
-    one height or at each of an array of them.  The logs of an array come
-    from math.log too, since np.log can differ from it in the last place."""
+    one height or at each of an array of them, in an array of its shape.
+    The logs of an array come from math.log too, since np.log can differ
+    from it in the last place."""
     many = isinstance(T, np.ndarray)
     lowest = T.min(initial=math.inf) if many else T
     if not lowest > 1:  # True for a NaN T too
         raise DomainError(f"main_term requires T > 1, got {lowest}")
-    lt = np.array([math.log(t) for t in T.tolist()]) if many else math.log(T)
-    return lt * lt / FOUR_PI - LOG_2PI * lt / TWO_PI
+    lt = (np.array([math.log(t) for t in T.ravel().tolist()]).reshape(T.shape) if many
+          else math.log(T))
+    out = lt * lt / FOUR_PI - LOG_2PI * lt / TWO_PI
+    return np.asarray(out) if many else out  # numpy makes a 0-d result a scalar
 
 
 def antideriv_f(t: float) -> float:

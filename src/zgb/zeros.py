@@ -172,12 +172,16 @@ def _brackets_from_grid(grid: np.ndarray, zvals: np.ndarray) -> np.ndarray:
     keep = np.abs(zvals) > zeta.hardy_z_err(grid)
     grid, zvals = grid[keep], zvals[keep]
     i = np.flatnonzero(np.signbit(zvals[:-1]) != np.signbit(zvals[1:]))
-    return np.array((grid[i], grid[i + 1], zvals[i], zvals[i + 1])).T
+    rows = np.empty((i.size, 4))
+    rows[:, 0], rows[:, 1] = grid[i], grid[i + 1]
+    rows[:, 2], rows[:, 3] = zvals[i], zvals[i + 1]
+    return rows
 
 
 def _scan_window(a: float, b: float, step: float) -> np.ndarray:
     npts = max(3, int(math.ceil((b - a) / step)) + 1)
-    grid = np.linspace(a, b, npts)
+    grid = np.arange(npts) * ((b - a) / (npts - 1)) + a  # np.linspace(a, b, npts)
+    grid[-1] = b
     return _brackets_from_grid(grid, zeta.hardy_z_many(grid))
 
 

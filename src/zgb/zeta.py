@@ -11,11 +11,11 @@ n^-1/2 cos(theta(t) - t log n) up to a term count of each height's own:
 * Riemann-Siegel (RS): main sum of ~sqrt(t/2pi) terms plus four correction
   terms C0..C3 built from derivatives of the entire function
   Psi(p) = cos(2pi(p^2 - p - 1/16))/cos(2pi p), all four from one product of
-  a Chebyshev basis with their models.  Truncation error decays like
-  (t/2pi)^(-11/4).
+  a Chebyshev basis with their shipped coefficients, _CORRECTION_MODELS.
+  Truncation error decays like (t/2pi)^(-11/4).
 
-em_path is the only place that chooses between the two, for hardy_z_many
-and hardy_z_err alike.  RS runs from RS_SWITCH up: there its error is
+_em_top is the only place that sets where the two meet, for hardy_z_many,
+em_path and hardy_z_err alike.  RS runs from RS_SWITCH up: there its error is
 already far below what sign decisions on the isolation grid and in the
 bracketed refinement need, at a fraction of EM's cost.  The secant polish
 turns the Z error into an ordinate's abs_err, so with polish set EM keeps
@@ -38,7 +38,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial import chebyshev
+# Unused here: bench/tracing.py times the C0..C3 corrections by hooking
+# zgb.zeta.chebyshev.chebval, and tests/test_bench_hooks.py pins its hook list.
+from numpy.polynomial import chebyshev  # noqa: F401
 
 from .errors import DomainError
 
@@ -99,8 +101,8 @@ def rs_theta(t):
         raise DomainError("rs_theta requires t >= 1")
     main = 0.5 * arr * (np.log(arr / TWO_PI) - 1.0) - math.pi / 8.0
     inv2 = 1.0 / (arr * arr)
-    corr = np.zeros_like(arr)
-    for c in reversed(_THETA_COEFFS):
+    corr = _THETA_COEFFS[-1] * inv2
+    for c in reversed(_THETA_COEFFS[:-1]):
         corr = (corr + c) * inv2
     corr *= arr  # series is in odd powers 1/t, 1/t^3, ...
     out = main + corr
@@ -146,23 +148,37 @@ def rs_theta_deriv(t):
 def _cos_sum(ts: np.ndarray, theta: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sum of n^-1/2 cos(theta - t log n) over 1 <= n <= counts, per height.
 
-    Heights are taken in ascending order, in chunks of at most
-    _BATCH_ELEMENTS heights x terms, so a chunk's term count stays close to
-    that of each of its heights; a chunk is worked in one buffer.
+    Each chunk of heights is worked in one buffer, padded to its largest
+    count.  Heights are taken in ascending order, and a chunk closes before
+    a count passes 9/8 of its first height's, or its heights x terms pass
+    _BATCH_ELEMENTS; so padding stays under an eighth of a chunk when the
+    counts rise with t, as both paths' do.  A batch that fits one chunk is
+    worked as it comes, unsorted.
     """
-    out = np.zeros(ts.shape, dtype=float)
-    order = np.argsort(ts)
-    chunk = max(1, _BATCH_ELEMENTS // int(counts.max(initial=1)))
-    for pos in range(0, order.size, chunk):
-        idx = order[pos:pos + chunk]
-        cnt = counts[idx, None]
-        n = np.arange(1, int(cnt.max()) + 1)
+    out = np.empty(ts.shape)
+    top = int(counts.max(initial=0))
+    least = int(counts.min(initial=top))
+    if 8 * top <= 9 * least and ts.size * top <= _BATCH_ELEMENTS:
+        chunks = [(slice(None), top, least)]
+    else:
+        order = np.argsort(ts)
+        # bounds each chunk's largest count; a count below 0 (from a NaN height) sums nothing
+        widest = np.maximum.accumulate(counts[order].clip(0))
+        chunks, pos = [], 0
+        while pos < order.size:
+            stop = int(np.searchsorted(widest, 9 * int(widest[pos]) // 8, side="right"))
+            stop = min(stop, pos + max(1, _BATCH_ELEMENTS // max(1, int(widest[stop - 1]))))
+            idx = order[pos:stop]
+            chunks.append((idx, int(widest[stop - 1]), int(counts[idx].min())))
+            pos = stop
+    for idx, width, least in chunks:
+        n = np.arange(1, width + 1)
         buf = np.multiply(ts[idx, None], np.log(n))  # one buffer, each step in place
         np.subtract(theta[idx, None], buf, out=buf)
         np.cos(buf, out=buf)
         np.divide(buf, np.sqrt(n), out=buf)
-        if cnt.min() < n.size:  # mask only where the counts differ
-            buf *= n <= cnt
+        if least < width:  # mask only where the counts differ
+            buf *= n <= counts[idx, None]
         out[idx] = buf.sum(axis=1)
     return out
 
@@ -172,95 +188,37 @@ def _cos_sum(ts: np.ndarray, theta: np.ndarray, counts: np.ndarray) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def _psi(z: np.ndarray) -> np.ndarray:
-    """Psi(z) = cos(2pi(z^2 - z - 1/16))/cos(2pi z), entire.
-
-    The quarter-integer zeros of the denominator are all cancelled by the
-    numerator; near them both cosines are rewritten about their nearest root
-    so the ratio stays finite in floating point.
-    """
-    z = np.asarray(z, dtype=complex)
-    a = TWO_PI * (z * z - z - 0.0625)
-    b = TWO_PI * z
-    den = np.cos(b)
-    out = np.empty_like(z)
-    near = np.abs(den) < 0.1
-    safe = ~near
-    out[safe] = np.cos(a[safe]) / den[safe]
-    if near.any():
-        an, bn = a[near], b[near]
-        j = np.round(an.real / math.pi - 0.5)
-        l = np.round(bn.real / math.pi - 0.5)
-        da = an - (j + 0.5) * math.pi
-        db = bn - (l + 0.5) * math.pi
-        sign = np.where((j - l) % 2 == 0, 1.0, -1.0)
-        out[near] = sign * np.sin(da) / np.sin(db)
-    return out
-
-
-_CHEB_NODES = 64
-_CAUCHY_SAMPLES = 256
-_CAUCHY_RADIUS = 0.25
-_FACTORIALS = [math.factorial(k) for k in range(13)]
-
-_cheb_models: np.ndarray | None = None
-
-
-def _psi_derivs_at(p: float, orders: tuple[int, ...]) -> dict[int, float]:
-    """Derivatives of Psi at real p from a Cauchy integral over a circle."""
-    k = np.arange(_CAUCHY_SAMPLES)
-    # small phase offset keeps samples off the real axis's quarter points
-    phi = TWO_PI * (k + 0.31) / _CAUCHY_SAMPLES
-    ring = p + _CAUCHY_RADIUS * np.exp(1j * phi)
-    vals = _psi(ring)
-    out = {}
-    for n in orders:
-        coef = np.mean(vals * np.exp(-1j * n * phi)) / _CAUCHY_RADIUS ** n
-        out[n] = coef.real * _FACTORIALS[n]
-    return out
-
-
-def _correction_fit() -> np.ndarray:
-    """Degree-64 Chebyshev interpolants of C0..C3 over p in [0, 1], as a
-    (65, 4) array whose column k holds the coefficients of C_k."""
-    xs = np.cos(math.pi * (np.arange(_CHEB_NODES + 1) + 0.5) / (_CHEB_NODES + 1))
-    ps = 0.5 * (xs + 1.0)
-    pi2 = math.pi ** 2
-    pi4 = math.pi ** 4
-    pi6 = math.pi ** 6
-    c_vals = np.empty((ps.size, 4))
-    for i, p in enumerate(ps):
-        d = _psi_derivs_at(float(p), (0, 1, 2, 3, 5, 6, 9))
-        c_vals[i, 0] = d[0]
-        c_vals[i, 1] = -d[3] / (96.0 * pi2)
-        c_vals[i, 2] = d[2] / (64.0 * pi2) + d[6] / (18432.0 * pi4)
-        c_vals[i, 3] = (-d[1] / (64.0 * pi2) - d[5] / (3840.0 * pi4)
-                        - d[9] / (5308416.0 * pi6))
-    return chebyshev.chebfit(xs, c_vals, _CHEB_NODES)
-
-
-def _correction_models() -> np.ndarray:
-    """The models of _correction_fit, cut for one product with _cheb_basis
-    over C0..C3, built once per process.
-
-    The cut keeps the lowest common degree at which every dropped tail (the
-    sum of the dropped |coefficients|, which bounds the truncation error
-    since |T_j| <= 1) is below 1e-3 of the smallest riemann_siegel_err on
-    [RS_SWITCH, 1e6].  That is degree 21, against 64 before the cut.
-
-    Concurrent first calls may build twice; both results are identical and
-    the assignment is atomic, so the race is benign.
-    """
-    global _cheb_models
-    if _cheb_models is not None:
-        return _cheb_models
-    coeffs = _correction_fit()
-    # tails[j, k] = sum of |coefficient i of C_k| over i >= j
-    tails = np.cumsum(np.abs(coeffs[::-1]), axis=0)[::-1]
-    limit = 1e-3 * float(np.min(riemann_siegel_err(np.geomspace(RS_SWITCH, 1e6, 2001))))
-    keep = int(np.flatnonzero(np.any(tails >= limit, axis=1))[-1]) + 1
-    _cheb_models = coeffs[:keep].copy()
-    return _cheb_models
+# Chebyshev coefficients of Gabcke's corrections over p in [0, 1]: row j
+# holds the coefficients of T_j(2p - 1) in C0, C1, C2, C3, from a degree-64
+# interpolant of Cauchy-integral derivatives of Psi(p) = cos(2pi(p^2 - p -
+# 1/16))/cos(2pi p) (tests/oracles.py regenerates them).  The rows kept are
+# the fewest for which every dropped tail, the sum of the dropped
+# |coefficients|, is below 1e-3 of the smallest riemann_siegel_err on
+# [RS_SWITCH, 1e6]: since |T_j| <= 1 that bounds the truncation error.
+_CORRECTION_MODELS = np.array((
+    (0.6426672862397719, 3.391630841667722e-17, 0.00314611585398879, 1.2430975649977335e-15),
+    (-2.903693309837712e-16, 0.010697913921003046, -7.523942347533131e-17, 7.123256221297049e-05),
+    (0.27197299999785374, 2.731008378914694e-17, -0.002308783884530819, 9.08833344647926e-16),
+    (-9.83467307036467e-16, 0.017170651243377882, -2.152856187278157e-17, 0.00023234305298206254),
+    (0.010738605819339825, 3.179837054000952e-17, 5.769820766688812e-05, 2.6539491548526114e-16),
+    (-2.848160270377887e-16, 0.002793211149788468, 1.3160569625410642e-17, -0.00012929912045455633),
+    (-0.0013743815296347528, 2.8451173641061153e-17, 0.0003523886202366797, 6.00950215969573e-17),
+    (-2.1178627651527878e-16, -3.637565371929095e-05, 1.9018164198570294e-17, 1.8074496413734968e-05),
+    (-0.00012468221880362787, -1.8257437630627478e-18, 2.5246667458709595e-05, -1.0356816768436415e-16),
+    (-8.705754843537535e-16, -2.7108955231124894e-05, 2.0739308058540897e-17, 6.526185187081632e-06),
+    (-5.764599705933764e-07, -8.520137560959489e-18, -3.442821197164867e-06, -1.6094121453040107e-16),
+    (-9.201748565836249e-16, -1.0483749866812427e-06, 6.275994185528195e-18, -1.1696365394790757e-07),
+    (2.7280674234891876e-07, -5.477231289188244e-18, -3.535074556387128e-07, -1.7410178415581175e-16),
+    (-6.767423548419253e-16, 5.886467166710558e-08, 1.1563043832730737e-17, -7.34947614546096e-08),
+    (8.077952346288788e-09, -2.7386156445941217e-18, 3.730830203209799e-09, -1.1479363910257026e-16),
+    (-1.4605950104501984e-16, 4.322967282289275e-09, -2.5674521668069895e-18, -1.7750910760942421e-09),
+    (-2.088465174631455e-10, -1.2171625087084985e-17, 1.2776951871783832e-09, -7.554965727882048e-17),
+    (9.737300069667989e-18, -1.1369564593218314e-11, -2.1300343902398723e-18, 2.555552447979357e-10),
+    (-1.311592897324125e-11, -1.7496711062684668e-17, 2.1874612356687945e-11, 3.953638609830282e-17),
+    (1.996146514281938e-16, -6.699798608016663e-12, -1.5823112613210483e-17, 1.137666791082827e-11),
+    (-1.430409380234227e-14, -1.8257437630627474e-18, -1.9141571924964956e-12, 9.147736979512308e-18),
+    (3.4080550243837974e-16, -1.0077375274601147e-13, -1.141089851914218e-17, -3.3494904063462517e-13),
+))
 
 
 def _cheb_basis(x: np.ndarray, count: int) -> np.ndarray:
@@ -270,16 +228,17 @@ def _cheb_basis(x: np.ndarray, count: int) -> np.ndarray:
 
 def _hardy_z_rs_batch(ts: np.ndarray) -> np.ndarray:
     """Riemann-Siegel Z for an array of heights (all >= RS_SWITCH)."""
-    models = _correction_models()
     ts = np.asarray(ts, dtype=float)
     tau = np.sqrt(ts / TWO_PI)
-    big_n = np.floor(tau).astype(int)
-    p = tau - big_n
+    floor = np.floor(tau)
+    big_n = floor.astype(int)
+    p = tau - floor
     out = 2.0 * _cos_sum(ts, rs_theta(ts), big_n)
     u = 1.0 / tau
-    c0, c1, c2, c3 = (_cheb_basis(2.0 * p - 1.0, models.shape[0]) @ models).T
+    c0, c1, c2, c3 = (_cheb_basis(2.0 * p - 1.0, _CORRECTION_MODELS.shape[0])
+                      @ _CORRECTION_MODELS).T
     corr = c0 + c1 * u + c2 * u ** 2 + c3 * u ** 3
-    sign = np.where(big_n % 2 == 1, 1.0, -1.0)  # (-1)^(N-1)
+    sign = np.where(big_n & 1, 1.0, -1.0)  # (-1)^(N-1)
     out += sign * tau ** -0.5 * corr
     return out
 
@@ -323,31 +282,40 @@ def _hardy_z_em_batch(ts: np.ndarray) -> np.ndarray:
     return _cos_sum(ts, theta, nf.astype(int) - 1) + np.real(np.exp(1j * theta) * rem)
 
 
+def _em_top(polish: bool) -> float:
+    """The height below which Z takes the Euler-Maclaurin path."""
+    return EM_POLISH_MAX if polish else RS_SWITCH
+
+
 def em_path(ts, polish: bool = False) -> np.ndarray:
     """Where hardy_z_many(ts, polish) takes the Euler-Maclaurin path."""
-    return np.asarray(ts, dtype=float) < (EM_POLISH_MAX if polish else RS_SWITCH)
+    return np.asarray(ts, dtype=float) < _em_top(polish)
 
 
 def hardy_z_many(ts, polish: bool = False) -> np.ndarray:
-    """Z(t) for an array of heights t >= 2, with per-height path selection.
+    """Z(t) for an array of heights 2 <= t <= 1e6, with per-height path
+    selection.
 
     EM runs below RS_SWITCH, or below EM_POLISH_MAX with polish set; RS runs
     above.  Polish points lie within 1e-9 of a bracket that has already been
     evaluated here, so they skip the domain check: a bracket ending at 1e6
-    may be polished just past it.
+    may be polished just past it.  The batch's least and greatest heights
+    decide both the domain check and, when every height takes one path,
+    that path; only a batch across the switch is split by em_path.
     """
     ts = np.asarray(ts, dtype=float)
-    if not polish and not (ts >= 2.0).all():  # NaN fails it too
-        raise DomainError("hardy_z requires t >= 2")
-    if not polish and (ts > 1e6).any():
-        raise DomainError("hardy_z validated for t <= 1e6")
-    lo = em_path(ts, polish)
     if not ts.size:
         return np.empty(ts.shape)
-    all_em = lo.all()
-    if all_em or not lo.any():  # one path: no scatter
-        kernel = _hardy_z_em_batch if all_em else _hardy_z_rs_batch
+    least, most = ts.min(), ts.max()
+    if not polish and not least >= 2.0:  # a NaN fails it too
+        raise DomainError("hardy_z requires t >= 2")
+    if not polish and most > 1e6:
+        raise DomainError("hardy_z validated for t <= 1e6")
+    top = _em_top(polish)
+    if most < top or least >= top:  # one path: no scatter
+        kernel = _hardy_z_em_batch if most < top else _hardy_z_rs_batch
         return kernel(ts.ravel()).reshape(ts.shape)
+    lo = em_path(ts, polish)
     out = np.empty(ts.shape)
     out[lo] = _hardy_z_em_batch(ts[lo])
     out[~lo] = _hardy_z_rs_batch(ts[~lo])
@@ -382,6 +350,8 @@ def hardy_z_err(t, polish: bool = False):
     Accepts scalars or arrays, like riemann_siegel_err.
     """
     arr = np.asarray(t, dtype=float)
-    out = np.where(em_path(arr, polish), 1e-14 + 3e-15 * (1.0 + arr),
-                   riemann_siegel_err(np.maximum(arr, RS_SWITCH)))
+    out = riemann_siegel_err(np.maximum(arr, RS_SWITCH))
+    em = em_path(arr, polish)
+    if em.any():
+        out = np.where(em, 1e-14 + 3e-15 * (1.0 + arr), out)
     return float(out) if np.isscalar(t) else out

@@ -92,6 +92,17 @@ def test_main_term_at_100():
     assert main_term(100.0) == pytest.approx(0.34060105576893427, abs=1e-13)
 
 
+def test_main_term_keeps_the_shape_of_an_array():
+    # 0-d, 1-d and 2-d arrays give arrays of their shape, each value the
+    # scalar path's bit for bit
+    for T in (np.array(5.0), np.array([5.0, 100.0, 1e6]), np.array([[2.0, 5.0], [1e3, 1e12]])):
+        got = main_term(T)
+        assert isinstance(got, np.ndarray) and got.shape == T.shape
+        assert got.tolist() == np.vectorize(lambda t: main_term(float(t)))(T).tolist()
+    with pytest.raises(DomainError):
+        main_term(np.array([[5.0], [1.0]]))
+
+
 def test_main_term_domain():
     with pytest.raises(DomainError):
         main_term(1.0)

@@ -14,14 +14,15 @@ import pytest
 from numpy.polynomial import chebyshev
 from scipy.optimize import brentq
 
+from oracles import correction_fit, correction_models
 from zgb import zeta
 from zgb.errors import DomainError
 from zgb.zeta import (
+    _CORRECTION_MODELS,
     EM_POLISH_MAX,
     RS_SWITCH,
     _cheb_basis,
-    _correction_fit,
-    _correction_models,
+    _cos_sum,
     _hardy_z_em_batch,
     _hardy_z_rs_batch,
     em_path,
@@ -193,6 +194,28 @@ def test_z_domain_error():
         hardy_z_many(np.array([600.0, math.nan]))
     # a secant polish may step 1e-9 past a bracket that ends at 1e6
     assert np.isfinite(hardy_z_many(np.array([1e6 + 1e-9]), polish=True)).all()
+    # the polish path skips the check: a NaN gives NaN, beside a height's own value
+    with np.errstate(invalid="ignore"):  # the NaN height casts to an integer count
+        got = hardy_z_many(np.array([600.0, math.nan]), polish=True)
+    assert got[0] == hardy_z_many(np.array([600.0]), polish=True)[0] and math.isnan(got[1])
+    # an empty batch passes either way and keeps its shape
+    for polish in (False, True):
+        assert hardy_z_many(np.empty((0, 3)), polish).shape == (0, 3)
+
+
+def test_z_path_choice_at_the_batch_ends():
+    # the least and greatest heights pick one kernel for a batch on one side
+    # of the switch; a batch across it is split height by height
+    for polish, top in ((False, RS_SWITCH), (True, EM_POLISH_MAX)):
+        below = np.array([2.0, 100.0, np.nextafter(top, 0.0)])
+        above = np.array([top, 5000.0, 1e6])
+        assert np.array_equal(hardy_z_many(below, polish), _hardy_z_em_batch(below))
+        assert np.array_equal(hardy_z_many(above, polish), _hardy_z_rs_batch(above))
+        across = np.array([[1e6, 2.0], [top, np.nextafter(top, 0.0)]])
+        want = [[_hardy_z_rs_batch(np.array([1e6]))[0], _hardy_z_em_batch(np.array([2.0]))[0]],
+                [_hardy_z_rs_batch(np.array([top]))[0],
+                 _hardy_z_em_batch(np.array([np.nextafter(top, 0.0)]))[0]]]
+        assert np.array_equal(hardy_z_many(across, polish), want)
 
 
 def test_z_sign_bookkeeping_14_to_18():
@@ -238,10 +261,12 @@ def test_methods_agree_within_estimates_at_sampled_points():
 
 
 def test_correction_models_drop_only_a_negligible_tail():
-    # every C_k's dropped coefficients sum to below 1e-3 of the smallest RS
-    # error on [RS_SWITCH, 1e6], and one coefficient fewer would not
-    full = _correction_fit()
-    kept = _correction_models()
+    # the shipped coefficients are the oracle's fit, cut where every C_k's
+    # dropped coefficients sum to below 1e-3 of the smallest RS error on
+    # [RS_SWITCH, 1e6], and one coefficient fewer would not
+    full = correction_fit()
+    kept = _CORRECTION_MODELS
+    assert np.array_equal(correction_models(), kept)
     limit = 1e-3 * riemann_siegel_err(np.linspace(RS_SWITCH, 1e6, 200001)).min()
     assert kept.shape[1] == 4 and kept.shape[0] < full.shape[0]
     assert np.array_equal(kept, full[:kept.shape[0]])
@@ -260,18 +285,61 @@ def test_rs_batch_makes_one_cheb_basis_call(monkeypatch):
         calls.append((np.shape(x), count))
         return original(x, count)
 
-    _correction_models()
     monkeypatch.setattr(zeta, "_cheb_basis", counting)
     out = _hardy_z_rs_batch(np.linspace(999000.0, 1e6, 2000))
     assert out.shape == (2000,) and np.all(np.isfinite(out))
-    assert calls == [((2000,), _correction_models().shape[0])]
+    assert calls == [((2000,), _CORRECTION_MODELS.shape[0])]
 
 
 def test_cheb_basis_product_matches_chebval():
-    models = _correction_models()
+    models = _CORRECTION_MODELS
     x = np.linspace(-1.0, 1.0, 10001)
     got = _cheb_basis(x, models.shape[0]) @ models
     assert np.max(np.abs(got - chebyshev.chebval(x, models).T)) < 1e-14
+
+
+def _cos_sum_reference(ts, theta, counts):
+    # each height's own terms, in the kernel's phase arithmetic, summed exactly
+    out = []
+    for t, th, c in zip(ts.tolist(), theta.tolist(), counts.tolist()):
+        n = np.arange(1, c + 1)
+        out.append(math.fsum(np.cos(th - t * np.log(n)) / np.sqrt(n)))
+    return np.array(out)
+
+
+def _cos_sum_cases():
+    rs = np.random.default_rng(12).uniform(2 * math.pi * 81, 2 * math.pi * 41 ** 2, 3000)
+    em = np.linspace(2.0, np.nextafter(EM_POLISH_MAX, 0.0), 1500)
+    rs_counts = np.floor(np.sqrt(rs / zeta.TWO_PI)).astype(int)
+    em_counts = zeta._em_term_count(em).astype(int) - 1
+    ones = np.array([700.0, 800.0, 900.0, 1000.0])
+    shuffled = np.random.default_rng(13).permutation(rs.size)
+    return {
+        "rs-counts-9-40": (rs, rs_counts),
+        "em-counts-59-599": (em, em_counts),
+        "a-count-of-1": (ones, np.array([1, 12, 1, 40])),
+        "all-counts-1": (ones, np.ones(4, dtype=int)),
+        "one-height": (rs[:1], rs_counts[:1]),
+        "empty": (rs[:0], rs_counts[:0]),
+        "rs-shuffled": (rs[shuffled], rs_counts[shuffled]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_cos_sum_cases()))
+@pytest.mark.parametrize("budget", [zeta._BATCH_ELEMENTS, 1000, 1])
+def test_cos_sum_matches_an_exact_sum(case, budget, monkeypatch):
+    # chunks close at 9/8 of their first count and at the element budget;
+    # the two smaller budgets split the 9/8 windows, down to one height each
+    monkeypatch.setattr(zeta, "_BATCH_ELEMENTS", budget)
+    ts, counts = _cos_sum_cases()[case]
+    theta = rs_theta(ts)
+    got = _cos_sum(ts, theta, counts)
+    assert got.shape == ts.shape
+    assert np.max(np.abs(got - _cos_sum_reference(ts, theta, counts)), initial=0.0) <= 1e-13
+    if case == "rs-shuffled":  # the chunks follow the sorted heights, not the input order
+        ts0, counts0 = _cos_sum_cases()["rs-counts-9-40"]
+        order = np.argsort(ts)
+        assert np.array_equal(got[order], _cos_sum(ts0, rs_theta(ts0), counts0)[np.argsort(ts0)])
 
 
 def test_batch_kernels_bound_their_working_set():
