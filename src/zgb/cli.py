@@ -8,10 +8,10 @@ Subcommands:
     verify     sweep the two-sided bound over a height range
     ingest     parse a published ordinate file and cross-validate
 
-Reports are JSON (default) or CSV, deterministic for identical inputs: no
-timestamps, sorted keys.  Exit status is 0 only when every check in scope
-passed; failed checks exit 1 with a machine-readable error object, invalid
-inputs and paths that cannot be read or written exit 2.
+Reports are strict JSON (default) or CSV, deterministic for identical inputs:
+no timestamps, sorted keys, null for a margin no record reaches.  Exit 0 only
+when every check in scope passed; failed checks exit 1 with a machine-readable
+error object, invalid inputs and paths that cannot be read or written exit 2.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -95,7 +96,7 @@ def _emit(report: dict, fmt: str, out: str | None, rows=None, columns=None) -> N
         writer.writerows(rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -193,7 +194,7 @@ def _cmd_verify(args) -> int:
             "delta_min": sweep.delta_min,
             "delta_max": sweep.delta_max,
             "min_margin_lower": sweep.min_margin_lo,
-            "min_margin_upper": sweep.min_margin_hi,
+            "min_margin_upper": None if sweep.min_margin_hi == math.inf else sweep.min_margin_hi,
             "all_lower_ok": sweep.all_lower_ok,
             "all_upper_ok": sweep.all_upper_ok,
             "passed": passed,

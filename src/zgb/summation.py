@@ -4,9 +4,9 @@ Stieltjes counterpart, and sweeps that verify the two-sided bound
     3/50 < A(T) - M(T)            (T >= 2)
           A(T) - M(T) < 109/250   (T >= 2.222)
 
-A is a step function jumping by 1/gamma at each ordinate, so its extreme
-deviations from the smooth M live at the jumps; sweeps therefore always
-include every ordinate and both of its one-sided neighbourhoods.
+A is a step function jumping by 1/gamma at each ordinate and M' changes sign
+only at 2 pi, so sweeps add to their grid the only places where A - M can
+peak: the ends, 2 pi, and each ordinate's left limit and value.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ import numpy as np
 from .bounds import C_AL_FLOOR, C_AU_CAP, UPPER_THRESHOLD, main_term
 from .errors import DomainError
 from .zeros import ZeroTable, _neumaier_prefix, count_up_to
-
-#: One-sided offset applied around each ordinate during sweeps.
-SWEEP_EPS = 1e-6
 
 _LOWER = float(C_AL_FLOOR)
 _UPPER = float(C_AU_CAP)
@@ -143,7 +140,8 @@ def check_sweep_range(t_min: float, t_max: float, samples: int) -> None:
 
 def theorem_sweep(table: ZeroTable, t_min: float, t_max: float,
                   samples: int) -> SweepResult:
-    """Evaluate the bound on a grid plus at every ordinate and gamma +- eps.
+    """Evaluate the bound on a grid, at t_max, at 2 pi in range, and twice at
+    each ordinate gamma in (t_min, t_max]: A's left limit, then A(gamma).
 
     Violations are data, not exceptions: every record carries its margins and
     the result aggregates the global extremes.
@@ -152,11 +150,13 @@ def theorem_sweep(table: ZeroTable, t_min: float, t_max: float,
     count_up_to(table, t_max)  # coverage and audit guard
 
     g = table.gammas
-    near = np.concatenate((g - SWEEP_EPS, g, g + SWEEP_EPS))
-    near = near[(near >= t_min) & (near <= t_max)]
-    T = np.unique(np.concatenate((np.linspace(t_min, t_max, samples), near)))
-    a_val = table.prefix[np.searchsorted(g, T, side="right")]
-    m_val = main_term(T)
+    k = np.arange(*np.searchsorted(g, [t_min, t_max], side="right"))  # gamma in (t_min, t_max]
+    T = np.unique(np.r_[np.linspace(t_min, t_max, samples), t_max,
+                        np.clip(2 * math.pi, t_min, t_max), g[k]])
+    at = np.searchsorted(T, g[k])  # each left limit goes just before its A(gamma)
+    n = np.insert(np.searchsorted(g, T, side="right"), at, k)
+    T, m_val = (np.insert(x, at, x[at]) for x in (T, main_term(T)))
+    a_val = table.prefix[n]
     delta = a_val - m_val
     margin_lo = delta - _LOWER
     margin_hi = _UPPER - delta

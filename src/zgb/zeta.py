@@ -162,8 +162,7 @@ def _cos_sum(ts: np.ndarray, theta: np.ndarray, counts: np.ndarray) -> np.ndarra
         chunks = [(slice(None), top, least)]
     else:
         order = np.argsort(ts)
-        # bounds each chunk's largest count; a count below 0 (from a NaN height) sums nothing
-        widest = np.maximum.accumulate(counts[order].clip(0))
+        widest = np.maximum.accumulate(counts[order])  # bounds each chunk's largest count
         chunks, pos = [], 0
         while pos < order.size:
             stop = int(np.searchsorted(widest, 9 * int(widest[pos]) // 8, side="right"))
@@ -297,19 +296,19 @@ def hardy_z_many(ts, polish: bool = False) -> np.ndarray:
     selection.
 
     EM runs below RS_SWITCH, or below EM_POLISH_MAX with polish set; RS runs
-    above.  Polish points lie within 1e-9 of a bracket that has already been
-    evaluated here, so they skip the domain check: a bracket ending at 1e6
-    may be polished just past it.  The batch's least and greatest heights
-    decide both the domain check and, when every height takes one path,
-    that path; only a batch across the switch is split by em_path.
+    above.  A secant polish may step up to 1e-9 past its bracket, so with
+    polish set a height may pass 1e6 by that much.  The batch's least and
+    greatest heights decide both the domain check and, when every height
+    takes one path, that path; only a batch across the switch is split by
+    em_path.
     """
     ts = np.asarray(ts, dtype=float)
     if not ts.size:
         return np.empty(ts.shape)
     least, most = ts.min(), ts.max()
-    if not polish and not least >= 2.0:  # a NaN fails it too
+    if not least >= 2.0:  # a NaN fails it too
         raise DomainError("hardy_z requires t >= 2")
-    if not polish and most > 1e6:
+    if most > (1e6 + 1e-9 if polish else 1e6):
         raise DomainError("hardy_z validated for t <= 1e6")
     top = _em_top(polish)
     if most < top or least >= top:  # one path: no scatter

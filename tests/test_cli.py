@@ -63,6 +63,24 @@ def test_verify_range(capsys, reference_path):
     assert report["records"] >= 500
 
 
+def test_verify_sweeps_t_max_and_2pi_with_one_sample(capsys, reference_path):
+    # the upper bound holds from 2.222; on [2, 14] its least margin is at 2 pi
+    code, out = run_cli(capsys, "verify", "--t-min", "2", "--t-max", "14", "--samples", "1",
+                        "--table", str(reference_path))
+    report = json.loads(out)
+    assert code == 0
+    assert report["records"] == 3
+    assert report["min_margin_upper"] == pytest.approx(0.16720384438, abs=1e-11)
+
+
+def test_verify_json_is_strict_when_no_record_reaches_the_upper_bound(capsys, reference_path):
+    code, out = run_cli(capsys, "verify", "--t-min", "2", "--t-max", "2.1",
+                        "--table", str(reference_path))
+    assert code == 0
+    assert "Infinity" not in out
+    assert json.loads(out)["min_margin_upper"] is None
+
+
 def test_verify_csv_columns(capsys, reference_path):
     code, out = run_cli(
         capsys, "verify", "--t-min", "2", "--t-max", "100", "--samples", "5",
@@ -174,9 +192,9 @@ def test_cache_entry_named_above_its_coverage_is_rebuilt(tmp_path, capsys, monke
 
 
 @pytest.mark.parametrize("fmt, digest", [
-    ("json", "c0577b9e592b24e65507d42e93adf76166ce51924b88fc4cf0021a27dabb2e86"),
-    ("csv", "6ddebc3dc47a7b3a22ec03c3832856487bd4ce563676f18c31a844f57a4f0b29"),
-])
+    ("json", "49176f733ec7882a6e9cddbe67a31fd21b5be991b50379c5d19719c3c17293c9"),
+    ("csv", "a29fb03dff6bba7a3402ba508e1a8e887be09f70b53c375305ccc6c864df52f6"),
+], ids=["json", "csv"])  # ids that outlive a digest change
 def test_verify_output_is_pinned(capsys, tmp_path, table1000, fmt, digest):
     # reports are byte-deterministic; an ulp of drift in any record changes
     # the CSV, and in an extreme the JSON

@@ -12,10 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zgb.bounds import main_term
+from zgb.bounds import UPPER_THRESHOLD, main_term
 from zgb.errors import AuditError, CoverageError, DomainError
 from zgb.summation import (
-    SWEEP_EPS,
     _neumaier_prefix,
     a_of_t,
     partial_sum,
@@ -141,12 +140,14 @@ def test_sweep_record_at_2(table100):
 
 
 def test_sweep_jump_at_gamma1(table100):
+    # two records at T = gamma_1: A's left limit, then its value
     sweep = theorem_sweep(table100, 2.0, 100.0, 10)
     g1 = table100.gammas[0]
-    below = min(sweep.records, key=lambda r: abs(r.T - (g1 - SWEEP_EPS)))
-    above = min(sweep.records, key=lambda r: abs(r.T - (g1 + SWEEP_EPS)))
-    assert above.a_val - below.a_val == pytest.approx(1.0 / g1, abs=1e-12)
-    assert above.delta - below.delta == pytest.approx(1.0 / g1, abs=1e-5)
+    below, above = [r for r in sweep.records if r.T == g1]
+    assert below.a_val == 0.0
+    assert above.a_val == pytest.approx(1.0 / g1, abs=1e-15)
+    assert above.m_val == below.m_val
+    assert above.delta - below.delta == pytest.approx(1.0 / g1, abs=1e-15)
 
 
 def test_sweep_step_structure(table100):
@@ -155,7 +156,7 @@ def test_sweep_step_structure(table100):
     g = table100.gammas
     for k in (0, 5, 20):
         lo, hi = g[k], g[k + 1]
-        sweep = theorem_sweep(table100, lo + SWEEP_EPS, hi - SWEEP_EPS, 5)
+        sweep = theorem_sweep(table100, np.nextafter(lo, math.inf), np.nextafter(hi, 0.0), 5)
         a_vals = {r.a_val for r in sweep.records}
         assert len(a_vals) == 1
         deltas = [r.delta for r in sweep.records]
@@ -175,26 +176,67 @@ def test_sweep_vacuous_upper_below_threshold(table100):
     assert sweep.min_margin_hi == math.inf
 
 
+def test_sweep_one_sample_still_sweeps_t_max_and_2pi(table100):
+    # the grid is t_min alone: t_max and 2 pi, clipped into range, are swept anyway
+    sweep = theorem_sweep(table100, 2.0, 14.0, 1)
+    assert [r.T for r in sweep.records] == [2.0, 2 * math.pi, 14.0]
+    assert sweep.min_margin_hi == sweep.records[1].margin_hi
+    assert sweep.min_margin_hi == pytest.approx(0.16720384438, abs=1e-11)
+    assert [r.T for r in theorem_sweep(table100, 2.0, 5.0, 1).records] == [2.0, 5.0]
+    assert [r.T for r in theorem_sweep(table100, 7.0, 7.0, 1).records] == [7.0]
+    g1 = table100.gammas[0]
+    sweep = theorem_sweep(table100, 10.0, 20.0, 1)
+    assert [(r.T, r.a_val) for r in sweep.records] == [
+        (10.0, 0.0), (g1, 0.0), (g1, table100.prefix[1]), (20.0, table100.prefix[1])]
+
+
+@pytest.mark.parametrize("t_min, t_max", [(2.0, 100.0), (2.0, 14.0), (20.0, 100.0)])
+def test_sweep_extremes_match_brute_force(table100, t_min, t_max):
+    # A - M peaks only at the ends, at 2 pi, or at an ordinate, as A's left
+    # limit or as its value there; on [2, 14] the upper margin is least at
+    # 2 pi, and on [20, 100] the lower margin at a left limit
+    g = table100.gammas.tolist()
+    candidates = [(T, math.fsum(1.0 / x for x in g if x <= T) - main_term(T))
+                  for T in (t_min, min(max(2 * math.pi, t_min), t_max), t_max)]
+    for k, x in enumerate(g):
+        if t_min < x <= t_max:
+            candidates += [(x, math.fsum(1.0 / y for y in g[:j]) - main_term(x)) for j in (k, k + 1)]
+    deltas = [d for _, d in candidates]
+    upper = [d for T, d in candidates if T >= UPPER_THRESHOLD]
+    sweep = theorem_sweep(table100, t_min, t_max, 50)
+    assert sweep.delta_min == pytest.approx(min(deltas), abs=1e-14)
+    assert sweep.delta_max == pytest.approx(max(deltas), abs=1e-14)
+    assert sweep.min_margin_lo == pytest.approx(min(deltas) - 3.0 / 50.0, abs=1e-14)
+    assert sweep.min_margin_hi == pytest.approx(109.0 / 250.0 - max(upper), abs=1e-14)
+    # and no height of a dense grid, or an ulp beside an ordinate, gets past them
+    T = np.concatenate((np.linspace(t_min, t_max, 200_001),
+                        np.nextafter(g, 0.0), np.nextafter(g, math.inf)))
+    T = T[(T >= t_min) & (T <= t_max)]
+    delta = table100.prefix[np.searchsorted(g, T, side="right")] - main_term(T)
+    assert delta.min() >= sweep.delta_min - 1e-14
+    assert delta.max() <= sweep.delta_max + 1e-14
+    assert delta[T >= UPPER_THRESHOLD].max() <= 109.0 / 250.0 - sweep.min_margin_hi + 1e-14
+
+
 
 # ------------------------------------------------- columnar sweep vs loop
 
 
 def _theorem_sweep_by_record(table, t_min, t_max, samples):
-    """The per-record sweep the columnar one replaced, kept as its reference:
-    (records as field tuples, aggregates)."""
-    from zgb.bounds import UPPER_THRESHOLD
-
+    """A per-record sweep over the same points as the columnar one, kept as
+    its reference: (records as field tuples, aggregates).  A point is a
+    height and the index into the prefix sums of A there."""
     lower, upper = 3.0 / 50.0, 109.0 / 250.0
     gammas, prefix = table.gammas, table.prefix
-    points = set(np.linspace(t_min, t_max, samples))
-    for g in gammas:
-        for T in (g - SWEEP_EPS, g, g + SWEEP_EPS):
-            if t_min <= T <= t_max:
-                points.add(float(T))
+    heights = [*np.linspace(t_min, t_max, samples).tolist(), t_max,
+               min(max(2 * math.pi, t_min), t_max)]
+    points = {(T, int(np.searchsorted(gammas, T, side="right"))) for T in heights}
+    for k, g in enumerate(gammas.tolist()):
+        if t_min < g <= t_max:
+            points |= {(g, k), (g, k + 1)}  # A's left limit and its value
     records = []
-    for T in sorted(points):
-        T = float(T)
-        a_val = float(prefix[int(np.searchsorted(gammas, T, side="right"))])
+    for T, n in sorted(points):
+        a_val = float(prefix[n])
         m = main_term(T)
         delta = a_val - m
         margin_lo, margin_hi = delta - lower, upper - delta
@@ -213,19 +255,21 @@ def _bits(values):
 
 
 @given(st.floats(min_value=2.0, max_value=1000.0), st.floats(min_value=2.0, max_value=1000.0),
-       st.sampled_from(["t", "gamma", "gamma-eps", "gamma+eps"]),
-       st.sampled_from(["t", "gamma", "gamma-eps", "gamma+eps"]),
+       st.sampled_from(["t", "gamma", "gamma-ulp", "gamma+ulp"]),
+       st.sampled_from(["t", "gamma", "gamma-ulp", "gamma+ulp"]),
        st.sampled_from([1, 2, 7, 500]) | st.integers(1, 1200))
 @settings(max_examples=40, deadline=None)
 def test_sweep_matches_per_record_sweep(table1000, lo, hi, lo_on, hi_on, samples):
     # an end marked "gamma" moves onto the first ordinate at or above it,
-    # or onto that ordinate's one-sided point
+    # or one ulp to either side of it
     g = table1000.gammas
-    offset = {"gamma": 0.0, "gamma-eps": -SWEEP_EPS, "gamma+eps": SWEEP_EPS}
+    toward = {"gamma": None, "gamma-ulp": 0.0, "gamma+ulp": math.inf}
 
     def end(t, on):
         k = int(np.searchsorted(g, t))
-        return t if on == "t" or k == g.size else float(g[k] + offset[on])
+        if on == "t" or k == g.size:
+            return t
+        return float(g[k] if toward[on] is None else np.nextafter(g[k], toward[on]))
 
     t_min, t_max = sorted((end(lo, lo_on), end(hi, hi_on)))
     records, aggregates = _theorem_sweep_by_record(table1000, t_min, t_max, samples)
@@ -247,7 +291,7 @@ def test_sweep_builds_records_only_when_read(table1000, monkeypatch):
     monkeypatch.setattr(summation, "TheoremCheck",
                         lambda *a, **k: made.append(1) or real(*a, **k))
     sweep = theorem_sweep(table1000, 2.0, 1000.0, 500)
-    assert len(sweep.records) == 500 + 3 * len(table1000)
+    assert len(sweep.records) == 500 + 2 * len(table1000) + 1  # grid, two per ordinate, 2 pi
     assert made == []
     assert sweep.records[10].T > sweep.records[9].T
     assert len(made) == 2

@@ -192,12 +192,11 @@ def test_z_domain_error():
         hardy_z(math.nan)
     with pytest.raises(DomainError):
         hardy_z_many(np.array([600.0, math.nan]))
-    # a secant polish may step 1e-9 past a bracket that ends at 1e6
+    # a secant polish may step 1e-9 past a bracket that ends at 1e6, and no further
     assert np.isfinite(hardy_z_many(np.array([1e6 + 1e-9]), polish=True)).all()
-    # the polish path skips the check: a NaN gives NaN, beside a height's own value
-    with np.errstate(invalid="ignore"):  # the NaN height casts to an integer count
-        got = hardy_z_many(np.array([600.0, math.nan]), polish=True)
-    assert got[0] == hardy_z_many(np.array([600.0]), polish=True)[0] and math.isnan(got[1])
+    for bad in (1.9, math.nan, np.nextafter(1e6 + 1e-9, math.inf), 1e7):
+        with pytest.raises(DomainError):
+            hardy_z_many(np.array([600.0, bad]), polish=True)
     # an empty batch passes either way and keeps its shape
     for polish in (False, True):
         assert hardy_z_many(np.empty((0, 3)), polish).shape == (0, 3)
