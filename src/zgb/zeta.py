@@ -11,7 +11,8 @@ n^-1/2 cos(theta(t) - t log n) up to a term count of each height's own:
 * Riemann-Siegel (RS): main sum of ~sqrt(t/2pi) terms plus four correction
   terms C0..C3 built from derivatives of the entire function
   Psi(p) = cos(2pi(p^2 - p - 1/16))/cos(2pi p), all four from one product of
-  a Chebyshev basis with their shipped coefficients, _CORRECTION_MODELS.
+  a power basis in 2p - 1 with monomial coefficients that are derived at
+  import from the shipped Chebyshev ones, _CORRECTION_MODELS.
   Truncation error decays like (t/2pi)^(-11/4).
 
 _em_top is the only place that sets where the two meet, for hardy_z_many,
@@ -38,9 +39,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-# Unused here: bench/tracing.py times the C0..C3 corrections by hooking
-# zgb.zeta.chebyshev.chebval, and tests/test_bench_hooks.py pins its hook list.
-from numpy.polynomial import chebyshev  # noqa: F401
+# cheb2poly turns the shipped C0..C3 coefficients into a power basis at
+# import.  bench/tracing.py also looks up zgb.zeta.chebyshev.chebval.
+from numpy.polynomial import chebyshev
 
 from .errors import DomainError
 
@@ -171,14 +172,14 @@ def _cos_sum(ts: np.ndarray, theta: np.ndarray, counts: np.ndarray) -> np.ndarra
             chunks.append((idx, int(widest[stop - 1]), int(counts[idx].min())))
             pos = stop
     for idx, width, least in chunks:
-        n = np.arange(1, width + 1)
+        n = np.arange(1.0, width + 1)
         buf = np.multiply(ts[idx, None], np.log(n))  # one buffer, each step in place
         np.subtract(theta[idx, None], buf, out=buf)
         np.cos(buf, out=buf)
-        np.divide(buf, np.sqrt(n), out=buf)
         if least < width:  # mask only where the counts differ
             buf *= n <= counts[idx, None]
-        out[idx] = buf.sum(axis=1)
+        # einsum, not BLAS: a row's sum must not depend on where the row sits
+        out[idx] = np.einsum("ij,j->i", buf, n ** -0.5)
     return out
 
 
@@ -220,9 +221,9 @@ _CORRECTION_MODELS = np.array((
 ))
 
 
-def _cheb_basis(x: np.ndarray, count: int) -> np.ndarray:
-    """T_j(x) = cos(j arccos x) for j < count, as a (len(x), count) array."""
-    return np.cos(np.arccos(x)[:, None] * np.arange(count))
+# The same four polynomials in the power basis of 2p - 1: row j holds the
+# coefficients of (2p - 1)^j, none above 0.44 in size.
+_CORRECTION_POWERS = np.column_stack([chebyshev.cheb2poly(c) for c in _CORRECTION_MODELS.T])
 
 
 def _hardy_z_rs_batch(ts: np.ndarray) -> np.ndarray:
@@ -234,8 +235,8 @@ def _hardy_z_rs_batch(ts: np.ndarray) -> np.ndarray:
     p = tau - floor
     out = 2.0 * _cos_sum(ts, rs_theta(ts), big_n)
     u = 1.0 / tau
-    c0, c1, c2, c3 = (_cheb_basis(2.0 * p - 1.0, _CORRECTION_MODELS.shape[0])
-                      @ _CORRECTION_MODELS).T
+    c0, c1, c2, c3 = (np.vander(2.0 * p - 1.0, _CORRECTION_POWERS.shape[0], increasing=True)
+                      @ _CORRECTION_POWERS).T
     corr = c0 + c1 * u + c2 * u ** 2 + c3 * u ** 3
     sign = np.where(big_n & 1, 1.0, -1.0)  # (-1)^(N-1)
     out += sign * tau ** -0.5 * corr
@@ -333,12 +334,16 @@ def riemann_siegel_err(t):
     Truncation decays like (t/2pi)^(-11/4); the coefficient 0.02 was
     calibrated against the Euler-Maclaurin path with several-fold headroom.
     The second term models phase rounding of the main sum, which takes over
-    at large heights.  Valid for t >= 30.  Accepts scalars or arrays.
+    at large heights.  It scales with |theta(t)|, taken in closed form as
+    0.5 t (log(t/2pi) - 1): that exceeds theta by pi/8 less the series' tail,
+    so it bounds |theta| from theta's root at t = 17.85 up, and from
+    RS_SWITCH up it is above |theta| by at most 4.7e-4 of it.  Valid for
+    t >= 30.  Accepts scalars or arrays.
     """
     arr = np.asarray(t, dtype=float)
     v = arr / TWO_PI
     trunc = 0.02 * v ** -2.75
-    rounding = 8.0 * _EPS * np.maximum(np.abs(rs_theta(arr)), 10.0) * (v ** 0.25 + 1.0)
+    rounding = 8.0 * _EPS * np.maximum(0.5 * arr * (np.log(v) - 1.0), 10.0) * (v ** 0.25 + 1.0)
     out = trunc + rounding
     return float(out) if np.isscalar(t) else out
 

@@ -19,9 +19,9 @@ from zgb import zeta
 from zgb.errors import DomainError
 from zgb.zeta import (
     _CORRECTION_MODELS,
+    _CORRECTION_POWERS,
     EM_POLISH_MAX,
     RS_SWITCH,
-    _cheb_basis,
     _cos_sum,
     _hardy_z_em_batch,
     _hardy_z_rs_batch,
@@ -120,10 +120,14 @@ def test_z_within_its_error_model_against_mpmath():
     # hardy_z_err is the one error model of Z, so every sign decision and
     # abs_err rests on it: check it at seeded heights on both EM paths, the
     # grid path below RS_SWITCH and the polish path below EM_POLISH_MAX, each
-    # in one batch and one height at a time
+    # in one batch and one height at a time.  The polish path adds the
+    # closest calls seen in [1000, 1500): 1268.1287 (0.86 of the model under
+    # an earlier EM sum, 0.35 now) and the worst of
+    # default_rng(3).uniform(1000, 1500, 2000), at 0.70
     rng = np.random.default_rng(8)
-    for polish, top in ((False, RS_SWITCH), (True, EM_POLISH_MAX)):
-        ts = rng.uniform(2.0, top, 40)
+    for polish, top, worst in ((False, RS_SWITCH, ()),
+                               (True, EM_POLISH_MAX, (1268.1287, 1378.4677181401307))):
+        ts = np.concatenate((rng.uniform(2.0, top, 40), worst))
         assert em_path(ts, polish).all()
         got = hardy_z_many(ts, polish)
         for t, z, err in zip(ts.tolist(), got, hardy_z_err(ts, polish)):
@@ -274,27 +278,30 @@ def test_correction_models_drop_only_a_negligible_tail():
     assert np.abs(full[kept.shape[0] - 1:]).sum(axis=0).max() >= limit
 
 
-def test_rs_batch_makes_one_cheb_basis_call(monkeypatch):
+def test_correction_powers_are_the_shipped_chebyshev_columns():
+    # the power basis is derived from the shipped Chebyshev coefficients, and
+    # its product agrees with theirs on all of [-1, 1]
+    for col, powers in zip(_CORRECTION_MODELS.T, _CORRECTION_POWERS.T):
+        assert np.array_equal(powers, chebyshev.cheb2poly(col))
+    x = np.linspace(-1.0, 1.0, 10001)
+    got = np.vander(x, _CORRECTION_POWERS.shape[0], increasing=True) @ _CORRECTION_POWERS
+    assert np.max(np.abs(got - chebyshev.chebval(x, _CORRECTION_MODELS).T)) <= 1e-15
+
+
+def test_rs_batch_builds_one_correction_basis(monkeypatch):
     # 2000 heights near 1e6 span several main-sum chunks; C0..C3 still take
-    # one Chebyshev pass
+    # one power basis
     calls = []
-    original = zeta._cheb_basis
+    original = np.vander
 
-    def counting(x, count):
-        calls.append((np.shape(x), count))
-        return original(x, count)
+    def counting(x, *args, **kwargs):
+        calls.append((np.shape(x), args))
+        return original(x, *args, **kwargs)
 
-    monkeypatch.setattr(zeta, "_cheb_basis", counting)
+    monkeypatch.setattr(zeta.np, "vander", counting)
     out = _hardy_z_rs_batch(np.linspace(999000.0, 1e6, 2000))
     assert out.shape == (2000,) and np.all(np.isfinite(out))
-    assert calls == [((2000,), _CORRECTION_MODELS.shape[0])]
-
-
-def test_cheb_basis_product_matches_chebval():
-    models = _CORRECTION_MODELS
-    x = np.linspace(-1.0, 1.0, 10001)
-    got = _cheb_basis(x, models.shape[0]) @ models
-    assert np.max(np.abs(got - chebyshev.chebval(x, models).T)) < 1e-14
+    assert calls == [((2000,), (_CORRECTION_POWERS.shape[0],))]
 
 
 def _cos_sum_reference(ts, theta, counts):
@@ -313,6 +320,7 @@ def _cos_sum_cases():
     em_counts = zeta._em_term_count(em).astype(int) - 1
     ones = np.array([700.0, 800.0, 900.0, 1000.0])
     shuffled = np.random.default_rng(13).permutation(rs.size)
+    one_chunk = (rs_counts >= 32) & (rs_counts <= 36)  # within 9/8, and 659 x 36 elements
     return {
         "rs-counts-9-40": (rs, rs_counts),
         "em-counts-59-599": (em, em_counts),
@@ -321,6 +329,7 @@ def _cos_sum_cases():
         "one-height": (rs[:1], rs_counts[:1]),
         "empty": (rs[:0], rs_counts[:0]),
         "rs-shuffled": (rs[shuffled], rs_counts[shuffled]),
+        "one-chunk": (rs[one_chunk], rs_counts[one_chunk]),
     }
 
 
@@ -339,6 +348,8 @@ def test_cos_sum_matches_an_exact_sum(case, budget, monkeypatch):
         ts0, counts0 = _cos_sum_cases()["rs-counts-9-40"]
         order = np.argsort(ts)
         assert np.array_equal(got[order], _cos_sum(ts0, rs_theta(ts0), counts0)[np.argsort(ts0)])
+    if case == "one-chunk":  # a height's value does not depend on its row in the buffer
+        assert np.array_equal(_cos_sum(ts[::-1], theta[::-1], counts[::-1])[::-1], got)
 
 
 def test_batch_kernels_bound_their_working_set():
