@@ -178,11 +178,37 @@ def _brackets_from_grid(grid: np.ndarray, zvals: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _scan_window(a: float, b: float, step: float) -> np.ndarray:
+def _grid(a: float, b: float, step: float) -> np.ndarray:
     npts = max(3, int(math.ceil((b - a) / step)) + 1)
     grid = np.arange(npts) * ((b - a) / (npts - 1)) + a  # np.linspace(a, b, npts)
     grid[-1] = b
+    return grid
+
+
+def _scan_window(a: float, b: float, step: float) -> np.ndarray:
+    grid = _grid(a, b, step)
     return _brackets_from_grid(grid, zeta.hardy_z_many(grid))
+
+
+def _rescan(a: list[float], b: list[float], want: list[int],
+            got: list[np.ndarray]) -> list[np.ndarray]:
+    """Bracket rows of the Gram blocks [a, b] holding want zeros, from the
+    rows got that their Gram points show: a block showing fewer is rescanned
+    at halving steps from (b - a)/want down to REFINE_FLOOR, all blocks still
+    short in one Z call a round."""
+    got = list(got)
+    step = [(hi - lo) / m for lo, hi, m in zip(a, b, want)]
+    live = range(len(got))
+    while live := [i for i in live if len(got[i]) < want[i] and step[i] > REFINE_FLOOR]:
+        grids = []
+        for i in live:
+            step[i] *= 0.5
+            grids.append(_grid(a[i], b[i], step[i]))
+        z = zeta.hardy_z_many(np.concatenate(grids))
+        cuts = np.cumsum([g.size for g in grids])[:-1]
+        for i, grid, zvals in zip(live, grids, np.split(z, cuts)):
+            got[i] = _brackets_from_grid(grid, zvals)
+    return got
 
 
 def _gram_scan(t_lo: float, t_hi: float) -> tuple[np.ndarray, int, float, int]:
@@ -238,22 +264,19 @@ def _gram_scan(t_lo: float, t_hi: float) -> tuple[np.ndarray, int, float, int]:
     idx = np.searchsorted(found[:, 0], ge)
     lengths = np.diff(ns[ends])
     start, stop = max(c - k, 0), hi + k
+    short = np.flatnonzero(np.diff(idx)[start:stop] != lengths[start:stop]) + start
+    a, b, want = ge[short].tolist(), ge[short + 1].tolist(), lengths[short].tolist()
+    got = _rescan(a, b, want, [found[idx[j]:idx[j + 1]] for j in short])
     out = []
     pos = idx[c]
-    for j in np.flatnonzero(np.diff(idx)[start:stop] != lengths[start:stop]) + start:
-        a, b, want = float(ge[j]), float(ge[j + 1]), int(lengths[j])
-        got = found[idx[j]:idx[j + 1]]
-        step = (b - a) / want
-        while len(got) < want and step > REFINE_FLOOR:
-            step *= 0.5
-            got = _scan_window(a, b, step)
-        if len(got) != want:
+    for i, j in enumerate(short.tolist()):
+        if len(got[i]) != want[i]:
             raise AuditError(
-                f"Gram block [{a:.9f}, {b:.9f}] shows {len(got)} sign changes "
-                f"where Rosser's rule and Turing's method count {want} zeros"
+                f"Gram block [{a[i]:.9f}, {b[i]:.9f}] shows {len(got[i])} sign changes "
+                f"where Rosser's rule and Turing's method count {want[i]} zeros"
             )
         if j >= c:
-            out += [found[pos:idx[j]], got]
+            out += [found[pos:idx[j]], got[i]]
             pos = idx[j + 1]
     out.append(found[pos:])
     return np.concatenate(out), int(ns[ends[c]]), float(ge[hi]), k

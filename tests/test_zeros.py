@@ -75,10 +75,14 @@ def test_isolate_close_pair_near_1e6():
 
 
 def test_isolate_raises_on_a_short_gram_block(monkeypatch):
-    # without rescans the block holding the close pair near 7005 stays short
-    monkeypatch.setattr(zeros, "_scan_window", lambda a, b, step: [])
-    with pytest.raises(AuditError, match="Gram block"):
+    # a floor above the first rescan step of the blocks near 7005 (0.8955)
+    # leaves them unrescanned, so the block holding the close pair stays
+    # short; blocks are checked in ascending order, so the lowest short one
+    # raises
+    monkeypatch.setattr(zeros, "REFINE_FLOOR", 1.0)
+    with pytest.raises(AuditError, match="Gram block") as info:
         isolate_zeros(7000.0, 7010.0)
+    assert "[7000.920483057, 7003.607093067] shows 1 sign changes" in str(info.value)
 
 
 def test_isolate_stops_certifying_at_1e6():
@@ -121,6 +125,82 @@ def test_gram_scan_doubles_a_pad_too_short_for_turing(monkeypatch):
     assert isolate_zeros(7000.0, 7010.0) == want
     assert len(want) == 11
     assert len(calls) > 2  # one for the pad, one per pass of the scan
+
+
+def _per_block_descent(a, b, want, got):
+    # each short Gram block on its own, one _scan_window call a halving step
+    out = []
+    for lo, hi, m, rows in zip(a, b, want, got):
+        step = (hi - lo) / m
+        while len(rows) < m and step > zeros.REFINE_FLOOR:
+            step *= 0.5
+            rows = _scan_window(lo, hi, step)
+        out.append(rows)
+    return out
+
+
+@pytest.mark.parametrize("lo, hi", [(2.0, 3000.0), (909407.3563914519, 909457.3563914519)])
+def test_batched_rescans_match_the_per_block_descent(monkeypatch, lo, hi):
+    batched = zeros._rescan
+    blocks = []
+
+    def recording(*args):
+        blocks.append((args, batched(*args)))
+        return blocks[-1][1]
+
+    def both_scans():
+        blocks.clear()
+        monkeypatch.setattr(zeros, "_rescan", recording)
+        new = zeros._gram_scan(lo, hi)
+        monkeypatch.setattr(zeros, "_rescan", _per_block_descent)
+        return new, zeros._gram_scan(lo, hi)
+
+    # a height's Z differs by rounding between batches (_cos_sum pads a
+    # chunk's rows to its widest count), so the bracket ends and the counts
+    # must match exactly and the Z values within a thousandth of their error
+    new, old = both_scans()
+    assert new[1:] == old[1:]
+    assert np.array_equal(new[0][:, :2], old[0][:, :2])
+    err = zeta.hardy_z_err(old[0][:, :2])
+    assert np.all(np.abs(new[0][:, 2:] - old[0][:, 2:]) <= 1e-3 * err)
+
+    # with Z taken one height a call every value is the batch's own: the
+    # rows, and each block's brackets, the Turing blocks below g_c included,
+    # match bit for bit
+    many = zeta.hardy_z_many
+    monkeypatch.setattr(zeta, "hardy_z_many",
+                        lambda ts: np.array([many(ts[i:i + 1])[0] for i in range(ts.size)]))
+    new, old = both_scans()
+    assert new[1:] == old[1:]
+    assert np.array_equal(new[0], old[0])
+    (args, got), = blocks
+    assert len(got) > 1 and all(map(np.array_equal, got, _per_block_descent(*args)))
+    # the window has short Turing blocks below g_c; the range from 2 starts at g_-1
+    assert any(b <= new[0][0, 0] for b in args[1]) == (lo > 1e5)
+
+
+def test_gram_scan_makes_one_z_call_per_rescan_round(monkeypatch):
+    # the short Gram blocks below 1e4 take five halving rounds: one Z call for
+    # the Gram points and one a round, on the 16,906 points that a call per
+    # block and step spent in 1,065 calls
+    sizes, depth = [], {}
+    z, grid = zeta.hardy_z_many, zeros._grid
+
+    def counting(ts):
+        sizes.append(ts.size)
+        return z(ts)
+
+    def recording(a, b, step):
+        depth[a, b] = depth.get((a, b), 0) + 1
+        return grid(a, b, step)
+
+    monkeypatch.setattr(zeta, "hardy_z_many", counting)
+    monkeypatch.setattr(zeros, "_grid", recording)
+    zeros._gram_scan(2.0, 1e4)
+    rounds = max(depth.values())
+    assert len(sizes) == 1 + rounds == 6
+    assert sum(sizes) == 16906
+    assert len(depth) == 817 and sum(depth.values()) == 1064
 
 
 # --------------------------------------------------------------------- refine
