@@ -1,11 +1,9 @@
-"""Parsing of externally published zero-ordinate tables and cross-validation
+"""Published zero-ordinate tables as reference tables, and cross-validation
 against computed tables.
 
-Accepted layouts are plain text with one ordinate per line, either a single
-column of decimals or two whitespace-separated columns where the second is
-the ordinate (leading index column).  Anything else is a parse error; there
-is deliberately no format zoo.  The error bound of ingested data is inferred
-from the printed precision, never assumed.
+zgb.zeros reads the table file and infers its error bound from the printed
+precision, never assuming one; a reference file adds an optional declared
+ordinate count, and its coverage ends just past its last printed ordinate.
 """
 
 from __future__ import annotations
@@ -16,89 +14,21 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CoverageError, TableFormatError, ValidationError
-from .zeros import ZeroTable, _assemble
-
-_SANITY_FIRST = 14.1347
-_SANITY_TOL = 1e-3
-
-
-def _read_ordinates(path: str | Path, declared_count: int | None = None
-                    ) -> tuple[np.ndarray, float, bytes]:
-    """The ordinates of a table file, their common abs_err, 10^-d for the
-    fewest decimals d printed on any line, and the bytes read.
-
-    The checks run on whole columns, and only a failed one looks for its
-    line: the first failure in file order, with a line's checks in the
-    order field count, layout, decimal, finite, increasing.
-    """
-    path = Path(path)
-    data = path.read_bytes()
-    try:
-        text = data.decode()
-    except UnicodeDecodeError as exc:
-        before = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        raise TableFormatError(f"not UTF-8: byte {data[exc.start]:#04x}",
-                               line=before.count(b"\n") + 1) from exc
-    # the line ends of text-mode reading: \n, \r\n and \r
-    fields = list(map(str.split, text.replace("\r\n", "\n").replace("\r", "\n").split("\n")))
-    tokens = [f[-1] for f in fields if f]
-    width = np.fromiter(map(len, fields), dtype=np.intp, count=len(fields))
-    rows = np.flatnonzero(width)  # 0-based numbers of the nonblank lines
-    width = width[rows]
-    bad = len(tokens)  # the first token that is not a decimal
-    try:
-        values = np.array(tokens, dtype=float)  # parses as float() does
-    except ValueError:
-        for bad, token in enumerate(tokens):
-            try:
-                float(token)
-            except ValueError:
-                break
-        values = np.array(tokens[:bad], dtype=float)
-    n_cols = int(width[0]) if rows.size else 1
-    broken = np.flatnonzero((width != n_cols) | (width > 2))
-    # a NaN fails the rise too, but its line reports it as non-finite
-    faults = np.flatnonzero(~np.isfinite(values) | ~(values > np.append(-np.inf, values[:-1])))
-    first = min([bad, *broken[:1].tolist(), *faults[:1].tolist()])
-    if first < rows.size:
-        line, got, token = int(rows[first]) + 1, int(width[first]), tokens[first]
-        if got > 2:
-            raise TableFormatError(
-                f"expected 1 or 2 whitespace-separated fields, got {got}", line=line)
-        if got != n_cols:
-            raise TableFormatError(f"layout switched from {n_cols} to {got} fields", line=line)
-        if first == bad:
-            raise TableFormatError(f"not a decimal: {token!r}", line=line)
-        if not np.isfinite(values[first]):
-            raise TableFormatError(f"non-finite ordinate {token!r}", line=line)
-        raise TableFormatError(f"ordinates must increase strictly: {float(values[first])} "
-                               f"after {float(values[first - 1])}", line=line)
-
-    if not values.size:
-        raise TableFormatError(f"no ordinates found in {path}")
-    if abs(values[0] - _SANITY_FIRST) > _SANITY_TOL:
-        raise TableFormatError(
-            f"sanity gate: first ordinate {float(values[0])} is not ~{_SANITY_FIRST}",
-            line=1,
-        )
-    if declared_count is not None and declared_count != values.size:
-        raise TableFormatError(
-            f"declared count {declared_count} != parsed count {values.size}"
-        )
-    arr = np.array(tokens)
-    point = np.char.find(arr, ".")
-    decimals = np.where(point >= 0, np.char.str_len(arr) - point - 1, 0)
-    return values, 10.0 ** (-int(decimals.min())), data
+from .zeros import ZeroTable, _read_ordinates, audit_completeness
 
 
 def parse_reference(path: str | Path,
                     declared_count: int | None = None) -> ZeroTable:
     """Parse a published ordinate file into a ZeroTable, audited at its coverage height."""
-    gammas, abs_err, _ = _read_ordinates(path, declared_count)
+    gammas, abs_err, _ = _read_ordinates(path)
+    if declared_count is not None and declared_count != gammas.size:
+        raise TableFormatError(f"declared count {declared_count} != parsed count {gammas.size}")
     # coverage reaches just past the last printed ordinate so the inclusive
     # boundary convention survives the file's rounding
-    return _assemble(ZeroTable(gammas, np.full(gammas.size, abs_err),
-                               float(gammas[-1]) + abs_err, False, "ingested"))
+    table = ZeroTable(gammas, np.full(gammas.size, abs_err),
+                      float(gammas[-1]) + abs_err, "ingested")
+    table.audit = audit_completeness(table)
+    return table
 
 
 @dataclass(frozen=True)

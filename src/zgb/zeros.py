@@ -25,7 +25,6 @@ surface as a block that stays short, not as a wrong table.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -37,7 +36,7 @@ from typing import Literal
 
 import numpy as np
 
-from . import zeta
+from . import __version__, zeta
 from .bounds import big_f, big_r
 from .errors import AuditError, ConvergenceError, CoverageError, DomainError, TableFormatError
 
@@ -75,20 +74,27 @@ class AuditReport:
 
 @dataclass(eq=False)
 class ZeroTable:
-    """Sorted, optionally audited ordinates covering (0, t_max], held as two
-    columns: the heights gammas and their absolute error bounds abs_err.
-    t_max must be finite and no lower than the last ordinate less its abs_err."""
+    """Sorted ordinates covering (0, t_max], held as two 1-D columns of one
+    length: the heights gammas and their finite, non-negative absolute error
+    bounds abs_err.  t_max must be finite and no lower than the last ordinate
+    less its abs_err.  A table starts unaudited; build_table, load_table and
+    parse_reference set audit to audit_completeness(table), and audited is
+    derived from it."""
 
     gammas: np.ndarray
     abs_err: np.ndarray
     t_max: float
-    audited: bool
-    source: Literal["computed", "ingested", "merged"]
-    audit: AuditReport | None = None
+    source: Literal["computed", "ingested"]
+    audit: AuditReport | None = field(default=None, init=False)
 
     def __post_init__(self):
         g = self.gammas = np.ascontiguousarray(self.gammas, dtype=float)
-        self.abs_err = np.ascontiguousarray(self.abs_err, dtype=float)
+        e = self.abs_err = np.ascontiguousarray(self.abs_err, dtype=float)
+        if g.ndim != 1 or e.shape != g.shape:
+            raise ValueError(f"gammas and abs_err must be 1-D columns of one length, "
+                             f"got shapes {g.shape} and {e.shape}")
+        if not (ok := np.isfinite(e) & (e >= 0.0)).all():
+            raise ValueError(f"abs_err must be finite and >= 0, got {float(e[~ok][0])}")
         prev = np.append(0.0, g[:-1])
         bad = np.flatnonzero((g <= 14.0) | ~(g > prev))  # NaN fails the rise
         if bad.size:
@@ -97,10 +103,15 @@ class ZeroTable:
                 raise ValueError(f"no zero ordinate lies at or below 14, got {float(g[i])}")
             raise ValueError(f"ordinates must increase strictly, got {float(g[i])} "
                              f"after {float(prev[i])}")
-        last = float(g[-1] - self.abs_err[-1]) if g.size else -math.inf
+        last = float(g[-1] - e[-1]) if g.size else -math.inf
         if not (math.isfinite(self.t_max) and self.t_max >= last):
             raise ValueError(f"t_max {self.t_max} is not a finite height at or above "
                              f"the last ordinate less its abs_err, {last}")
+
+    @property
+    def audited(self) -> bool:
+        """True when the table's audit ran and passed."""
+        return self.audit is not None and self.audit.passed
 
     @cached_property
     def prefix(self) -> np.ndarray:
@@ -423,13 +434,6 @@ def refine_zero(bracket: tuple[float, float]) -> ZeroOrdinate:
     return ZeroOrdinate(gamma=gamma, abs_err=abs_err)
 
 
-def _assemble(table: ZeroTable) -> ZeroTable:
-    """Audit a table once, and mark it audited if it passes."""
-    table.audit = audit_completeness(table)
-    table.audited = table.audit.passed
-    return table
-
-
 def audit_completeness(table: ZeroTable) -> AuditReport:
     """Check a table against the Rosser envelope and the Turing-certified
     zero count at t_max."""
@@ -456,10 +460,9 @@ def build_table(t_max: float) -> ZeroTable:
     if not 20.0 <= t_max <= 1e6:
         raise DomainError(f"build_table requires 20 <= t_max <= 1e6, got {t_max}")
     zeros = _refine_many(_cut(_gram_scan(2.0, t_max)[0], t_max)[0])
-    zeros = zeros[np.argsort(zeros[:, 0], kind="stable")]
-    table = _assemble(ZeroTable(zeros[:, 0], zeros[:, 1], t_max, False, "computed"))
-    report = table.audit
-    if not table.audited:
+    table = ZeroTable(zeros[:, 0], zeros[:, 1], t_max, "computed")
+    report = table.audit = audit_completeness(table)
+    if not report.passed:
         raise AuditError(
             f"audit failed: {report.count} ordinates, Turing's method certifies "
             f"{report.certified_count} up to {report.certified_height}, "
@@ -474,6 +477,8 @@ def build_table(t_max: float) -> ZeroTable:
 # ---------------------------------------------------------------------------
 
 _TABLE_DECIMALS = 9
+_SANITY_FIRST = 14.1347
+_SANITY_TOL = 1e-3
 
 
 def sidecar_path(path: str | Path) -> Path:
@@ -499,6 +504,7 @@ def _replace_atomically(path: Path, data: bytes) -> None:
 def save_table(table: ZeroTable, path: str | Path) -> None:
     """Write the ordinates, and a sidecar with the coverage height, source,
     audit status, ordinate count and sha256 of the table bytes."""
+    import hashlib  # not at module top: it loads OpenSSL into every zgb process
     path = Path(path)
     data = "".join(f"{g:.{_TABLE_DECIMALS}f}\n" for g in table.gammas.tolist()).encode()
     _replace_atomically(path, data)
@@ -508,10 +514,77 @@ def save_table(table: ZeroTable, path: str | Path) -> None:
         "audited": table.audited,
         "count": len(table),
         "sha256": hashlib.sha256(data).hexdigest(),
-        "tool_version": _tool_version(),
+        "tool_version": __version__,
     }
     _replace_atomically(sidecar_path(path),
                         (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
+
+
+def _read_ordinates(path: str | Path) -> tuple[np.ndarray, float, bytes]:
+    """The ordinates of a table file, their common abs_err, 10^-d for the
+    fewest decimals d printed on any line, and the bytes read.
+
+    A line holds one decimal ordinate, alone or after an index column, or
+    nothing; anything else, or a first ordinate not near 14.1347, raises.
+
+    The checks run on whole columns, and only a failed one looks for its
+    line: the first failure in file order, with a line's checks in the
+    order field count, layout, decimal, finite, increasing.
+    """
+    path = Path(path)
+    data = path.read_bytes()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise TableFormatError(f"not UTF-8: byte {data[exc.start]:#04x}",
+                               line=before.count(b"\n") + 1) from exc
+    # the line ends of text-mode reading: \n, \r\n and \r
+    fields = list(map(str.split, text.replace("\r\n", "\n").replace("\r", "\n").split("\n")))
+    tokens = [f[-1] for f in fields if f]
+    width = np.fromiter(map(len, fields), dtype=np.intp, count=len(fields))
+    rows = np.flatnonzero(width)  # 0-based numbers of the nonblank lines
+    width = width[rows]
+    bad = len(tokens)  # the first token that is not a decimal
+    try:
+        values = np.array(tokens, dtype=float)  # parses as float() does
+    except ValueError:
+        for bad, token in enumerate(tokens):
+            try:
+                float(token)
+            except ValueError:
+                break
+        values = np.array(tokens[:bad], dtype=float)
+    n_cols = int(width[0]) if rows.size else 1
+    broken = np.flatnonzero((width != n_cols) | (width > 2))
+    # a NaN fails the rise too, but its line reports it as non-finite
+    faults = np.flatnonzero(~np.isfinite(values) | ~(values > np.append(-np.inf, values[:-1])))
+    first = min([bad, *broken[:1].tolist(), *faults[:1].tolist()])
+    if first < rows.size:
+        line, got, token = int(rows[first]) + 1, int(width[first]), tokens[first]
+        if got > 2:
+            raise TableFormatError(
+                f"expected 1 or 2 whitespace-separated fields, got {got}", line=line)
+        if got != n_cols:
+            raise TableFormatError(f"layout switched from {n_cols} to {got} fields", line=line)
+        if first == bad:
+            raise TableFormatError(f"not a decimal: {token!r}", line=line)
+        if not np.isfinite(values[first]):
+            raise TableFormatError(f"non-finite ordinate {token!r}", line=line)
+        raise TableFormatError(f"ordinates must increase strictly: {float(values[first])} "
+                               f"after {float(values[first - 1])}", line=line)
+
+    if not values.size:
+        raise TableFormatError(f"no ordinates found in {path}")
+    if abs(values[0] - _SANITY_FIRST) > _SANITY_TOL:
+        raise TableFormatError(
+            f"sanity gate: first ordinate {float(values[0])} is not ~{_SANITY_FIRST}",
+            line=1,
+        )
+    arr = np.array(tokens)
+    point = np.char.find(arr, ".")
+    decimals = np.where(point >= 0, np.char.str_len(arr) - point - 1, 0)
+    return values, 10.0 ** (-int(decimals.min())), data
 
 
 def load_table(path: str | Path) -> ZeroTable:
@@ -527,8 +600,7 @@ def load_table(path: str | Path) -> ZeroTable:
     raises TableFormatError; a sidecar without those two fields is trusted as
     it is.
     """
-    from .ingestion import _read_ordinates
-
+    import hashlib  # not at module top: it loads OpenSSL into every zgb process
     gammas, abs_err, data = _read_ordinates(path)
     t_max, source = float(gammas[-1]) + abs_err, "ingested"
     meta_path = sidecar_path(path)
@@ -545,13 +617,8 @@ def load_table(path: str | Path) -> ZeroTable:
         if "sha256" in meta and meta["sha256"] != hashlib.sha256(data).hexdigest():
             raise TableFormatError(f"sidecar {meta_path} sha256 does not match the table file")
     try:
-        table = ZeroTable(gammas, np.full(gammas.size, abs_err), t_max, False, source)
+        table = ZeroTable(gammas, np.full(gammas.size, abs_err), t_max, source)
     except ValueError as exc:  # a t_max the audit cannot use
         raise TableFormatError(f"sidecar {meta_path}: {exc}") from exc
-    return _assemble(table)
-
-
-def _tool_version() -> str:
-    from . import __version__
-
-    return __version__
+    table.audit = audit_completeness(table)
+    return table

@@ -1,6 +1,7 @@
 """Command-line interface: subcommand behaviour, exit codes, determinism."""
 
 import argparse
+import ast
 import hashlib
 import json
 import math
@@ -334,6 +335,55 @@ def test_package_does_not_import_mpmath():
         [sys.executable, "-c", "import zgb, sys; assert 'mpmath' not in sys.modules"],
         env=env, check=True, timeout=120,
     )
+
+
+def test_package_defers_hashlib():
+    # hashlib loads OpenSSL (~3.5 MB of RSS); only save_table and load_table
+    # hash, so they import it
+    env = dict(os.environ, PYTHONPATH=str(Path(zgb.__file__).parents[1]))
+    code = "import sys, zgb, zgb.cli; assert not {'hashlib', '_hashlib'} & sys.modules.keys()"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def _zgb_imports(tree: ast.Module, modules: set[str]):
+    """(zgb module named, line, inside a function body) for each zgb import
+    in tree; the package itself is named "zgb"."""
+    stack = [(tree, False)]
+    while stack:
+        node, in_function = stack.pop()
+        if isinstance(node, ast.Import):
+            names = [alias.name.split(".") for alias in node.names]
+            targets = [n[1] if len(n) > 1 else "zgb" for n in names if n[0] == "zgb"]
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "zgb"):
+            path = (node.module or "").split(".")[node.level == 0:]
+            targets = ([path[0]] if path and path[0] else
+                       [a.name if a.name in modules else "zgb" for a in node.names])
+        else:
+            targets = []
+        yield from ((target, node.lineno, in_function) for target in targets)
+        in_function |= isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        stack.extend((child, in_function) for child in ast.iter_child_nodes(node))
+
+
+def test_package_imports_are_module_level_and_acyclic():
+    # a zgb import inside a function hides an import cycle; stdlib imports
+    # may be deferred there
+    files = {p.stem: p for p in Path(zgb.__file__).parent.glob("*.py")}
+    graph, local = {}, []
+    for name, path in files.items():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        edges = list(_zgb_imports(tree, set(files)))
+        local += [f"{path.name}:{line} imports {target} in a function"
+                  for target, line, inside in edges if inside]
+        # every submodule import runs the package's __init__ first, so an
+        # edge to the package closes no cycle of its own
+        graph[name] = {target for target, _, _ in edges if target != "zgb"}
+    assert not local, local
+    while graph:
+        leaves = [name for name, deps in graph.items() if not deps & graph.keys()]
+        assert leaves, f"module-level import cycle among {sorted(graph)}"
+        for name in leaves:
+            del graph[name]
 
 
 def test_cached_queries_do_not_import_scipy_special(reference_path):

@@ -115,7 +115,6 @@ def test_cross_validate_missing_zero_is_fatal(table1000, reference_path):
         np.delete(table1000.gammas, 300),
         np.delete(table1000.abs_err, 300),
         t_max=1000.0,
-        audited=False,
         source="computed",
     )
     with pytest.raises(ValidationError):
@@ -123,14 +122,14 @@ def test_cross_validate_missing_zero_is_fatal(table1000, reference_path):
 
 
 def test_cross_validate_disjoint_coverage(table1000):
-    empty = ZeroTable([], [], t_max=10.0, audited=False, source="computed")
+    empty = ZeroTable([], [], t_max=10.0, source="computed")
     with pytest.raises(CoverageError):
         cross_validate(empty, table1000)
 
 
 def test_cross_validate_without_comparable_ordinates(table1000):
     # common coverage up to 30, but one table holds no ordinate there
-    empty = ZeroTable([], [], t_max=30.0, audited=False, source="computed")
+    empty = ZeroTable([], [], t_max=30.0, source="computed")
     with pytest.raises(CoverageError, match="no comparable ordinates"):
         cross_validate(empty, table1000)
 
@@ -170,11 +169,11 @@ def test_cross_validate_boundary_straggler_excused():
     # excluded from comparison rather than treated as a missing zero
     computed = ZeroTable(
         [14.134725142, 21.00000005], [1e-8, 1e-8],
-        t_max=25.0, audited=False, source="computed",
+        t_max=25.0, source="computed",
     )
     reference = ZeroTable(
         [14.134725142], [1e-7],
-        t_max=21.0 + 1e-7, audited=False, source="ingested",
+        t_max=21.0 + 1e-7, source="ingested",
     )
     report = cross_validate(computed, reference)
     assert report.n_compared == 1
@@ -190,7 +189,7 @@ def _read_ordinates_by_line(path, declared_count=None):
     import math
     from pathlib import Path
 
-    from zgb.ingestion import _SANITY_FIRST, _SANITY_TOL
+    from zgb.zeros import _SANITY_FIRST, _SANITY_TOL
 
     path = Path(path)
     values: list[float] = []
@@ -291,11 +290,18 @@ def _table_files(draw):
     return newline.join(lines) + draw(st.sampled_from(["", newline])), declared
 
 
-def _outcome(parse, path, declared=None):
+def _reference_columns(path, declared_count):
+    """The ordinates and abs_err of parse_reference: the table-file reader
+    plus the declared count."""
+    table = parse_reference(path, declared_count)
+    return table.gammas, float(table.abs_err[0])
+
+
+def _outcome(parse, path, *args):
     """What a parser makes of a file: its values bit for bit and abs_err, or
     its error message and line."""
     try:
-        values, abs_err = parse(path, declared)[:2]
+        values, abs_err = parse(path, *args)[:2]
     except TableFormatError as exc:
         return "error", str(exc), exc.line
     return "ok", np.asarray(values, dtype=np.float64).view(np.int64).tolist(), abs_err
@@ -307,20 +313,22 @@ def test_bulk_parser_matches_line_parser(case):
     import tempfile
     from pathlib import Path
 
-    from zgb.ingestion import _read_ordinates
+    from zgb.zeros import _read_ordinates
 
     text, declared = case
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "table.txt"
         path.write_bytes(text.encode())
-        assert (_outcome(_read_ordinates, path, declared)
-                == _outcome(_read_ordinates_by_line, path, declared))
+        assert _outcome(_read_ordinates, path) == _outcome(_read_ordinates_by_line, path)
+        if declared is not None:
+            assert (_outcome(_reference_columns, path, declared)
+                    == _outcome(_read_ordinates_by_line, path, declared))
 
 
 @pytest.mark.parametrize("token", ["1_00.5", "１４.１", "1e400", "١٠٠.٥"])
 def test_bulk_parser_reads_tokens_as_float_does(tmp_path, token):
     # float() accepts underscores and non-ASCII digits and overflows to inf
-    from zgb.ingestion import _read_ordinates
+    from zgb.zeros import _read_ordinates
 
     path = tmp_path / "edge.txt"
     path.write_text(f"14.134725142\n{token}\n")

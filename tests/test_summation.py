@@ -48,7 +48,7 @@ def test_a_at_1000(table1000):
 def test_a_range_and_audit_guards(table100):
     with pytest.raises(CoverageError):
         a_of_t(table100, 500.0)
-    stale = ZeroTable(table100.gammas, table100.abs_err, table100.t_max, False, "computed")
+    stale = ZeroTable(table100.gammas, table100.abs_err, table100.t_max, "computed")
     with pytest.raises(AuditError):
         a_of_t(stale, 50.0)
 

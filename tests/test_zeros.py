@@ -89,7 +89,7 @@ def test_isolate_stops_certifying_at_1e6():
     # the Turing run above the window would need Z beyond 1e6
     brackets = isolate_zeros(999990.0, 1e6)
     assert brackets and brackets[0][0] >= 999990.0 and brackets[-1][1] <= 1e6
-    report = audit_completeness(ZeroTable([], [], t_max=1e6, audited=False, source="computed"))
+    report = audit_completeness(ZeroTable([], [], t_max=1e6, source="computed"))
     assert 999990.0 < report.certified_height < 1e6
     assert not report.passed
 
@@ -426,23 +426,31 @@ def test_stability_under_half_step(table1000):
 def test_zero_table_validation():
     err = [1e-9, 1e-9]
     with pytest.raises(ValueError, match="at or below 14"):
-        ZeroTable([14.134725, 13.0], err, 25.0, False, "computed")
+        ZeroTable([14.134725, 13.0], err, 25.0, "computed")
     with pytest.raises(ValueError, match="at or below 14"):
-        ZeroTable([14.134725, 14.0], err, 25.0, False, "computed")
+        ZeroTable([14.134725, 14.0], err, 25.0, "computed")
     with pytest.raises(ValueError, match="increase strictly, got 21.0 after 21.02204"):
-        ZeroTable([14.134725, 21.02204, 21.0], err + [1e-9], 25.0, False, "computed")
+        ZeroTable([14.134725, 21.02204, 21.0], err + [1e-9], 25.0, "computed")
     with pytest.raises(ValueError, match="increase strictly"):
-        ZeroTable([14.134725, float("nan")], err, 25.0, False, "computed")
+        ZeroTable([14.134725, float("nan")], err, 25.0, "computed")
     # a t_max the audit cannot use: not finite, or below the last ordinate
     # by more than its abs_err
     gammas = [14.134725142, 21.022039639]
     for t_max in (float("nan"), float("inf"), 20.0, 21.022039637):
         with pytest.raises(ValueError, match="not a finite height"):
-            ZeroTable(gammas, err, t_max, False, "computed")
+            ZeroTable(gammas, err, t_max, "computed")
     # a t_max within the last ordinate's abs_err of it still covers it
-    assert ZeroTable(gammas, err, 21.022039638, False, "computed").t_max == 21.022039638
+    assert ZeroTable(gammas, err, 21.022039638, "computed").t_max == 21.022039638
     with pytest.raises(ValueError, match="not a finite height"):
-        ZeroTable([], [], float("-inf"), False, "computed")
+        ZeroTable([], [], float("-inf"), "computed")
+    # abs_err is a finite, non-negative 1-D column as long as gammas
+    for bad_gammas, bad_err in ((gammas, err[:1]), (gammas, err + [1e-9]),
+                                (gammas, [err]), ([gammas], [err])):
+        with pytest.raises(ValueError, match="1-D columns of one length"):
+            ZeroTable(bad_gammas, bad_err, 25.0, "computed")
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            ZeroTable(gammas, [bad, 1e-9], 25.0, "computed")
 
 
 # ---------------------------------------------------------------------- count
@@ -466,9 +474,25 @@ def test_count_range_error(table100):
 
 
 def test_count_requires_audit(table100):
-    stale = ZeroTable(table100.gammas, table100.abs_err, table100.t_max, False, "computed")
+    stale = ZeroTable(table100.gammas, table100.abs_err, table100.t_max, "computed")
     with pytest.raises(AuditError):
         count_up_to(stale, 50.0)
+
+
+def test_audit_state_comes_from_the_audit(table100):
+    # no caller can claim an audit: audited derives from audit, and only
+    # audit_completeness fills audit
+    columns = (table100.gammas, table100.abs_err, table100.t_max)
+    with pytest.raises(TypeError):
+        ZeroTable(*columns, audited=True, source="computed")
+    with pytest.raises(TypeError):
+        ZeroTable(*columns, source="computed", audit=table100.audit)
+    table = ZeroTable(*columns, "computed")
+    assert table.audit is None and not table.audited
+    with pytest.raises(AttributeError):
+        table.audited = True
+    table.audit = audit_completeness(table)
+    assert table.audited
 
 
 def test_count_monotone(table1000):
@@ -494,7 +518,6 @@ def test_audit_catches_missing_pair(table100):
         np.delete(table100.gammas, [14, 15]),
         np.delete(table100.abs_err, [14, 15]),
         t_max=100.0,
-        audited=False,
         source="computed",
     )
     report = audit_completeness(broken)
@@ -512,7 +535,7 @@ def test_audit_certifies_the_count(table1000):
 
 
 def test_audit_empty_table_low_coverage():
-    empty = ZeroTable([], [], t_max=10.0, audited=False, source="computed")
+    empty = ZeroTable([], [], t_max=10.0, source="computed")
     report = audit_completeness(empty)
     assert report.envelope_ok
     assert report.passed
