@@ -148,29 +148,12 @@ def test_batched_rescans_match_the_per_block_descent(monkeypatch, lo, hi):
         blocks.append((args, batched(*args)))
         return blocks[-1][1]
 
-    def both_scans():
-        blocks.clear()
-        monkeypatch.setattr(zeros, "_rescan", recording)
-        new = zeros._gram_scan(lo, hi)
-        monkeypatch.setattr(zeros, "_rescan", _per_block_descent)
-        return new, zeros._gram_scan(lo, hi)
-
-    # a height's Z differs by rounding between batches (_cos_sum pads a
-    # chunk's rows to its widest count), so the bracket ends and the counts
-    # must match exactly and the Z values within a thousandth of their error
-    new, old = both_scans()
-    assert new[1:] == old[1:]
-    assert np.array_equal(new[0][:, :2], old[0][:, :2])
-    err = zeta.hardy_z_err(old[0][:, :2])
-    assert np.all(np.abs(new[0][:, 2:] - old[0][:, 2:]) <= 1e-3 * err)
-
-    # with Z taken one height a call every value is the batch's own: the
-    # rows, and each block's brackets, the Turing blocks below g_c included,
-    # match bit for bit
-    many = zeta.hardy_z_many
-    monkeypatch.setattr(zeta, "hardy_z_many",
-                        lambda ts: np.array([many(ts[i:i + 1])[0] for i in range(ts.size)]))
-    new, old = both_scans()
+    monkeypatch.setattr(zeros, "_rescan", recording)
+    new = zeros._gram_scan(lo, hi)
+    monkeypatch.setattr(zeros, "_rescan", _per_block_descent)
+    old = zeros._gram_scan(lo, hi)
+    # a height's Z does not depend on its batch, so the rows, and each
+    # block's brackets, the Turing blocks below g_c included, match bit for bit
     assert new[1:] == old[1:]
     assert np.array_equal(new[0], old[0])
     (args, got), = blocks
@@ -324,9 +307,8 @@ def test_rows_carry_z_at_their_ends(centre):
                       _scan_window(lo, lo + 2.0, 0.05)))
     assert len(rows) > 4
     ends = rows[:, :2]
+    assert np.array_equal(zeta.hardy_z_many(ends), rows[:, 2:])
     err = zeta.hardy_z_err(ends)
-    fresh = zeta.hardy_z_many(ends.ravel()).reshape(-1, 2)
-    assert np.all(np.abs(fresh - rows[:, 2:]) <= err)
     # opposite signs, unless an end is within Z's error: the zero's place
     sure = np.abs(rows[:, 2:]) > err
     flips = (rows[:, 2] > 0) != (rows[:, 3] > 0)
@@ -359,6 +341,16 @@ def test_build_table_20():
 def test_build_table_1000(table1000):
     assert len(table1000) == 649
     assert table1000.audited
+
+
+def test_refine_zero_matches_the_built_table(table1000):
+    # Z of a height does not depend on its batch, so refining a bracket
+    # alone gives the row build_table refined among all the others, bit for bit
+    brackets = isolate_zeros(2.0, 1000.0)
+    assert len(brackets) == len(table1000)
+    for i in range(0, len(brackets), 10):
+        z = refine_zero(brackets[i])
+        assert (z.gamma, z.abs_err) == (table1000.gammas[i], table1000.abs_err[i]), brackets[i]
 
 
 def test_build_table_up_to_a_zero_ordinate():

@@ -170,15 +170,6 @@ def test_em_truncation_within_backlund_bound():
     assert np.max(bound / model) <= 1e-3
 
 
-def test_em_value_does_not_depend_on_its_batch():
-    # each height takes its own term count, so a value computed alone and
-    # inside a shared batch differ only by the rounding of the batch's order
-    ts = np.random.default_rng(9).uniform(2.0, EM_POLISH_MAX, 200)
-    batched = _hardy_z_em_batch(ts)
-    for t, z in zip(ts.tolist(), batched):
-        assert abs(float(_hardy_z_em_batch(np.array([t]))[0]) - z) <= 1e-14, t
-
-
 # --------------------------------------------------------------------- hardy Z
 
 
@@ -219,6 +210,26 @@ def test_z_path_choice_at_the_batch_ends():
                 [_hardy_z_rs_batch(np.array([top]))[0],
                  _hardy_z_em_batch(np.array([np.nextafter(top, 0.0)]))[0]]]
         assert np.array_equal(hardy_z_many(across, polish), want)
+
+
+@pytest.mark.parametrize("polish", [False, True])
+def test_z_of_a_height_does_not_depend_on_its_batch(polish):
+    # one call, 6-point calls, one-point calls (every tenth height) and the
+    # reversed order give each height the same float64, on both paths and on
+    # batches across each switch
+    rng = np.random.default_rng(21)
+    bands = [rng.uniform(lo, hi, 600) for lo, hi in
+             ((2.0, RS_SWITCH), (RS_SWITCH, EM_POLISH_MAX), (EM_POLISH_MAX, 1e4), (5e5, 1e6))]
+    bands += [rng.uniform(top - 50.0, top + 50.0, 120) for top in (RS_SWITCH, EM_POLISH_MAX)]
+    for ts in bands:
+        whole = hardy_z_many(ts, polish)
+        sixes = np.concatenate([hardy_z_many(ts[i:i + 6], polish) for i in range(0, ts.size, 6)])
+        assert np.array_equal(sixes, whole)
+        assert np.array_equal(hardy_z_many(ts[::-1], polish)[::-1], whole)
+        alone = [hardy_z_many(ts[i:i + 1], polish)[0] for i in range(0, ts.size, 10)]
+        assert np.array_equal(alone, whole[::10])
+        if not polish:
+            assert np.array_equal([hardy_z(t) for t in ts[::10].tolist()], whole[::10])
 
 
 def test_z_sign_bookkeeping_14_to_18():
