@@ -5,8 +5,9 @@ The pipeline is sign-change based.  Hardy's Z is sampled at the Gram points
 g_n, where theta(g_n) = n pi.  A Gram block runs from one good Gram point
 ((-1)^n Z(g_n) > 0) to the next, and by Rosser's rule a block of length m
 holds m zeros; a block whose samples show fewer sign changes is rescanned at
-halving steps.  Turing's method certifies the zero count at both ends of the
-range, so each sign change brackets exactly one zero and none is missed.
+halving steps.  Turing's method, on Gram blocks from 168 pi up, certifies the
+zero count at both ends of the range, so each sign change brackets exactly
+one zero and none is missed; Z runs to zeta.Z_TOP, past 1e6, for its blocks.
 Each bracket is a row (a, b, Z(a), Z(b)) with grid-path Z at both ends, so no
 end is evaluated twice; an end within hardy_z_err of zero is the zero's place.
 Brackets are refined by Illinois steps on the grid path of Z plus a secant
@@ -46,6 +47,9 @@ TWO_PI = 2.0 * math.pi
 #: orders of magnitude wider).
 REFINE_FLOOR = 1e-4
 
+#: Turing's method is proven for Gram blocks from here up (Lehman 1970).
+TURING_MIN = 168.0 * math.pi
+
 
 @dataclass(frozen=True)
 class ZeroOrdinate:
@@ -63,11 +67,9 @@ class AuditReport:
     count: int
     envelope_ok: bool
     envelope_failures: list[tuple[float, int, float, float]] = field(default_factory=list)
-    #: N(certified_height) by Turing's method; certified_height is t_max
-    #: unless certifying t_max would need Z above 1e6, and turing_blocks is
-    #: the number of Rosser-satisfying Gram blocks the method took on each side
+    #: N(t_max) by Turing's method, and the number of Rosser-satisfying Gram
+    #: blocks the method took on each side
     certified_count: int = 0
-    certified_height: float = 0.0
     turing_blocks: int = 0
     passed: bool = False
 
@@ -158,7 +160,7 @@ def _gram_points(n) -> np.ndarray:
     t/2 log(t/(2 pi e)) - pi/8 = n pi, which is t = 2 pi e exp(W(x)) for
     x = (n + 1/8)/e.  W(x), the root of w - x exp(-w), takes Newton steps
     from log1p(x), with slope 1 + w at the root; 8 reach double precision
-    for every Gram index below 1e6.
+    for every Gram index up to 2e6, past the last below zeta.Z_TOP.
     """
     n = np.asarray(n, dtype=float)
     x = (n + 0.125) / math.e
@@ -222,53 +224,46 @@ def _rescan(a: list[float], b: list[float], want: list[int],
     return got
 
 
-def _gram_scan(t_lo: float, t_hi: float) -> tuple[np.ndarray, int, float, int]:
-    """Sign-change brackets, one per zero, from a Gram point g_c <= t_lo up,
-    with the count certified by Turing's method from g_c to a Gram point
-    g_d >= t_hi.
+def _gram_scan(t_lo: float, t_hi: float) -> tuple[int, np.ndarray, int]:
+    """N(t_lo) and sign-change brackets, one for each zero in (t_lo, t_hi],
+    with the count certified by Turing's method.
 
     A Gram point g_n is good when (-1)^n Z(g_n) > hardy_z_err, and a Gram
     block runs from one good point to the next.  By Rosser's rule a block of
     length m holds m zeros; a block whose samples show fewer sign changes is
     rescanned at halving steps down to REFINE_FLOOR.  Turing's method, in
-    Brent's form, turns k such blocks below g_c into N(g_c) >= c + 1 and k
-    above g_d into N(g_d) <= d + 1, with k = _turing_blocks at the highest
-    Gram point sampled.  Then d - c sign changes between them pin N(g_c) = c + 1
-    and N(g_d) = d + 1 and leave no zero unbracketed, so every block checked
-    must show exactly its length: one that falls short at the floor, or shows
-    more, raises AuditError.  No zero lies below g_-1 = 9.67, so N(g_-1) = 0
-    anchors ranges that reach down there.  The bounds behind k are proven
-    from 168 pi up; below that the same rule is applied.
+    Brent's form, turns k such blocks below a good g_c <= t_lo into
+    N(g_c) >= c + 1 and k above a good g_d >= t_hi into N(g_d) <= d + 1, with
+    k = _turing_blocks at the highest Gram point sampled.  Then d - c sign
+    changes between them pin N(g_c) = c + 1 and N(g_d) = d + 1 and leave no
+    zero unbracketed, so every block checked must show exactly its length:
+    one that falls short at the floor, or shows more, raises AuditError.
 
-    Z is only evaluated up to 1e6.  Where the k blocks above t_hi do not fit
-    below it, g_d drops below t_hi, and the brackets above the last good
-    Gram point come from the samples unchecked.
+    No Turing block starts below TURING_MIN = 168 pi: g_d >= TURING_MIN, and
+    where the blocks below g_c would not, the count anchors at N(g_-1) = 0,
+    since no zero lies below g_-1 = 9.67.  For t_hi <= 1e6 the blocks above
+    g_d fit below zeta.Z_TOP; where they do not, Z raises DomainError.
 
-    Returns (the bracket rows (a, b, Z(a), Z(b)) above g_c, c, g_d, k).
+    Returns (N(t_lo), the bracket rows (a, b, Z(a), Z(b)) of the zeros in
+    (t_lo, t_hi], k), with a row across t_lo or t_hi trimmed by _cut.
     """
-    n_top = int(zeta.rs_theta(1e6) // math.pi)  # the last Gram point below 1e6
+    top = max(t_hi, TURING_MIN)
     first = max(-1, int(zeta.rs_theta(max(t_lo, 10.0)) // math.pi))
-    last = int(zeta.rs_theta(max(t_hi, 10.0)) // math.pi) + 1
-    pad = 4 * _turing_blocks(max(t_hi, 10.0)) + 4
+    last = int(zeta.rs_theta(top) // math.pi) + 1
+    pad = 4 * _turing_blocks(top) + 4
     while True:
-        ns = np.arange(max(-1, min(first, n_top) - pad), min(n_top, last + pad) + 1)
+        ns = np.arange(max(-1, first - pad), last + pad + 1)
         g = _gram_points(ns)
         z = zeta.hardy_z_many(g)
         k = _turing_blocks(float(g[-1]))
         ends = np.flatnonzero((np.where(ns % 2, -z, z) > zeta.hardy_z_err(g)) | (ns == -1))
         ge = g[ends]
         lo = int(np.searchsorted(ge, t_lo, side="right")) - 1  # last good <= t_lo
-        hi = int(np.searchsorted(ge, t_hi, side="left"))       # first good >= t_hi
-        if ns[-1] == n_top and hi + k >= ge.size:
-            hi = ge.size - 1 - k
-            lo = min(lo, hi)
-        c = lo if lo >= k else (0 if ns[0] == -1 else -1)
+        hi = int(np.searchsorted(ge, top, side="left"))        # first good >= top
+        c = lo if lo >= k and ge[lo - k] >= TURING_MIN else (0 if ns[0] == -1 else -1)
         if 0 <= c <= hi and hi + k < ge.size:
             break
         pad *= 2
-    if ns[-1] == n_top:  # a sample at 1e6 closes the last Gram interval below it
-        g = np.append(g, 1e6)
-        z = np.append(z, zeta.hardy_z_many(np.array([1e6])))
 
     found = _brackets_from_grid(g, z)
     # brackets never straddle a good Gram point: its sample is reliable
@@ -290,7 +285,8 @@ def _gram_scan(t_lo: float, t_hi: float) -> tuple[np.ndarray, int, float, int]:
             out += [found[pos:idx[j]], got[i]]
             pos = idx[j + 1]
     out.append(found[pos:])
-    return np.concatenate(out), int(ns[ends[c]]), float(ge[hi]), k
+    below, above = _cut(np.concatenate(out), t_lo)
+    return int(ns[ends[c]]) + 1 + len(below), _cut(above, t_hi)[0], k
 
 
 def _cut(rows: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -325,7 +321,7 @@ def isolate_zeros(t_lo: float, t_hi: float) -> list[tuple[float, float]]:
         raise DomainError("isolate_zeros requires t_hi > t_lo")
     if t_hi > 1e6:
         raise DomainError("isolate_zeros validated for t_hi <= 1e6")
-    rows = _cut(_cut(_gram_scan(t_lo, t_hi)[0], t_lo)[1], t_hi)[0]
+    rows = _gram_scan(t_lo, t_hi)[1]
     ends, where = np.unique(rows[:, :2], return_inverse=True)
     ends = ends.tolist()  # adjacent brackets share the float of their common end
     return [(ends[i], ends[j]) for i, j in where.reshape(-1, 2).tolist()]
@@ -447,11 +443,8 @@ def audit_completeness(table: ZeroTable) -> AuditReport:
             report.envelope_ok = False
             report.envelope_failures.append((h, n, f, r))
 
-    brackets, c, top, report.turing_blocks = _gram_scan(t_max, t_max)
-    report.certified_height = min(t_max, top)
-    report.certified_count = c + 1 + len(_cut(brackets, report.certified_height)[0])
-    report.passed = (report.envelope_ok and
-                     table.count_at(report.certified_height) == report.certified_count)
+    report.certified_count, _, report.turing_blocks = _gram_scan(t_max, t_max)
+    report.passed = report.envelope_ok and table.count_at(t_max) == report.certified_count
     return report
 
 
@@ -459,13 +452,13 @@ def build_table(t_max: float) -> ZeroTable:
     """Isolate and refine every ordinate up to t_max into an audited table."""
     if not 20.0 <= t_max <= 1e6:
         raise DomainError(f"build_table requires 20 <= t_max <= 1e6, got {t_max}")
-    zeros = _refine_many(_cut(_gram_scan(2.0, t_max)[0], t_max)[0])
+    zeros = _refine_many(_gram_scan(2.0, t_max)[1])
     table = ZeroTable(zeros[:, 0], zeros[:, 1], t_max, "computed")
     report = table.audit = audit_completeness(table)
     if not report.passed:
         raise AuditError(
             f"audit failed: {report.count} ordinates, Turing's method certifies "
-            f"{report.certified_count} up to {report.certified_height}, "
+            f"{report.certified_count} up to {t_max}, "
             f"Rosser envelope {'holds' if report.envelope_ok else 'violated'}",
             report,
         )

@@ -60,6 +60,10 @@ RS_SWITCH = 500.0
 #: which is near machine accuracy there.
 EM_POLISH_MAX = 1500.0
 
+#: The top of Z's domain: 1e6 plus some 1,900 Gram points, room for the
+#: Turing blocks that certify a zero count at any height up to 1e6.
+Z_TOP = 1e6 + 1e3
+
 # EM term count N = max(_EM_MIN_TERMS, ceil(_EM_TERMS_PER_T * t)).  With
 # _EM_BERN_TERMS Bernoulli terms, Backlund's bound on the truncation is at
 # most 2.2e-5 of the EM error model on [2, 1e4], largest at t = 150 where the
@@ -205,7 +209,7 @@ def _cos_sum(ts: np.ndarray, theta: np.ndarray, counts: np.ndarray) -> np.ndarra
 # 1/16))/cos(2pi p) (tests/oracles.py regenerates them).  The rows kept are
 # the fewest for which every dropped tail, the sum of the dropped
 # |coefficients|, is below 1e-3 of the smallest riemann_siegel_err on
-# [RS_SWITCH, 1e6]: since |T_j| <= 1 that bounds the truncation error.
+# [RS_SWITCH, Z_TOP]: since |T_j| <= 1 that bounds the truncation error.
 _CORRECTION_MODELS = np.array((
     (0.6426672862397719, 3.391630841667722e-17, 0.00314611585398879, 1.2430975649977335e-15),
     (-2.903693309837712e-16, 0.010697913921003046, -7.523942347533131e-17, 7.123256221297049e-05),
@@ -306,16 +310,15 @@ def em_path(ts, polish: bool = False) -> np.ndarray:
 
 
 def hardy_z_many(ts, polish: bool = False) -> np.ndarray:
-    """Z(t) for an array of heights 2 <= t <= 1e6, with per-height path
+    """Z(t) for an array of heights 2 <= t <= Z_TOP, with per-height path
     selection.
 
     EM runs below RS_SWITCH, or below EM_POLISH_MAX with polish set; RS runs
-    above.  A secant polish may step up to 1e-9 past its bracket, so with
-    polish set a height may pass 1e6 by that much.  The batch's least and
-    greatest heights decide both the domain check and, when every height
-    takes one path, that path; only a batch across the switch is split by
-    em_path.  A height's value does not depend on the batch: it is the same
-    float64 alone, in any batch and in any order, as hardy_z gives it.
+    above.  The batch's least and greatest heights decide both the domain
+    check and, when every height takes one path, that path; only a batch
+    across the switch is split by em_path.  A height's value does not depend
+    on the batch: it is the same float64 alone, in any batch and in any
+    order, as hardy_z gives it.
     """
     ts = np.asarray(ts, dtype=float)
     if not ts.size:
@@ -323,8 +326,8 @@ def hardy_z_many(ts, polish: bool = False) -> np.ndarray:
     least, most = ts.min(), ts.max()
     if not least >= 2.0:  # a NaN fails it too
         raise DomainError("hardy_z requires t >= 2")
-    if most > (1e6 + 1e-9 if polish else 1e6):
-        raise DomainError("hardy_z validated for t <= 1e6")
+    if most > Z_TOP:
+        raise DomainError(f"hardy_z validated for t <= {Z_TOP}")
     top = _em_top(polish)
     if most < top or least >= top:  # one path: no scatter
         kernel = _hardy_z_em_batch if most < top else _hardy_z_rs_batch

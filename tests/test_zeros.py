@@ -85,18 +85,55 @@ def test_isolate_raises_on_a_short_gram_block(monkeypatch):
     assert "[7000.920483057, 7003.607093067] shows 1 sign changes" in str(info.value)
 
 
-def test_isolate_stops_certifying_at_1e6():
-    # the Turing run above the window would need Z beyond 1e6
-    brackets = isolate_zeros(999990.0, 1e6)
-    assert brackets and brackets[0][0] >= 999990.0 and brackets[-1][1] <= 1e6
+def test_audit_certifies_the_count_at_1e6():
+    # Z runs a few Gram blocks past 1e6, so Turing's method certifies
+    # N(1e6) = 1,747,146 at 1e6 itself, and an empty table fails against it
     report = audit_completeness(ZeroTable([], [], t_max=1e6, source="computed"))
-    assert 999990.0 < report.certified_height < 1e6
+    assert report.certified_count == 1747146
     assert not report.passed
+    brackets = isolate_zeros(999990.0, 1e6)
+    assert len(brackets) == 19
+    assert brackets[0][0] >= 999990.0 and brackets[-1][1] <= 1e6
+
+
+def test_gram_scan_raises_where_turing_blocks_pass_the_top_of_z(monkeypatch):
+    # blocks too many to fit below zeta.Z_TOP: the pad doubles until Z
+    # refuses a Gram point, and no bracket certified on fewer blocks comes back
+    calls = []
+
+    def blocks(t):
+        calls.append(t)
+        return 1 if len(calls) == 1 else 1000
+
+    monkeypatch.setattr(zeros, "_turing_blocks", blocks)
+    with pytest.raises(DomainError, match=f"validated for t <= {zeta.Z_TOP}"):
+        isolate_zeros(999990.0, 1e6)
+    assert len(calls) > 2
+
+
+def test_audit_below_168_pi_uses_no_turing_bound(table100, monkeypatch):
+    # Turing's bounds are proven only for Gram blocks from 168 pi up: the
+    # audit at 100 anchors its count at N(g_-1) = 0 and scans up to Gram
+    # points past 168 pi
+    seen = []
+    original = zeta.hardy_z_many
+
+    def recording(ts, polish=False):
+        seen.extend(np.atleast_1d(ts).tolist())
+        return original(ts, polish)
+
+    monkeypatch.setattr(zeta, "hardy_z_many", recording)
+    assert audit_completeness(table100).passed
+    grams = zeros._gram_points(np.arange(-1, 400)).tolist()
+    assert grams[0] in seen
+    assert any(g >= 168.0 * np.pi for g in set(grams) & set(seen))
 
 
 def test_gram_points_against_mpmath():
+    # up to the last Gram index below the top of Z's domain
     mpmath = pytest.importorskip("mpmath")
-    ns = np.array([-1, 0, 1, 1000])
+    top = int(zeta.rs_theta(zeta.Z_TOP) // np.pi)
+    ns = np.array([-1, 0, 1, 1000, 1747144, top])
     got = zeros._gram_points(ns)
     for n, g in zip(ns, got):
         assert g == pytest.approx(float(mpmath.grampoint(int(n))), abs=1e-9)
@@ -152,14 +189,15 @@ def test_batched_rescans_match_the_per_block_descent(monkeypatch, lo, hi):
     new = zeros._gram_scan(lo, hi)
     monkeypatch.setattr(zeros, "_rescan", _per_block_descent)
     old = zeros._gram_scan(lo, hi)
-    # a height's Z does not depend on its batch, so the rows, and each
-    # block's brackets, the Turing blocks below g_c included, match bit for bit
-    assert new[1:] == old[1:]
-    assert np.array_equal(new[0], old[0])
+    # a height's Z does not depend on its batch, so the count, the rows, and
+    # each block's brackets, the Turing blocks below t_lo included, match bit
+    # for bit
+    assert (new[0], new[2]) == (old[0], old[2])
+    assert np.array_equal(new[1], old[1])
     (args, got), = blocks
     assert len(got) > 1 and all(map(np.array_equal, got, _per_block_descent(*args)))
-    # the window has short Turing blocks below g_c; the range from 2 starts at g_-1
-    assert any(b <= new[0][0, 0] for b in args[1]) == (lo > 1e5)
+    # the window has short Turing blocks below t_lo; the range from 2 starts at g_-1
+    assert any(b <= lo for b in args[1]) == (lo > 1e5)
 
 
 def test_gram_scan_makes_one_z_call_per_rescan_round(monkeypatch):
@@ -253,7 +291,7 @@ def test_refine_spends_few_z_points_per_zero(monkeypatch):
     # that carry Z at both ends, take 9.00 Z points per zero to 1e3 (5844 for
     # 649 zeros; 28.1 with bisection to 1e-6 before the polish); the bound
     # leaves 33 % headroom
-    rows = zeros._cut(zeros._gram_scan(2.0, 1e3)[0], 1e3)[0]
+    rows = zeros._gram_scan(2.0, 1e3)[1]
     points = []
     for name in ("_hardy_z_rs_batch", "_hardy_z_em_batch"):
         original = getattr(zeta, name)
@@ -272,7 +310,7 @@ def test_refine_spends_few_z_points_per_zero(monkeypatch):
 def test_refine_evaluates_no_bracket_end(monkeypatch):
     # each row carries Z at both of its ends, so the refinement spends no
     # point on them
-    rows = zeros._cut(zeros._gram_scan(2.0, 1e3)[0], 1e3)[0]
+    rows = zeros._gram_scan(2.0, 1e3)[1]
     heights = []
     original = zeta.hardy_z_many
 
@@ -289,7 +327,7 @@ def test_refine_evaluates_no_bracket_end(monkeypatch):
 def test_isolate_returns_tuples_that_share_ends():
     lo, hi = 7000.0, 7010.0  # a rescanned block among the brackets
     brackets = isolate_zeros(lo, hi)
-    rows = zeros._cut(zeros._cut(zeros._gram_scan(lo, hi)[0], lo)[1], hi)[0]
+    rows = zeros._gram_scan(lo, hi)[1]
     assert type(brackets) is list
     assert all(type(br) is tuple and len(br) == 2 for br in brackets)
     assert all(type(x) is float for br in brackets for x in br)
@@ -303,7 +341,7 @@ def test_rows_carry_z_at_their_ends(centre):
     rng = np.random.default_rng(int(centre))
     lo = centre + rng.uniform(0.0, 20.0)
     hi = lo + 10.0
-    rows = np.vstack((zeros._cut(zeros._cut(zeros._gram_scan(lo, hi)[0], lo)[1], hi)[0],
+    rows = np.vstack((zeros._gram_scan(lo, hi)[1],
                       _scan_window(lo, lo + 2.0, 0.05)))
     assert len(rows) > 4
     ends = rows[:, :2]
@@ -522,7 +560,6 @@ def test_audit_catches_missing_pair(table100):
 def test_audit_certifies_the_count(table1000):
     report = audit_completeness(table1000)
     assert report.certified_count == 649
-    assert report.certified_height == 1000.0
     assert report.turing_blocks == 1
 
 

@@ -22,6 +22,7 @@ from zgb.zeta import (
     _CORRECTION_POWERS,
     EM_POLISH_MAX,
     RS_SWITCH,
+    Z_TOP,
     _cos_sum,
     _hardy_z_em_batch,
     _hardy_z_rs_batch,
@@ -139,6 +140,11 @@ def test_z_within_its_error_model_against_mpmath():
     ts = np.geomspace(EM_POLISH_MAX, 1e4, 6)
     for t, z in zip(ts.tolist(), _hardy_z_em_batch(ts)):
         assert abs(z - float(mp.siegelz(t))) <= 1e-10, t
+    # the band past 1e6 that only Turing's method uses, up to Z_TOP: the
+    # worst of these is 0.031 of the model
+    ts = np.random.default_rng(7).uniform(1e6, Z_TOP, 12)
+    for t, z, err in zip(ts.tolist(), hardy_z_many(ts), hardy_z_err(ts)):
+        assert abs(z - float(mp.siegelz(t))) <= err, t
 
 
 def test_em_bernoulli_coefficients_against_mpmath():
@@ -178,22 +184,18 @@ def test_z_vanishes_at_first_zero():
 
 
 def test_z_domain_error():
+    # Z is validated on [2, Z_TOP] on both paths; NaN is no height, so it
+    # fails the t >= 2 check alone or in a batch
     with pytest.raises(DomainError):
         hardy_z(1.9)
     with pytest.raises(DomainError):
-        hardy_z_many(np.array([1e6 + 1e-9]))
-    # NaN is no height: it fails the t >= 2 check alone or in a batch
-    with pytest.raises(DomainError):
         hardy_z(math.nan)
-    with pytest.raises(DomainError):
-        hardy_z_many(np.array([600.0, math.nan]))
-    # a secant polish may step 1e-9 past a bracket that ends at 1e6, and no further
-    assert np.isfinite(hardy_z_many(np.array([1e6 + 1e-9]), polish=True)).all()
-    for bad in (1.9, math.nan, np.nextafter(1e6 + 1e-9, math.inf), 1e7):
-        with pytest.raises(DomainError):
-            hardy_z_many(np.array([600.0, bad]), polish=True)
-    # an empty batch passes either way and keeps its shape
     for polish in (False, True):
+        assert np.isfinite(hardy_z_many(np.array([2.0, Z_TOP]), polish)).all()
+        for bad in (1.9, math.nan, np.nextafter(Z_TOP, math.inf), 1e7):
+            with pytest.raises(DomainError):
+                hardy_z_many(np.array([600.0, bad]), polish)
+        # an empty batch passes and keeps its shape
         assert hardy_z_many(np.empty((0, 3)), polish).shape == (0, 3)
 
 
