@@ -52,16 +52,16 @@ E_FRAK_EVAL_ERR = 1e-13
 
 def big_f(T: float) -> float:
     """Smooth main term F(T) of the zero count, defined for T >= 2."""
-    if not T >= 2:  # True for a NaN T too
-        raise DomainError(f"big_f requires T >= 2, got {T}")
+    if not 2 <= T < math.inf:  # True for a NaN T too, and for an infinite one
+        raise DomainError(f"big_f requires finite T >= 2, got {T}")
     x = T / TWO_PI
     return x * math.log(x) - x + 0.875
 
 
 def big_r(T: float) -> float:
     """Rosser's explicit envelope radius R(T), defined for T >= 2."""
-    if not T >= 2:
-        raise DomainError(f"big_r requires T >= 2, got {T}")
+    if not 2 <= T < math.inf:
+        raise DomainError(f"big_r requires finite T >= 2, got {T}")
     lt = math.log(T)
     return 0.137 * lt + 0.433 * math.log(lt) + 397.0 / 250.0
 
@@ -72,9 +72,10 @@ def main_term(T: float | np.ndarray) -> float | np.ndarray:
     The logs of an array come from math.log too, since np.log can differ
     from it in the last place."""
     many = isinstance(T, np.ndarray)
-    lowest = T.min(initial=math.inf) if many else T
-    if not lowest > 1:  # True for a NaN T too
-        raise DomainError(f"main_term requires T > 1, got {lowest}")
+    lowest, highest = (T.min(initial=math.inf), T.max(initial=-math.inf)) if many else (T, T)
+    if not (1 < lowest and highest < math.inf):  # True for a NaN T too
+        raise DomainError(f"main_term requires finite T > 1, "
+                          f"got {highest if lowest > 1 else lowest}")
     lt = (np.array([math.log(t) for t in T.ravel().tolist()]).reshape(T.shape) if many
           else math.log(T))
     out = lt * lt / FOUR_PI - LOG_2PI * lt / TWO_PI
@@ -83,8 +84,8 @@ def main_term(T: float | np.ndarray) -> float | np.ndarray:
 
 def antideriv_f(t: float) -> float:
     """Antiderivative P of F(t)/t^2, so that P'(t) = big_f(t)/t^2."""
-    if t < 2:
-        raise DomainError(f"antideriv_f requires t >= 2, got {t}")
+    if not 2 <= t < math.inf:
+        raise DomainError(f"antideriv_f requires finite t >= 2, got {t}")
     lt = math.log(t)
     return (
         lt * lt / FOUR_PI
@@ -96,8 +97,8 @@ def antideriv_f(t: float) -> float:
 
 def antideriv_r(t: float) -> float:
     """Antiderivative Q of R(t)/t^2, so that Q'(t) = big_r(t)/t^2."""
-    if t < 2:
-        raise DomainError(f"antideriv_r requires t >= 2, got {t}")
+    if not 2 <= t < math.inf:
+        raise DomainError(f"antideriv_r requires finite t >= 2, got {t}")
     return _antideriv_r_elementary(t) - 0.433 * e_frak(t)
 
 
@@ -119,8 +120,8 @@ def exp_integral_e1(x: float) -> float:
 
     Relative accuracy is a few ulps over the whole range used here.
     """
-    if x <= 0:
-        raise DomainError(f"exp_integral_e1 requires x > 0, got {x}")
+    if not 0 < x < math.inf:
+        raise DomainError(f"exp_integral_e1 requires finite x > 0, got {x}")
     if x <= 1.0:
         # E1(x) = -euler_gamma - log x + sum_{k>=1} (-1)^(k+1) x^k / (k k!)
         total = -_EULER_GAMMA - math.log(x)
@@ -162,8 +163,8 @@ def e_frak(t: float) -> float:
     exponential integral.  Its independent check, adaptive quadrature of the
     definition, lives with the tests in tests/oracles.py.
     """
-    if t < 1.0 + 1e-6:
-        raise DomainError(f"e_frak requires t >= 1 + 1e-6, got {t}")
+    if not 1.0 + 1e-6 <= t < math.inf:
+        raise DomainError(f"e_frak requires finite t >= 1 + 1e-6, got {t}")
     return exp_integral_e1(math.log(t))
 
 
@@ -181,8 +182,8 @@ def e_frak_sandwich(t: float) -> SandwichResult:
     `holds` demands both strict inequalities with margin exceeding the
     evaluation error of the E1 path (L = log t).
     """
-    if t < 2:
-        raise DomainError(f"e_frak_sandwich requires t >= 2, got {t}")
+    if not 2 <= t < math.inf:
+        raise DomainError(f"e_frak_sandwich requires finite t >= 2, got {t}")
     lt = math.log(t)
     base = 1.0 / (t * lt)
     lo = base - 1.0 / (t * lt * lt)
@@ -201,16 +202,16 @@ def e_frak_sandwich(t: float) -> SandwichResult:
 
 def tail_upper(T: float) -> float:
     """Tail of the sharp upper bound; negative once T >= 2.222."""
-    if T < 2:
-        raise DomainError(f"tail_upper requires T >= 2, got {T}")
+    if not 2 <= T < math.inf:
+        raise DomainError(f"tail_upper requires finite T >= 2, got {T}")
     lt = math.log(T)
     return -(137.0 * lt * lt + 433.0 * lt - 433.0) / (1000.0 * T * lt * lt)
 
 
 def tail_lower(T: float) -> float:
     """Tail of the sharp lower bound; positive for all T >= 2."""
-    if T < 2:
-        raise DomainError(f"tail_lower requires T >= 2, got {T}")
+    if not 2 <= T < math.inf:
+        raise DomainError(f"tail_lower requires finite T >= 2, got {T}")
     lt = math.log(T)
     llt = math.log(lt)
     num = (274.0 * lt**3 + 866.0 * llt * lt * lt + 3313.0 * lt * lt
@@ -225,8 +226,8 @@ class BoundPair(NamedTuple):
 
 def upper_bound_a(T: float, constants: "BoundConstants | None" = None) -> BoundPair:
     """Upper bounds for A(T), sharp and simplified, valid for T >= 2.222."""
-    if T < UPPER_THRESHOLD:
-        raise DomainError(f"upper_bound_a requires T >= {UPPER_THRESHOLD}, got {T}")
+    if not UPPER_THRESHOLD <= T < math.inf:
+        raise DomainError(f"upper_bound_a requires finite T >= {UPPER_THRESHOLD}, got {T}")
     c = constants if constants is not None else compute_constants()
     m = main_term(T)
     return BoundPair(m + c.c_au + tail_upper(T), m + float(C_AU_CAP))
@@ -235,8 +236,8 @@ def upper_bound_a(T: float, constants: "BoundConstants | None" = None) -> BoundP
 def lower_bound_a(T: float, constants: "BoundConstants | None" = None) -> BoundPair:
     """Lower bounds for A(T), defined for T >= 2.  The simplified form holds
     there, the sharp form only from the fourth ordinate, 30.4249, up."""
-    if T < 2:
-        raise DomainError(f"lower_bound_a requires T >= 2, got {T}")
+    if not 2 <= T < math.inf:
+        raise DomainError(f"lower_bound_a requires finite T >= 2, got {T}")
     c = constants if constants is not None else compute_constants()
     m = main_term(T)
     return BoundPair(m + c.c_al + tail_lower(T), m + float(C_AL_FLOOR))

@@ -1,9 +1,12 @@
 """Published zero-ordinate tables as reference tables, and cross-validation
 against computed tables.
 
-zgb.zeros reads the table file and infers its error bound from the printed
-precision, never assuming one; a reference file adds an optional declared
-ordinate count, and its coverage ends just past its last printed ordinate.
+A reference file is read by zgb.zeros.load_table, the one reader of table
+files: it infers the error bound from the printed precision, never assuming
+one, honours a sidecar when there is one, and audits the table at its
+coverage height.  What this module adds is what is specific to reference
+files: an optional declared ordinate count, and the comparison with a
+computed table.
 """
 
 from __future__ import annotations
@@ -14,20 +17,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CoverageError, TableFormatError, ValidationError
-from .zeros import ZeroTable, _read_ordinates, audit_completeness
+from .zeros import ZeroTable, load_table
 
 
 def parse_reference(path: str | Path,
                     declared_count: int | None = None) -> ZeroTable:
-    """Parse a published ordinate file into a ZeroTable, audited at its coverage height."""
-    gammas, abs_err, _ = _read_ordinates(path)
-    if declared_count is not None and declared_count != gammas.size:
-        raise TableFormatError(f"declared count {declared_count} != parsed count {gammas.size}")
-    # coverage reaches just past the last printed ordinate so the inclusive
-    # boundary convention survives the file's rounding
-    table = ZeroTable(gammas, np.full(gammas.size, abs_err),
-                      float(gammas[-1]) + abs_err, "ingested")
-    table.audit = audit_completeness(table)
+    """Load a published ordinate file with load_table, and check its
+    ordinate count against declared_count when one is given."""
+    table = load_table(path)
+    if declared_count is not None and declared_count != len(table):
+        raise TableFormatError(f"declared count {declared_count} != parsed count {len(table)}")
     return table
 
 

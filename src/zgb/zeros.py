@@ -33,7 +33,6 @@ import uuid
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Literal
 
 import numpy as np
 
@@ -59,19 +58,21 @@ class ZeroOrdinate:
     abs_err: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class AuditReport:
-    """Outcome of a completeness audit."""
+    """Outcome of a completeness audit, as audit_completeness made it;
+    frozen, so its verdict cannot be set afterwards."""
 
     t_max: float
     count: int
     envelope_ok: bool
-    envelope_failures: list[tuple[float, int, float, float]] = field(default_factory=list)
+    #: (height, count, F, R) at each height where |N - F| > R
+    envelope_failures: tuple[tuple[float, int, float, float], ...]
     #: N(t_max) by Turing's method, and the number of Rosser-satisfying Gram
     #: blocks the method took on each side
-    certified_count: int = 0
-    turing_blocks: int = 0
-    passed: bool = False
+    certified_count: int
+    turing_blocks: int
+    passed: bool
 
 
 @dataclass(eq=False)
@@ -79,14 +80,12 @@ class ZeroTable:
     """Sorted ordinates covering (0, t_max], held as two 1-D columns of one
     length: the heights gammas and their finite, non-negative absolute error
     bounds abs_err.  t_max must be finite and no lower than the last ordinate
-    less its abs_err.  A table starts unaudited; build_table, load_table and
-    parse_reference set audit to audit_completeness(table), and audited is
-    derived from it."""
+    less its abs_err.  A table starts unaudited; build_table and load_table
+    set audit to audit_completeness(table), and audited is derived from it."""
 
     gammas: np.ndarray
     abs_err: np.ndarray
     t_max: float
-    source: Literal["computed", "ingested"]
     audit: AuditReport | None = field(default=None, init=False)
 
     def __post_init__(self):
@@ -434,18 +433,18 @@ def audit_completeness(table: ZeroTable) -> AuditReport:
     """Check a table against the Rosser envelope and the Turing-certified
     zero count at t_max."""
     t_max = table.t_max
-    report = AuditReport(t_max=t_max, count=len(table), envelope_ok=True)
     heights = np.append(np.linspace(2.0, t_max, 102)[1:-1], t_max)
     counts = np.searchsorted(table.gammas, heights, side="right")
+    failures = []
     for h, n in zip(heights.tolist(), counts.tolist()):
         f, r = big_f(h), big_r(h)
         if abs(n - f) > r:
-            report.envelope_ok = False
-            report.envelope_failures.append((h, n, f, r))
-
-    report.certified_count, _, report.turing_blocks = _gram_scan(t_max, t_max)
-    report.passed = report.envelope_ok and table.count_at(t_max) == report.certified_count
-    return report
+            failures.append((h, n, f, r))
+    certified, _, k = _gram_scan(t_max, t_max)
+    return AuditReport(t_max=t_max, count=len(table), envelope_ok=not failures,
+                       envelope_failures=tuple(failures), certified_count=certified,
+                       turing_blocks=k,
+                       passed=not failures and table.count_at(t_max) == certified)
 
 
 def build_table(t_max: float) -> ZeroTable:
@@ -453,7 +452,7 @@ def build_table(t_max: float) -> ZeroTable:
     if not 20.0 <= t_max <= 1e6:
         raise DomainError(f"build_table requires 20 <= t_max <= 1e6, got {t_max}")
     zeros = _refine_many(_gram_scan(2.0, t_max)[1])
-    table = ZeroTable(zeros[:, 0], zeros[:, 1], t_max, "computed")
+    table = ZeroTable(zeros[:, 0], zeros[:, 1], t_max)
     report = table.audit = audit_completeness(table)
     if not report.passed:
         raise AuditError(
@@ -495,15 +494,14 @@ def _replace_atomically(path: Path, data: bytes) -> None:
 
 
 def save_table(table: ZeroTable, path: str | Path) -> None:
-    """Write the ordinates, and a sidecar with the coverage height, source,
-    audit status, ordinate count and sha256 of the table bytes."""
+    """Write the ordinates, and a sidecar with the coverage height, audit
+    status, ordinate count, sha256 of the table bytes and tool version."""
     import hashlib  # not at module top: it loads OpenSSL into every zgb process
     path = Path(path)
     data = "".join(f"{g:.{_TABLE_DECIMALS}f}\n" for g in table.gammas.tolist()).encode()
     _replace_atomically(path, data)
     meta = {
         "t_max": table.t_max,
-        "source": table.source,
         "audited": table.audited,
         "count": len(table),
         "sha256": hashlib.sha256(data).hexdigest(),
@@ -581,27 +579,27 @@ def _read_ordinates(path: str | Path) -> tuple[np.ndarray, float, bytes]:
 
 
 def load_table(path: str | Path) -> ZeroTable:
-    """Load a persisted table, honouring its sidecar metadata when present.
+    """Load a table file, computed or published, honouring its sidecar when
+    present; this is the one reader of table files.
 
-    Without a sidecar this is plain reference-file parsing, whose audited
-    coverage ends just past the last printed ordinate.  The sidecar restores
-    the original coverage height (a computed table is complete up to the
-    height it was built for, not merely up to its last zero) and the source
-    tag.  Either way the file is parsed once and audited once, at the
-    coverage height.  A sidecar that is not a JSON object, whose t_max
+    Without a sidecar the audited coverage ends just past the last printed
+    ordinate, so the inclusive boundary convention survives the file's
+    rounding.  A sidecar restores the original coverage height (a computed
+    table is complete up to the height it was built for, not merely up to
+    its last zero).  Either way the file is parsed once and audited once, at
+    the coverage height.  A sidecar that is not a JSON object, whose t_max
     ZeroTable rejects, or whose count or sha256 disagrees with the table file,
     raises TableFormatError; a sidecar without those two fields is trusted as
-    it is.
+    it is, and keys it does not name are ignored.
     """
-    import hashlib  # not at module top: it loads OpenSSL into every zgb process
     gammas, abs_err, data = _read_ordinates(path)
-    t_max, source = float(gammas[-1]) + abs_err, "ingested"
+    t_max = float(gammas[-1]) + abs_err
     meta_path = sidecar_path(path)
     if meta_path.exists():
+        import hashlib  # not at module top: it loads OpenSSL into every zgb process
         try:
             meta = json.loads(meta_path.read_bytes())
             t_max = float(meta.get("t_max", t_max))
-            source = meta.get("source", source)
         except (ValueError, TypeError, AttributeError) as exc:
             raise TableFormatError(f"malformed sidecar {meta_path}: {exc}") from exc
         if meta.get("count", gammas.size) != gammas.size:
@@ -610,7 +608,7 @@ def load_table(path: str | Path) -> ZeroTable:
         if "sha256" in meta and meta["sha256"] != hashlib.sha256(data).hexdigest():
             raise TableFormatError(f"sidecar {meta_path} sha256 does not match the table file")
     try:
-        table = ZeroTable(gammas, np.full(gammas.size, abs_err), t_max, source)
+        table = ZeroTable(gammas, np.full(gammas.size, abs_err), t_max)
     except ValueError as exc:  # a t_max the audit cannot use
         raise TableFormatError(f"sidecar {meta_path}: {exc}") from exc
     table.audit = audit_completeness(table)

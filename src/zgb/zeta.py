@@ -104,10 +104,9 @@ def rs_theta(t):
     Accepts scalars or arrays.
     """
     arr = np.asarray(t, dtype=float)
-    low = arr < _THETA_SERIES_MIN
-    has_low = low.any()  # ndarray.any: np.any adds microseconds of dispatch a call
-    if has_low and (arr[low] < 1.0).any():
-        raise DomainError("rs_theta requires t >= 1")
+    least = arr.min(initial=math.inf)
+    if not (least >= 1.0 and arr.max(initial=-math.inf) < math.inf):  # True for a NaN t too
+        raise DomainError("rs_theta requires finite t >= 1")
     main = 0.5 * arr * (np.log(arr / TWO_PI) - 1.0) - math.pi / 8.0
     inv2 = 1.0 / (arr * arr)
     corr = _THETA_COEFFS[-1] * inv2
@@ -115,7 +114,8 @@ def rs_theta(t):
         corr = (corr + c) * inv2
     corr *= arr  # series is in odd powers 1/t, 1/t^3, ...
     out = main + corr
-    if has_low:
+    if least < _THETA_SERIES_MIN:
+        low = arr < _THETA_SERIES_MIN
         # Im log Gamma(w) at w = 1/4 + K + it/2 by Stirling, Im[(w - 1/2) log w
         # - w] plus the series in odd powers of 1/w, then the recurrence
         # Gamma(w) = Gamma(1/4 + it/2) prod_{j<K} (1/4 + j + it/2) back down
@@ -138,8 +138,8 @@ def rs_theta(t):
 def rs_theta_deriv(t):
     """Derivative of the theta expansion; ~ 0.5 log(t/2pi) for large t."""
     arr = np.asarray(t, dtype=float)
-    if (arr < 1.0).any():
-        raise DomainError("rs_theta_deriv requires t >= 1")
+    if not (arr.min(initial=math.inf) >= 1.0 and arr.max(initial=-math.inf) < math.inf):
+        raise DomainError("rs_theta_deriv requires finite t >= 1")
     out = 0.5 * np.log(arr / TWO_PI)
     inv2 = 1.0 / (arr * arr)
     power = inv2.copy()

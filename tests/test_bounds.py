@@ -33,6 +33,7 @@ from zgb.bounds import (
     upper_bound_a,
 )
 from zgb.errors import DomainError
+from zgb.zeta import rs_theta, rs_theta_deriv
 
 from oracles import e_frak_quadrature
 
@@ -73,6 +74,20 @@ def test_big_r_at_100():
 def test_domain_errors_below_2(func):
     with pytest.raises(DomainError):
         func(1.5)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("func", [
+    big_f, big_r, main_term, antideriv_f, antideriv_r, exp_integral_e1, e_frak,
+    e_frak_sandwich, tail_upper, tail_lower, upper_bound_a, lower_bound_a,
+    rs_theta, rs_theta_deriv,
+    pytest.param(lambda x: main_term(np.array([5.0, x])), id="main_term_array"),
+    pytest.param(lambda x: rs_theta(np.array([5.0, 100.0, x])), id="rs_theta_array"),
+], ids=lambda f: f.__name__)
+def test_non_finite_argument_raises_domain_error(func, x):
+    # no NaN, inf or ConvergenceError comes back from outside the domain
+    with pytest.raises(DomainError):
+        func(x)
 
 
 # ------------------------------------------------------------------ main term

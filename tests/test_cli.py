@@ -126,6 +126,17 @@ def test_ingest_detects_corruption(capsys, tmp_path, reference_path):
     assert report["validation"]["passed"] is False
 
 
+def test_ingest_refuses_a_file_that_fails_its_sidecar(capsys, tmp_path, table1000,
+                                                     reference_path):
+    path = tmp_path / "zeros1000.txt"
+    save_table(table1000, path)
+    meta = sidecar_path(path)
+    meta.write_text(json.dumps({**json.loads(meta.read_text()), "sha256": "0" * 64}))
+    code, out = run_cli(capsys, "ingest", "--file", str(path), "--table", str(reference_path))
+    assert code == 2
+    assert json.loads(out)["error"] == "TableFormatError"
+
+
 def test_invalid_input_exits_2(capsys, reference_path):
     code, out = run_cli(capsys, "verify", "--t-min", "1", "--t-max", "100",
                         "--samples", "10", "--table", str(reference_path))
@@ -337,11 +348,13 @@ def test_package_does_not_import_mpmath():
     )
 
 
-def test_package_defers_hashlib():
-    # hashlib loads OpenSSL (~3.5 MB of RSS); only save_table and load_table
-    # hash, so they import it
+def test_package_defers_hashlib(reference_path):
+    # hashlib loads OpenSSL (~3.5 MB of RSS); only save_table and the
+    # sidecar check of load_table hash, so they import it, and a reference
+    # file without a sidecar loads without it
     env = dict(os.environ, PYTHONPATH=str(Path(zgb.__file__).parents[1]))
-    code = "import sys, zgb, zgb.cli; assert not {'hashlib', '_hashlib'} & sys.modules.keys()"
+    code = (f"import sys, zgb, zgb.cli; zgb.parse_reference({str(reference_path)!r}); "
+            "assert not {'hashlib', '_hashlib'} & sys.modules.keys()")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 

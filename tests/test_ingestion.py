@@ -1,5 +1,7 @@
 """Reference-table parsing and cross-validation."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,12 @@ from hypothesis import strategies as st
 
 from zgb.errors import CoverageError, TableFormatError, ValidationError
 from zgb.ingestion import cross_validate, parse_reference
-from zgb.zeros import ZeroTable
+from zgb.zeros import ZeroTable, save_table, sidecar_path
 
 
 def test_parse_reference_file(reference_path):
     table = parse_reference(reference_path)
     assert len(table) == 649
-    assert table.source == "ingested"
     assert table.audited
     assert table.gammas[0] == pytest.approx(14.134725142, abs=1e-12)
     assert table.abs_err[0] == pytest.approx(1e-9)
@@ -26,6 +27,21 @@ def test_parse_reference_declared_count(reference_path):
     assert len(parse_reference(reference_path, declared_count=649)) == 649
     with pytest.raises(TableFormatError):
         parse_reference(reference_path, declared_count=650)
+
+
+def test_reference_with_a_sidecar_reads_under_its_rules(table1000, tmp_path):
+    # load_table reads every table file: a saved table keeps its coverage
+    # height as a reference too, and a sidecar that does not match its table
+    # file is refused
+    path = tmp_path / "zeros1000.txt"
+    save_table(table1000, path)
+    table = parse_reference(path, declared_count=649)
+    assert table.t_max == 1000.0
+    assert table.audited
+    meta = sidecar_path(path)
+    meta.write_text(json.dumps({**json.loads(meta.read_text()), "sha256": "0" * 64}))
+    with pytest.raises(TableFormatError, match="sha256"):
+        parse_reference(path)
 
 
 def test_parse_two_column_layout(reference_path, tmp_path):
@@ -115,21 +131,20 @@ def test_cross_validate_missing_zero_is_fatal(table1000, reference_path):
         np.delete(table1000.gammas, 300),
         np.delete(table1000.abs_err, 300),
         t_max=1000.0,
-        source="computed",
     )
     with pytest.raises(ValidationError):
         cross_validate(broken, reference)
 
 
 def test_cross_validate_disjoint_coverage(table1000):
-    empty = ZeroTable([], [], t_max=10.0, source="computed")
+    empty = ZeroTable([], [], t_max=10.0)
     with pytest.raises(CoverageError):
         cross_validate(empty, table1000)
 
 
 def test_cross_validate_without_comparable_ordinates(table1000):
     # common coverage up to 30, but one table holds no ordinate there
-    empty = ZeroTable([], [], t_max=30.0, source="computed")
+    empty = ZeroTable([], [], t_max=30.0)
     with pytest.raises(CoverageError, match="no comparable ordinates"):
         cross_validate(empty, table1000)
 
@@ -167,14 +182,8 @@ def test_parse_rejects_nonfinite(tmp_path):
 def test_cross_validate_boundary_straggler_excused():
     # a zero straddling the coverage cut by less than combined rounding is
     # excluded from comparison rather than treated as a missing zero
-    computed = ZeroTable(
-        [14.134725142, 21.00000005], [1e-8, 1e-8],
-        t_max=25.0, source="computed",
-    )
-    reference = ZeroTable(
-        [14.134725142], [1e-7],
-        t_max=21.0 + 1e-7, source="ingested",
-    )
+    computed = ZeroTable([14.134725142, 21.00000005], [1e-8, 1e-8], t_max=25.0)
+    reference = ZeroTable([14.134725142], [1e-7], t_max=21.0 + 1e-7)
     report = cross_validate(computed, reference)
     assert report.n_compared == 1
     assert report.passed

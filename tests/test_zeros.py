@@ -6,6 +6,7 @@ N(1000) = 649, and the close pair near 7005 whose gap (0.0377) is far below
 the initial grid step.
 """
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -88,7 +89,7 @@ def test_isolate_raises_on_a_short_gram_block(monkeypatch):
 def test_audit_certifies_the_count_at_1e6():
     # Z runs a few Gram blocks past 1e6, so Turing's method certifies
     # N(1e6) = 1,747,146 at 1e6 itself, and an empty table fails against it
-    report = audit_completeness(ZeroTable([], [], t_max=1e6, source="computed"))
+    report = audit_completeness(ZeroTable([], [], t_max=1e6))
     assert report.certified_count == 1747146
     assert not report.passed
     brackets = isolate_zeros(999990.0, 1e6)
@@ -367,7 +368,6 @@ def test_refine_lehmer_pair():
 def test_build_table_100(table100):
     assert len(table100) == 29
     assert table100.audited
-    assert table100.source == "computed"
 
 
 def test_build_table_20():
@@ -456,31 +456,31 @@ def test_stability_under_half_step(table1000):
 def test_zero_table_validation():
     err = [1e-9, 1e-9]
     with pytest.raises(ValueError, match="at or below 14"):
-        ZeroTable([14.134725, 13.0], err, 25.0, "computed")
+        ZeroTable([14.134725, 13.0], err, 25.0)
     with pytest.raises(ValueError, match="at or below 14"):
-        ZeroTable([14.134725, 14.0], err, 25.0, "computed")
+        ZeroTable([14.134725, 14.0], err, 25.0)
     with pytest.raises(ValueError, match="increase strictly, got 21.0 after 21.02204"):
-        ZeroTable([14.134725, 21.02204, 21.0], err + [1e-9], 25.0, "computed")
+        ZeroTable([14.134725, 21.02204, 21.0], err + [1e-9], 25.0)
     with pytest.raises(ValueError, match="increase strictly"):
-        ZeroTable([14.134725, float("nan")], err, 25.0, "computed")
+        ZeroTable([14.134725, float("nan")], err, 25.0)
     # a t_max the audit cannot use: not finite, or below the last ordinate
     # by more than its abs_err
     gammas = [14.134725142, 21.022039639]
     for t_max in (float("nan"), float("inf"), 20.0, 21.022039637):
         with pytest.raises(ValueError, match="not a finite height"):
-            ZeroTable(gammas, err, t_max, "computed")
+            ZeroTable(gammas, err, t_max)
     # a t_max within the last ordinate's abs_err of it still covers it
-    assert ZeroTable(gammas, err, 21.022039638, "computed").t_max == 21.022039638
+    assert ZeroTable(gammas, err, 21.022039638).t_max == 21.022039638
     with pytest.raises(ValueError, match="not a finite height"):
-        ZeroTable([], [], float("-inf"), "computed")
+        ZeroTable([], [], float("-inf"))
     # abs_err is a finite, non-negative 1-D column as long as gammas
     for bad_gammas, bad_err in ((gammas, err[:1]), (gammas, err + [1e-9]),
                                 (gammas, [err]), ([gammas], [err])):
         with pytest.raises(ValueError, match="1-D columns of one length"):
-            ZeroTable(bad_gammas, bad_err, 25.0, "computed")
+            ZeroTable(bad_gammas, bad_err, 25.0)
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and >= 0"):
-            ZeroTable(gammas, [bad, 1e-9], 25.0, "computed")
+            ZeroTable(gammas, [bad, 1e-9], 25.0)
 
 
 # ---------------------------------------------------------------------- count
@@ -504,7 +504,7 @@ def test_count_range_error(table100):
 
 
 def test_count_requires_audit(table100):
-    stale = ZeroTable(table100.gammas, table100.abs_err, table100.t_max, "computed")
+    stale = ZeroTable(table100.gammas, table100.abs_err, table100.t_max)
     with pytest.raises(AuditError):
         count_up_to(stale, 50.0)
 
@@ -514,10 +514,10 @@ def test_audit_state_comes_from_the_audit(table100):
     # audit_completeness fills audit
     columns = (table100.gammas, table100.abs_err, table100.t_max)
     with pytest.raises(TypeError):
-        ZeroTable(*columns, audited=True, source="computed")
+        ZeroTable(*columns, audited=True)
     with pytest.raises(TypeError):
-        ZeroTable(*columns, source="computed", audit=table100.audit)
-    table = ZeroTable(*columns, "computed")
+        ZeroTable(*columns, audit=table100.audit)
+    table = ZeroTable(*columns)
     assert table.audit is None and not table.audited
     with pytest.raises(AttributeError):
         table.audited = True
@@ -548,13 +548,25 @@ def test_audit_catches_missing_pair(table100):
         np.delete(table100.gammas, [14, 15]),
         np.delete(table100.abs_err, [14, 15]),
         t_max=100.0,
-        source="computed",
     )
     report = audit_completeness(broken)
     assert report.envelope_ok
     assert not report.passed
     assert report.certified_count == 29
     assert report.count == 27
+
+
+def test_audit_report_cannot_be_forged(table100):
+    # a table short of its last zero fails its audit, and the report is fixed
+    # once made: setting passed raises, so no count comes from the bad table
+    bad = ZeroTable(table100.gammas[:-1], table100.abs_err[:-1], 100.0)
+    bad.audit = audit_completeness(bad)
+    assert not bad.audited
+    assert bad.audit.certified_count == 29 and bad.audit.count == 28
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bad.audit.passed = True
+    with pytest.raises(AuditError):
+        count_up_to(bad, 100.0)
 
 
 def test_audit_certifies_the_count(table1000):
@@ -564,7 +576,7 @@ def test_audit_certifies_the_count(table1000):
 
 
 def test_audit_empty_table_low_coverage():
-    empty = ZeroTable([], [], t_max=10.0, source="computed")
+    empty = ZeroTable([], [], t_max=10.0)
     report = audit_completeness(empty)
     assert report.envelope_ok
     assert report.passed
@@ -581,7 +593,7 @@ def test_save_and_reparse_round_trip(table100, tmp_path):
     assert np.max(np.abs(resurrected.gammas - table100.gammas)) < 1e-9
     meta = json.loads(sidecar_path(path).read_text())
     assert meta["t_max"] == 100.0
-    assert meta["source"] == "computed"
+    assert resurrected.t_max == 100.0
     assert meta["audited"] is True
     assert "tool_version" in meta
 
@@ -604,7 +616,6 @@ def test_load_table_audits_once(table100, tmp_path, monkeypatch):
     assert calls == [100.0]
     assert loaded.audited
     assert loaded.t_max == 100.0
-    assert loaded.source == "computed"
     assert np.array_equal(loaded.gammas, parse_reference(path).gammas)
 
 
@@ -631,9 +642,10 @@ def test_load_table_checks_the_sidecar(table100, tmp_path):
     path.write_text("".join(lines))
     with pytest.raises(TableFormatError, match="sha256"):
         load_table(path)
-    # a sidecar without the two fields, as older versions wrote, still loads
+    # a sidecar without the two fields, as older versions wrote, still loads,
+    # and so does the source key they wrote
     del meta["count"], meta["sha256"]
-    meta_path.write_text(json.dumps(meta))
+    meta_path.write_text(json.dumps({**meta, "source": "computed"}))
     assert len(load_table(path)) == 29
     for broken in ('{"t_max": 100.0,\n', "[1, 2]", '{"t_max": "high"}'):
         meta_path.write_text(broken)
