@@ -50,18 +50,22 @@ C_AL_FLOOR = Fraction(3, 50)
 E_FRAK_EVAL_ERR = 1e-13
 
 
+def _check_domain(name: str, var: str, x: float, lo: float) -> None:
+    """Raise DomainError unless lo <= x < inf, which NaN and inf fail too."""
+    if not lo <= x < math.inf:
+        raise DomainError(f"{name} requires finite {var} >= {lo}, got {x}")
+
+
 def big_f(T: float) -> float:
     """Smooth main term F(T) of the zero count, defined for T >= 2."""
-    if not 2 <= T < math.inf:  # True for a NaN T too, and for an infinite one
-        raise DomainError(f"big_f requires finite T >= 2, got {T}")
+    _check_domain("big_f", "T", T, 2)
     x = T / TWO_PI
     return x * math.log(x) - x + 0.875
 
 
 def big_r(T: float) -> float:
     """Rosser's explicit envelope radius R(T), defined for T >= 2."""
-    if not 2 <= T < math.inf:
-        raise DomainError(f"big_r requires finite T >= 2, got {T}")
+    _check_domain("big_r", "T", T, 2)
     lt = math.log(T)
     return 0.137 * lt + 0.433 * math.log(lt) + 397.0 / 250.0
 
@@ -84,8 +88,7 @@ def main_term(T: float | np.ndarray) -> float | np.ndarray:
 
 def antideriv_f(t: float) -> float:
     """Antiderivative P of F(t)/t^2, so that P'(t) = big_f(t)/t^2."""
-    if not 2 <= t < math.inf:
-        raise DomainError(f"antideriv_f requires finite t >= 2, got {t}")
+    _check_domain("antideriv_f", "t", t, 2)
     lt = math.log(t)
     return (
         lt * lt / FOUR_PI
@@ -97,8 +100,7 @@ def antideriv_f(t: float) -> float:
 
 def antideriv_r(t: float) -> float:
     """Antiderivative Q of R(t)/t^2, so that Q'(t) = big_r(t)/t^2."""
-    if not 2 <= t < math.inf:
-        raise DomainError(f"antideriv_r requires finite t >= 2, got {t}")
+    _check_domain("antideriv_r", "t", t, 2)
     return _antideriv_r_elementary(t) - 0.433 * e_frak(t)
 
 
@@ -163,8 +165,7 @@ def e_frak(t: float) -> float:
     exponential integral.  Its independent check, adaptive quadrature of the
     definition, lives with the tests in tests/oracles.py.
     """
-    if not 1.0 + 1e-6 <= t < math.inf:
-        raise DomainError(f"e_frak requires finite t >= 1 + 1e-6, got {t}")
+    _check_domain("e_frak", "t", t, 1.0 + 1e-6)
     return exp_integral_e1(math.log(t))
 
 
@@ -182,8 +183,7 @@ def e_frak_sandwich(t: float) -> SandwichResult:
     `holds` demands both strict inequalities with margin exceeding the
     evaluation error of the E1 path (L = log t).
     """
-    if not 2 <= t < math.inf:
-        raise DomainError(f"e_frak_sandwich requires finite t >= 2, got {t}")
+    _check_domain("e_frak_sandwich", "t", t, 2)
     lt = math.log(t)
     base = 1.0 / (t * lt)
     lo = base - 1.0 / (t * lt * lt)
@@ -202,16 +202,14 @@ def e_frak_sandwich(t: float) -> SandwichResult:
 
 def tail_upper(T: float) -> float:
     """Tail of the sharp upper bound; negative once T >= 2.222."""
-    if not 2 <= T < math.inf:
-        raise DomainError(f"tail_upper requires finite T >= 2, got {T}")
+    _check_domain("tail_upper", "T", T, 2)
     lt = math.log(T)
     return -(137.0 * lt * lt + 433.0 * lt - 433.0) / (1000.0 * T * lt * lt)
 
 
 def tail_lower(T: float) -> float:
     """Tail of the sharp lower bound; positive for all T >= 2."""
-    if not 2 <= T < math.inf:
-        raise DomainError(f"tail_lower requires finite T >= 2, got {T}")
+    _check_domain("tail_lower", "T", T, 2)
     lt = math.log(T)
     llt = math.log(lt)
     num = (274.0 * lt**3 + 866.0 * llt * lt * lt + 3313.0 * lt * lt
@@ -226,8 +224,7 @@ class BoundPair(NamedTuple):
 
 def upper_bound_a(T: float, constants: "BoundConstants | None" = None) -> BoundPair:
     """Upper bounds for A(T), sharp and simplified, valid for T >= 2.222."""
-    if not UPPER_THRESHOLD <= T < math.inf:
-        raise DomainError(f"upper_bound_a requires finite T >= {UPPER_THRESHOLD}, got {T}")
+    _check_domain("upper_bound_a", "T", T, UPPER_THRESHOLD)
     c = constants if constants is not None else compute_constants()
     m = main_term(T)
     return BoundPair(m + c.c_au + tail_upper(T), m + float(C_AU_CAP))
@@ -236,8 +233,7 @@ def upper_bound_a(T: float, constants: "BoundConstants | None" = None) -> BoundP
 def lower_bound_a(T: float, constants: "BoundConstants | None" = None) -> BoundPair:
     """Lower bounds for A(T), defined for T >= 2.  The simplified form holds
     there, the sharp form only from the fourth ordinate, 30.4249, up."""
-    if not 2 <= T < math.inf:
-        raise DomainError(f"lower_bound_a requires finite T >= 2, got {T}")
+    _check_domain("lower_bound_a", "T", T, 2)
     c = constants if constants is not None else compute_constants()
     m = main_term(T)
     return BoundPair(m + c.c_al + tail_lower(T), m + float(C_AL_FLOOR))

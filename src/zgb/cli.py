@@ -52,10 +52,10 @@ def _cache_file(t_max: float) -> str:
 def _resolve_table(path: str | None, needed_t_max: float) -> ZeroTable:
     """--table file, else an adequate cached table, else a fresh build.
 
-    A cached table that fails to load with TableFormatError, loads
-    unaudited, or covers less than its file name says (the name rounds t_max
-    to six digits), is rebuilt and saved over; a --table file is used as
-    given.
+    A cached table that fails to load with TableFormatError, fails its
+    audit, or covers less than its file name says (the name rounds t_max to
+    six digits), is rebuilt and saved over; a --table file is used as given,
+    and the query's first count runs its audit.
     """
     if path:
         return load_table(path)
@@ -77,7 +77,7 @@ def _resolve_table(path: str | None, needed_t_max: float) -> ZeroTable:
                 table = None
             if table is not None and table.audited and table.t_max >= needed_t_max:
                 return table
-            needed_t_max = t  # a corrupt, unaudited or short entry is built again
+            needed_t_max = t  # a corrupt, failing or short entry is built again
     table = build_table(max(20.0, needed_t_max))
     if cache is not None:
         cache.mkdir(parents=True, exist_ok=True)
@@ -88,9 +88,13 @@ def _resolve_table(path: str | None, needed_t_max: float) -> ZeroTable:
 def _emit(report: dict, fmt: str, out: str | None, rows=None, columns=None) -> None:
     if fmt == "csv":
         buf = io.StringIO()
-        if rows is None:
-            columns = sorted(report)
-            rows = [[report[k] for k in columns]]
+        if rows is None:  # one row; a nested dict spreads over "<key>.<field>" columns
+            flat = {}
+            for k, v in report.items():
+                flat.update({f"{k}.{f}": x for f, x in v.items()}
+                            if isinstance(v, dict) else {k: v})
+            columns = sorted(flat)
+            rows = [[flat[k] for k in columns]]
         writer = csv.writer(buf)
         writer.writerow(columns)
         writer.writerows(rows)
@@ -107,10 +111,8 @@ def _cmd_zeros(args) -> int:
     table = build_table(args.t_max)
     dest = args.out
     if dest is None:
-        cache = _cache_dir()
-        base = cache if cache is not None else Path.cwd()
-        if cache is not None:
-            cache.mkdir(parents=True, exist_ok=True)
+        base = _cache_dir() or Path.cwd()
+        base.mkdir(parents=True, exist_ok=True)
         dest = str(base / _cache_file(table.t_max))
     save_table(table, dest)
     report = {
@@ -214,7 +216,8 @@ def _cmd_ingest(args) -> int:
         "ingested_audited": reference.audited,
         "validation": asdict(validation),
     }
-    ok = reference.audited and validation.passed
+    # a --table that fails its audit is no table to validate against
+    ok = reference.audited and computed.audited and validation.passed
     _emit(report, args.format, args.out)
     return 0 if ok else 1
 

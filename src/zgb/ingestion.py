@@ -3,8 +3,8 @@ against computed tables.
 
 A reference file is read by zgb.zeros.load_table, the one reader of table
 files: it infers the error bound from the printed precision, never assuming
-one, honours a sidecar when there is one, and audits the table at its
-coverage height.  What this module adds is what is specific to reference
+one, and honours a sidecar when there is one; the table audits itself at
+its coverage height.  What this module adds is what is specific to reference
 files: an optional declared ordinate count, and the comparison with a
 computed table.
 """

@@ -60,10 +60,8 @@ def partial_sum(table: ZeroTable, phi: Callable[[float], float],
     if not V >= U:
         raise DomainError("partial_sum requires V >= U")
     hi = count_up_to(table, V)
-
-    gammas = table.gammas
-    lo = int(np.searchsorted(gammas, U, side="right"))
-    inside = gammas[lo:hi]
+    lo = table.count_at(U)
+    inside = table.gammas[lo:hi]
 
     values = [phi(x) for x in [U, *inside.tolist(), V]]  # one call per point
     direct = float(_neumaier_prefix(np.array(values[1:-1]))[-1])
@@ -147,14 +145,13 @@ def theorem_sweep(table: ZeroTable, t_min: float, t_max: float,
     the result aggregates the global extremes.
     """
     check_sweep_range(t_min, t_max, samples)
-    count_up_to(table, t_max)  # coverage and audit guard
-
-    g = table.gammas
-    k = np.arange(*np.searchsorted(g, [t_min, t_max], side="right"))  # gamma in (t_min, t_max]
+    hi = count_up_to(table, t_max)  # coverage and audit guard
+    k = np.arange(table.count_at(t_min), hi)
+    g = table.gammas[k]  # gamma in (t_min, t_max]
     T = np.unique(np.r_[np.linspace(t_min, t_max, samples), t_max,
-                        np.clip(2 * math.pi, t_min, t_max), g[k]])
-    at = np.searchsorted(T, g[k])  # each left limit goes just before its A(gamma)
-    n = np.insert(np.searchsorted(g, T, side="right"), at, k)
+                        np.clip(2 * math.pi, t_min, t_max), g])
+    at = np.searchsorted(T, g)  # each left limit goes just before its A(gamma)
+    n = np.insert(table.count_at(T), at, k)
     T, m_val = (np.insert(x, at, x[at]) for x in (T, main_term(T)))
     a_val = table.prefix[n]
     delta = a_val - m_val

@@ -19,9 +19,10 @@ to zeta.EM_POLISH_MAX).  The finished table is audited two ways:
 * Turing certificate: the same Gram-block routine certifies N(t_max), and the
   table must hold exactly that many ordinates up to t_max.
 
-A failure of either leaves the table unaudited, and build_table raises
-AuditError.  A multiple zero shows no sign change of its own, so it would
-surface as a block that stays short, not as a wrong table.
+A table runs its audit on the first read of ZeroTable.audit; a failure of
+either check fails it, build_table then raises AuditError, and count_up_to
+refuses the table.  A multiple zero shows no sign change of its own, so it
+would surface as a block that stays short, not as a wrong table.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import json
 import math
 import os
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -75,22 +76,22 @@ class AuditReport:
     passed: bool
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ZeroTable:
-    """Sorted ordinates covering (0, t_max], held as two 1-D columns of one
-    length: the heights gammas and their finite, non-negative absolute error
-    bounds abs_err.  t_max must be finite and no lower than the last ordinate
-    less its abs_err.  A table starts unaudited; build_table and load_table
-    set audit to audit_completeness(table), and audited is derived from it."""
+    """Sorted ordinates covering (0, t_max], held as two read-only 1-D columns
+    of one length, copied from the caller's: the heights gammas and their
+    finite, non-negative absolute error bounds abs_err.  t_max must be finite
+    and no lower than the last ordinate less its abs_err.  The table is
+    frozen, so its audit, run by the first read of audit, stays its own."""
 
     gammas: np.ndarray
     abs_err: np.ndarray
     t_max: float
-    audit: AuditReport | None = field(default=None, init=False)
 
     def __post_init__(self):
-        g = self.gammas = np.ascontiguousarray(self.gammas, dtype=float)
-        e = self.abs_err = np.ascontiguousarray(self.abs_err, dtype=float)
+        g, e = (np.array(c, dtype=float) for c in (self.gammas, self.abs_err))
+        g.flags.writeable = e.flags.writeable = False
+        vars(self).update(gammas=g, abs_err=e)  # past the frozen __setattr__
         if g.ndim != 1 or e.shape != g.shape:
             raise ValueError(f"gammas and abs_err must be 1-D columns of one length, "
                              f"got shapes {g.shape} and {e.shape}")
@@ -109,22 +110,30 @@ class ZeroTable:
             raise ValueError(f"t_max {self.t_max} is not a finite height at or above "
                              f"the last ordinate less its abs_err, {last}")
 
+    @cached_property
+    def audit(self) -> AuditReport:
+        """audit_completeness(self), run on the first read."""
+        return audit_completeness(self)
+
     @property
     def audited(self) -> bool:
-        """True when the table's audit ran and passed."""
-        return self.audit is not None and self.audit.passed
+        """True when the table's audit passed."""
+        return self.audit.passed
 
     @cached_property
     def prefix(self) -> np.ndarray:
         """prefix[k] = compensated sum of 1/gamma over the first k ordinates."""
-        return _neumaier_prefix(1.0 / self.gammas)
+        prefix = _neumaier_prefix(1.0 / self.gammas)
+        prefix.flags.writeable = False
+        return prefix
 
     def __len__(self) -> int:
         return self.gammas.size
 
-    def count_at(self, T: float) -> int:
-        """Number of ordinates <= T (no audit requirement; internal queries)."""
-        return int(np.searchsorted(self.gammas, T, side="right"))
+    def count_at(self, T: float | np.ndarray) -> int | np.ndarray:
+        """Ordinates <= T, at a height or at each of an array; no audit needed."""
+        n = np.searchsorted(self.gammas, T, side="right")
+        return n if np.ndim(n) else int(n)
 
 
 def _neumaier_prefix(values: np.ndarray) -> np.ndarray:
@@ -434,15 +443,12 @@ def audit_completeness(table: ZeroTable) -> AuditReport:
     zero count at t_max."""
     t_max = table.t_max
     heights = np.append(np.linspace(2.0, t_max, 102)[1:-1], t_max)
-    counts = np.searchsorted(table.gammas, heights, side="right")
-    failures = []
-    for h, n in zip(heights.tolist(), counts.tolist()):
-        f, r = big_f(h), big_r(h)
-        if abs(n - f) > r:
-            failures.append((h, n, f, r))
+    envelope = [(h, n, big_f(h), big_r(h))
+                for h, n in zip(heights.tolist(), table.count_at(heights).tolist())]
+    failures = tuple(row for row in envelope if abs(row[1] - row[2]) > row[3])
     certified, _, k = _gram_scan(t_max, t_max)
     return AuditReport(t_max=t_max, count=len(table), envelope_ok=not failures,
-                       envelope_failures=tuple(failures), certified_count=certified,
+                       envelope_failures=failures, certified_count=certified,
                        turing_blocks=k,
                        passed=not failures and table.count_at(t_max) == certified)
 
@@ -453,7 +459,7 @@ def build_table(t_max: float) -> ZeroTable:
         raise DomainError(f"build_table requires 20 <= t_max <= 1e6, got {t_max}")
     zeros = _refine_many(_gram_scan(2.0, t_max)[1])
     table = ZeroTable(zeros[:, 0], zeros[:, 1], t_max)
-    report = table.audit = audit_completeness(table)
+    report = table.audit
     if not report.passed:
         raise AuditError(
             f"audit failed: {report.count} ordinates, Turing's method certifies "
@@ -586,8 +592,8 @@ def load_table(path: str | Path) -> ZeroTable:
     ordinate, so the inclusive boundary convention survives the file's
     rounding.  A sidecar restores the original coverage height (a computed
     table is complete up to the height it was built for, not merely up to
-    its last zero).  Either way the file is parsed once and audited once, at
-    the coverage height.  A sidecar that is not a JSON object, whose t_max
+    its last zero).  Like every table, it runs its audit at that height when
+    first asked for it.  A sidecar that is not a JSON object, whose t_max
     ZeroTable rejects, or whose count or sha256 disagrees with the table file,
     raises TableFormatError; a sidecar without those two fields is trusted as
     it is, and keys it does not name are ignored.
@@ -608,8 +614,6 @@ def load_table(path: str | Path) -> ZeroTable:
         if "sha256" in meta and meta["sha256"] != hashlib.sha256(data).hexdigest():
             raise TableFormatError(f"sidecar {meta_path} sha256 does not match the table file")
     try:
-        table = ZeroTable(gammas, np.full(gammas.size, abs_err), t_max)
+        return ZeroTable(gammas, np.full(gammas.size, abs_err), t_max)
     except ValueError as exc:  # a t_max the audit cannot use
         raise TableFormatError(f"sidecar {meta_path}: {exc}") from exc
-    table.audit = audit_completeness(table)
-    return table

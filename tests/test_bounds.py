@@ -7,6 +7,7 @@ for E(t)); tolerances leave room for float64 evaluation only.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,16 @@ def test_domain_errors_below_2(func):
 def test_non_finite_argument_raises_domain_error(func, x):
     # no NaN, inf or ConvergenceError comes back from outside the domain
     with pytest.raises(DomainError):
+        func(x)
+
+
+@pytest.mark.parametrize("func, x, message", [
+    (big_f, 1.5, "big_f requires finite T >= 2, got 1.5"),
+    (e_frak, 1.0, "e_frak requires finite t >= 1.000001, got 1.0"),
+    (upper_bound_a, 2.0, "upper_bound_a requires finite T >= 2.222, got 2.0"),
+])
+def test_domain_error_names_the_function_variable_and_bound(func, x, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         func(x)
 
 

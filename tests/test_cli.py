@@ -2,7 +2,9 @@
 
 import argparse
 import ast
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import zgb
+from zgb import zeros
 from zgb.cli import VERIFY_CSV_COLUMNS, main
 from zgb.zeros import save_table, sidecar_path
 
@@ -112,6 +115,39 @@ def test_ingest_against_itself(capsys, reference_path):
     assert report["ingested_count"] == 649
     assert report["validation"]["passed"] is True
     assert report["validation"]["max_abs_diff"] == 0.0
+
+
+def test_ingest_csv_spreads_the_validation_over_columns(capsys, reference_path):
+    code, out = run_cli(capsys, "ingest", "--file", str(reference_path),
+                        "--table", str(reference_path), "--format", "csv")
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["validation.passed"] == "True"
+    assert row["validation.n_compared"] == "649"
+    assert "validation" not in row
+
+
+@pytest.mark.parametrize("argv, tables", [
+    (["verify", "--t-min", "2", "--t-max", "500", "--samples", "20"], 1),
+    (["sum", "--at", "500"], 1),
+    (["count", "--at", "500"], 1),
+    (["ingest"], 2),  # the reference file and the --table
+])
+def test_each_query_audits_each_table_it_reads_once(capsys, monkeypatch, reference_path,
+                                                    argv, tables):
+    calls = []
+    original = zeros.audit_completeness
+
+    def counting(table):
+        calls.append(table)
+        return original(table)
+
+    monkeypatch.setattr(zeros, "audit_completeness", counting)
+    if argv == ["ingest"]:
+        argv = ["ingest", "--file", str(reference_path)]
+    code, _ = run_cli(capsys, *argv, "--table", str(reference_path))
+    assert code == 0
+    assert len(calls) == len({id(t) for t in calls}) == tables
 
 
 def test_ingest_detects_corruption(capsys, tmp_path, reference_path):
@@ -300,7 +336,7 @@ def test_corrupt_cache_entry_is_rebuilt(tmp_path, capsys, monkeypatch, table100)
             path.write_bytes(path.read_bytes() + b"\xff")
         else:
             # a table cut short, under a sidecar without count and sha256 as
-            # older versions wrote, loads unaudited
+            # older versions wrote, loads and fails its audit
             path.write_text("".join(path.read_text().splitlines(keepends=True)[:15]))
             meta = json.loads(sidecar_path(path).read_text())
             del meta["count"], meta["sha256"]

@@ -48,9 +48,9 @@ def test_a_at_1000(table1000):
 def test_a_range_and_audit_guards(table100):
     with pytest.raises(CoverageError):
         a_of_t(table100, 500.0)
-    stale = ZeroTable(table100.gammas, table100.abs_err, table100.t_max)
+    short = ZeroTable(table100.gammas[:-1], table100.abs_err[:-1], table100.t_max)
     with pytest.raises(AuditError):
-        a_of_t(stale, 50.0)
+        a_of_t(short, 50.0)
 
 
 def test_compensated_prefix_direction_independence():

@@ -504,25 +504,68 @@ def test_count_range_error(table100):
 
 
 def test_count_requires_audit(table100):
-    stale = ZeroTable(table100.gammas, table100.abs_err, table100.t_max)
+    # a table short of its last zero runs its audit on the first count,
+    # fails it, and is refused
+    short = ZeroTable(table100.gammas[:-1], table100.abs_err[:-1], table100.t_max)
     with pytest.raises(AuditError):
-        count_up_to(stale, 50.0)
+        count_up_to(short, 50.0)
+    assert not short.audited
 
 
 def test_audit_state_comes_from_the_audit(table100):
-    # no caller can claim an audit: audited derives from audit, and only
-    # audit_completeness fills audit
+    # no caller can claim an audit: audited derives from audit, which the
+    # table runs itself on the first read
     columns = (table100.gammas, table100.abs_err, table100.t_max)
     with pytest.raises(TypeError):
         ZeroTable(*columns, audited=True)
     with pytest.raises(TypeError):
         ZeroTable(*columns, audit=table100.audit)
     table = ZeroTable(*columns)
-    assert table.audit is None and not table.audited
     with pytest.raises(AttributeError):
         table.audited = True
-    table.audit = audit_completeness(table)
-    assert table.audited
+    assert table.audit is not table100.audit
+    assert table.audit == table100.audit and table.audited
+
+
+def test_a_foreign_audit_report_cannot_be_assigned(table100):
+    bad = ZeroTable(table100.gammas[:-1], table100.abs_err[:-1], 100.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bad.audit = table100.audit
+    with pytest.raises(AuditError):
+        count_up_to(bad, 100.0)
+    assert bad.audit.count == 28 and not bad.audited
+
+
+def test_t_max_cannot_be_reassigned():
+    table = build_table(100.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.t_max = 150.0
+    with pytest.raises(CoverageError):
+        count_up_to(table, 150.0)
+    # a table claiming more coverage is a new table, with an audit of its own
+    wider = dataclasses.replace(table, t_max=150.0)
+    with pytest.raises(AuditError):
+        count_up_to(wider, 150.0)
+    assert wider.audit.certified_count == 52
+
+
+def test_columns_cannot_be_written(table100):
+    table = build_table(100.0)
+    for column in (table.gammas, table.abs_err, table.prefix):
+        with pytest.raises(ValueError, match="read-only"):
+            column[5] = 40.0
+    assert count_up_to(table, 40.0) == 6
+    gammas = table100.gammas.copy()
+    table = ZeroTable(gammas, table100.abs_err, 100.0)
+    gammas[5] = 40.0  # the caller's array is not the table's
+    assert table.gammas[5] == table100.gammas[5]
+
+
+def test_count_at_takes_a_height_or_an_array(table100):
+    g1, g2 = table100.gammas[:2].tolist()
+    assert table100.count_at(g1) == 1 and type(table100.count_at(g1)) is int
+    heights = np.array([2.0, g1, g2, 100.0])
+    assert table100.count_at(heights).tolist() == [0, 1, 2, 29]
 
 
 def test_count_monotone(table1000):
@@ -557,10 +600,9 @@ def test_audit_catches_missing_pair(table100):
 
 
 def test_audit_report_cannot_be_forged(table100):
-    # a table short of its last zero fails its audit, and the report is fixed
-    # once made: setting passed raises, so no count comes from the bad table
+    # a table short of its last zero fails its own audit, and the report is
+    # fixed once made: setting passed raises, so no count comes from the table
     bad = ZeroTable(table100.gammas[:-1], table100.abs_err[:-1], 100.0)
-    bad.audit = audit_completeness(bad)
     assert not bad.audited
     assert bad.audit.certified_count == 29 and bad.audit.count == 28
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -613,8 +655,10 @@ def test_load_table_audits_once(table100, tmp_path, monkeypatch):
     for mod in (zeros, ingestion):
         monkeypatch.setattr(mod, "audit_completeness", counting, raising=False)
     loaded = load_table(path)
+    assert calls == []  # loading reads; the first count audits
+    assert count_up_to(loaded, 100.0) == 29
+    assert loaded.audited and count_up_to(loaded, 50.0) == 10
     assert calls == [100.0]
-    assert loaded.audited
     assert loaded.t_max == 100.0
     assert np.array_equal(loaded.gammas, parse_reference(path).gammas)
 
