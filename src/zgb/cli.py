@@ -208,16 +208,17 @@ def _cmd_verify(args) -> int:
 def _cmd_ingest(args) -> int:
     reference = parse_reference(args.file, declared_count=args.declared_count)
     computed = _resolve_table(args.table, reference.t_max)
-    validation = cross_validate(computed, reference)
+    # a table that fails its audit is no table to validate against
+    audited = reference.audited and computed.audited
+    validation = cross_validate(computed, reference) if audited else None
     report = {
         "command": "ingest",
         "file": str(args.file),
         "ingested_count": len(reference),
         "ingested_audited": reference.audited,
-        "validation": asdict(validation),
+        "validation": asdict(validation) if validation else None,
     }
-    # a --table that fails its audit is no table to validate against
-    ok = reference.audited and computed.audited and validation.passed
+    ok = audited and validation.passed
     _emit(report, args.format, args.out)
     return 0 if ok else 1
 

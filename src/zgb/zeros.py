@@ -193,10 +193,7 @@ def _brackets_from_grid(grid: np.ndarray, zvals: np.ndarray) -> np.ndarray:
     keep = np.abs(zvals) > zeta.hardy_z_err(grid)
     grid, zvals = grid[keep], zvals[keep]
     i = np.flatnonzero(np.signbit(zvals[:-1]) != np.signbit(zvals[1:]))
-    rows = np.empty((i.size, 4))
-    rows[:, 0], rows[:, 1] = grid[i], grid[i + 1]
-    rows[:, 2], rows[:, 3] = zvals[i], zvals[i + 1]
-    return rows
+    return np.column_stack((grid[i], grid[i + 1], zvals[i], zvals[i + 1]))
 
 
 def _grid(a: float, b: float, step: float) -> np.ndarray:
@@ -211,25 +208,43 @@ def _scan_window(a: float, b: float, step: float) -> np.ndarray:
     return _brackets_from_grid(grid, zeta.hardy_z_many(grid))
 
 
-def _rescan(a: list[float], b: list[float], want: list[int],
+def _pieces(rows: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> list[np.ndarray]:
+    """The views rows[start:stop], one for each start and stop."""
+    return list(map(rows.__getitem__, map(slice, starts.tolist(), stops.tolist())))
+
+
+def _rescan(a: np.ndarray, b: np.ndarray, want: np.ndarray,
             got: list[np.ndarray]) -> list[np.ndarray]:
     """Bracket rows of the Gram blocks [a, b] holding want zeros, from the
     rows got that their Gram points show: a block showing fewer is rescanned
-    at halving steps from (b - a)/want down to REFINE_FLOOR, all blocks still
-    short in one Z call a round."""
-    got = list(got)
-    step = [(hi - lo) / m for lo, hi, m in zip(a, b, want)]
-    live = range(len(got))
-    while live := [i for i in live if len(got[i]) < want[i] and step[i] > REFINE_FLOOR]:
-        grids = []
-        for i in live:
-            step[i] *= 0.5
-            grids.append(_grid(a[i], b[i], step[i]))
-        z = zeta.hardy_z_many(np.concatenate(grids))
-        cuts = np.cumsum([g.size for g in grids])[:-1]
-        for i, grid, zvals in zip(live, grids, np.split(z, cuts)):
-            got[i] = _brackets_from_grid(grid, zvals)
-    return got
+    at halving steps from (b - a)/want down to REFINE_FLOOR.  A round lays the
+    grids of the blocks still short end to end, point for point as _grid
+    makes them, for one Z and one hardy_z_err call; a sign change counts only
+    within a block, so each block's rows are _scan_window's at its last step.
+    """
+    n = np.fromiter(map(len, got), dtype=int, count=len(got))
+    rows, owner = np.concatenate([np.empty((0, 4)), *got]), np.repeat(np.arange(n.size), n)
+    step = (b - a) / want
+    live = np.flatnonzero((n < want) & (step > REFINE_FLOOR))
+    while live.size:
+        step[live] *= 0.5
+        width = b[live] - a[live]
+        npts = np.maximum(3, np.ceil(width / step[live]).astype(int) + 1)
+        last = np.cumsum(npts) - 1
+        j = np.arange(last[-1] + 1) - np.repeat(last + 1 - npts, npts)
+        grid = j * np.repeat(width / (npts - 1), npts) + np.repeat(a[live], npts)
+        grid[last] = b[live]
+        z = zeta.hardy_z_many(grid)
+        keep = np.abs(z) > zeta.hardy_z_err(grid)
+        grid, z, blk = grid[keep], z[keep], np.repeat(live, npts)[keep]
+        i = np.flatnonzero((np.signbit(z[:-1]) != np.signbit(z[1:])) & (blk[:-1] == blk[1:]))
+        n[live] = np.bincount(blk[i], minlength=n.size)[live]
+        stay = ~np.isin(owner, live)
+        owner = np.concatenate((owner[stay], blk[i]))
+        rows = np.concatenate((rows[stay], np.column_stack((grid[i], grid[i + 1], z[i], z[i + 1]))))
+        live = live[(n[live] < want[live]) & (step[live] > REFINE_FLOOR)]
+    stops = np.cumsum(n)
+    return _pieces(rows[np.argsort(owner, kind="stable")], stops - n, stops)
 
 
 def _gram_scan(t_lo: float, t_hi: float) -> tuple[int, np.ndarray, int]:
@@ -238,14 +253,15 @@ def _gram_scan(t_lo: float, t_hi: float) -> tuple[int, np.ndarray, int]:
 
     A Gram point g_n is good when (-1)^n Z(g_n) > hardy_z_err, and a Gram
     block runs from one good point to the next.  By Rosser's rule a block of
-    length m holds m zeros; a block whose samples show fewer sign changes is
-    rescanned at halving steps down to REFINE_FLOOR.  Turing's method, in
-    Brent's form, turns k such blocks below a good g_c <= t_lo into
-    N(g_c) >= c + 1 and k above a good g_d >= t_hi into N(g_d) <= d + 1, with
-    k = _turing_blocks at the highest Gram point sampled.  Then d - c sign
-    changes between them pin N(g_c) = c + 1 and N(g_d) = d + 1 and leave no
-    zero unbracketed, so every block checked must show exactly its length:
-    one that falls short at the floor, or shows more, raises AuditError.
+    length m holds m zeros; the blocks whose samples show fewer sign changes
+    are rescanned together, at halving steps down to REFINE_FLOOR, by _rescan.
+    Turing's method, in Brent's form, turns k such blocks below a good
+    g_c <= t_lo into N(g_c) >= c + 1 and k above a good g_d >= t_hi into
+    N(g_d) <= d + 1, with k = _turing_blocks at the highest Gram point
+    sampled.  Then d - c sign changes between them pin N(g_c) = c + 1 and
+    N(g_d) = d + 1 and leave no zero unbracketed, so every block checked
+    must show exactly its length: one that falls short at the floor, or
+    shows more, raises AuditError.
 
     No Turing block starts below TURING_MIN = 168 pi: g_d >= TURING_MIN, and
     where the blocks below g_c would not, the count anchors at N(g_-1) = 0,
@@ -279,21 +295,19 @@ def _gram_scan(t_lo: float, t_hi: float) -> tuple[int, np.ndarray, int]:
     lengths = np.diff(ns[ends])
     start, stop = max(c - k, 0), hi + k
     short = np.flatnonzero(np.diff(idx)[start:stop] != lengths[start:stop]) + start
-    a, b, want = ge[short].tolist(), ge[short + 1].tolist(), lengths[short].tolist()
-    got = _rescan(a, b, want, [found[idx[j]:idx[j + 1]] for j in short])
-    out = []
-    pos = idx[c]
-    for i, j in enumerate(short.tolist()):
-        if len(got[i]) != want[i]:
-            raise AuditError(
-                f"Gram block [{a[i]:.9f}, {b[i]:.9f}] shows {len(got[i])} sign changes "
-                f"where Rosser's rule and Turing's method count {want[i]} zeros"
-            )
-        if j >= c:
-            out += [found[pos:idx[j]], got[i]]
-            pos = idx[j + 1]
-    out.append(found[pos:])
-    below, above = _cut(np.concatenate(out), t_lo)
+    a, b, want = ge[short], ge[short + 1], lengths[short]
+    got = _rescan(a, b, want, _pieces(found, idx[short], idx[short + 1]))
+    n = np.fromiter(map(len, got), dtype=int, count=short.size)
+    if (bad := np.flatnonzero(n != want)).size:
+        i = int(bad[0])
+        raise AuditError(f"Gram block [{a[i]:.9f}, {b[i]:.9f}] shows {n[i]} sign changes "
+                         f"where Rosser's rule and Turing's method count {want[i]} zeros")
+    # from g_c up, the rows of the short blocks take the place of their
+    # Gram-point rows; all rows are disjoint, so their left ends order them
+    owner = np.searchsorted(ge, found[:, 0], side="right") - 1
+    rows = np.concatenate((found[(owner >= c) & ~np.isin(owner, short)],
+                           np.concatenate([found[:0], *got])[np.repeat(short >= c, n)]))
+    below, above = _cut(rows[np.argsort(rows[:, 0])], t_lo)
     return int(ns[ends[c]]) + 1 + len(below), _cut(above, t_hi)[0], k
 
 
@@ -504,7 +518,7 @@ def save_table(table: ZeroTable, path: str | Path) -> None:
     status, ordinate count, sha256 of the table bytes and tool version."""
     import hashlib  # not at module top: it loads OpenSSL into every zgb process
     path = Path(path)
-    data = "".join(f"{g:.{_TABLE_DECIMALS}f}\n" for g in table.gammas.tolist()).encode()
+    data = ((f"%.{_TABLE_DECIMALS}f\n" * len(table)) % tuple(table.gammas.tolist())).encode()
     _replace_atomically(path, data)
     meta = {
         "t_max": table.t_max,

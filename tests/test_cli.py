@@ -162,6 +162,22 @@ def test_ingest_detects_corruption(capsys, tmp_path, reference_path):
     assert report["validation"]["passed"] is False
 
 
+@pytest.mark.parametrize("cut", ["file", "table"])
+def test_ingest_of_a_table_missing_an_ordinate_fails_its_audit(capsys, tmp_path, reference_path,
+                                                                cut):
+    # the first 101 ordinates less the 50th: the count mismatch is the audit's
+    # failure to report, exit 1, not an invalid input
+    lines = reference_path.read_text().splitlines(keepends=True)[:101]
+    short = tmp_path / "short.txt"
+    short.write_text("".join(lines[:49] + lines[50:]))
+    paths = (short, reference_path) if cut == "file" else (reference_path, short)
+    code, out = run_cli(capsys, "ingest", "--file", str(paths[0]), "--table", str(paths[1]))
+    report = json.loads(out)
+    assert code == 1
+    assert report["ingested_audited"] is (cut == "table")
+    assert report["validation"] is None
+
+
 def test_ingest_refuses_a_file_that_fails_its_sidecar(capsys, tmp_path, table1000,
                                                      reference_path):
     path = tmp_path / "zeros1000.txt"

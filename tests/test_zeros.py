@@ -202,27 +202,54 @@ def test_batched_rescans_match_the_per_block_descent(monkeypatch, lo, hi):
 
 
 def test_gram_scan_makes_one_z_call_per_rescan_round(monkeypatch):
-    # the short Gram blocks below 1e4 take five halving rounds: one Z call for
-    # the Gram points and one a round, on the 16,906 points that a call per
-    # block and step spent in 1,065 calls
-    sizes, depth = [], {}
-    z, grid = zeta.hardy_z_many, zeros._grid
+    # the 817 short Gram blocks below 1e4 take five halving rounds: one Z call
+    # for the Gram points and one a round, on the 16,906 points that a call per
+    # block and step spends in 1,064 calls; hardy_z_err takes one call a round
+    # too, where it took one a block and step
+    sizes, errs, blocks = [], [], []
+    z, err, rescan = zeta.hardy_z_many, zeta.hardy_z_err, zeros._rescan
 
     def counting(ts):
         sizes.append(ts.size)
         return z(ts)
 
-    def recording(a, b, step):
-        depth[a, b] = depth.get((a, b), 0) + 1
-        return grid(a, b, step)
+    def counting_err(t, polish=False):
+        errs.append(np.size(t))
+        return err(t, polish)
+
+    def recording(*args):
+        blocks.append(args)
+        return rescan(*args)
 
     monkeypatch.setattr(zeta, "hardy_z_many", counting)
-    monkeypatch.setattr(zeros, "_grid", recording)
+    monkeypatch.setattr(zeta, "hardy_z_err", counting_err)
+    monkeypatch.setattr(zeros, "_rescan", recording)
     zeros._gram_scan(2.0, 1e4)
-    rounds = max(depth.values())
-    assert len(sizes) == 1 + rounds == 6
-    assert sum(sizes) == 16906
-    assert len(depth) == 817 and sum(depth.values()) == 1064
+    assert len(sizes) == 6 and sum(sizes) == 16906
+    assert len(errs) <= 8
+    (args,) = blocks
+    assert len(args[0]) == 817
+    # the per-block descent on the same blocks: one Z call a block and round,
+    # on the points the rounds spent
+    rescanned = sum(sizes[1:])
+    del sizes[:]
+    _per_block_descent(*args)
+    assert len(sizes) == 1064 and sum(sizes) == rescanned
+
+
+def test_no_rescanned_bracket_spans_two_blocks(monkeypatch):
+    # two short blocks share the point g just above the first zero, whose
+    # sample is dropped: the last sample kept below g and the first above it
+    # differ in sign, and a bracket across g would count for the lower block
+    g = 14.145
+    err = zeta.hardy_z_err
+    monkeypatch.setattr(zeta, "hardy_z_err",
+                        lambda t, polish=False: np.where(t == g, np.inf, err(t, polish)))
+    args = (np.array([12.0, g]), np.array([g, 21.5]), np.array([1, 1]), [np.empty((0, 4))] * 2)
+    got = zeros._rescan(*args)
+    assert [len(rows) for rows in got] == [1, 1]
+    assert got[0][0, 0] < GAMMA1 < got[0][0, 1] <= g <= got[1][0, 0] < GAMMA2 < got[1][0, 1]
+    assert all(map(np.array_equal, got, _per_block_descent(*args)))
 
 
 # --------------------------------------------------------------------- refine
@@ -400,15 +427,17 @@ def test_build_table_up_to_a_zero_ordinate():
     assert t_max - table.abs_err[-1] <= table.gammas[-1] <= t_max
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("t_max, count, digest", [
     (1e3, 649, "c4d92a81d25e9145a5b3e5d3ded90615639860e30ba70bfb16afda15f4b04883"),
-    (1e4, 10142, "3748908cee13adad4d16c56bd302ff80dfae412ec3c1413ab30072e032bca236"),
-    (1e5, 138069, "ac60ba053a5576235a3df5dd73541f1331cabae31d9aef5885dd9e893d0c091b"),
+    pytest.param(1e4, 10142, "3748908cee13adad4d16c56bd302ff80dfae412ec3c1413ab30072e032bca236",
+                 marks=pytest.mark.slow),
+    pytest.param(1e5, 138069, "ac60ba053a5576235a3df5dd73541f1331cabae31d9aef5885dd9e893d0c091b",
+                 marks=pytest.mark.slow),
 ], ids=["1e3", "1e4", "1e5"])
 def test_saved_tables_are_pinned(tmp_path, t_max, count, digest):
-    # a change to the Z kernels or the refinement must leave every printed
-    # ordinate as it is; the 1e5 build takes about 10 s
+    # a change to the Z kernels, the scan, the refinement or the writer must
+    # leave every printed ordinate as it is; the 1e3 build takes 0.05 s and
+    # runs in every test run, the 1e5 build about 10 s
     table = build_table(t_max)
     assert table.audited and len(table) == count
     path = tmp_path / "zeros.txt"
@@ -746,6 +775,18 @@ def test_save_table_replaces_atomically(table100, tmp_path, monkeypatch):
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "zeros100.txt", "zeros100.txt.meta.json"]
+
+
+@pytest.mark.parametrize("gammas", [
+    None,  # the 1e3 table
+    [14.1347251415, 14.5000000005, 21.0220396385, 99999.9999999995, 123456.1234567895],
+    [],
+], ids=["1e3", "ties", "empty"])
+def test_saved_bytes_are_the_per_line_format(table1000, tmp_path, gammas):
+    table = table1000 if gammas is None else ZeroTable(gammas, [0.0] * len(gammas), 2e5)
+    path = tmp_path / "zeros.txt"
+    save_table(table, path)
+    assert path.read_bytes() == "".join(f"{g:.9f}\n" for g in table.gammas.tolist()).encode()
 
 
 def test_save_layout_is_one_ordinate_per_line(table100, tmp_path):
