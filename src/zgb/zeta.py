@@ -2,18 +2,18 @@
 Z-function, by two routes over one main-sum kernel, _cos_sum, which adds
 n^-1/2 cos(theta(t) - t log n) up to a term count of each height's own:
 
-* Euler-Maclaurin (EM): slow (N - 1 terms, N = max(60, ceil(0.4 t))) but
+* Euler-Maclaurin (EM): slow (N - 1 terms, N = max(60, ceil(t/4))) but
   near machine accuracy.  It is the low-height path of Z and the reference
   the fast path is checked against up to 1e4.  Its remainder at N, with
-  B_2..B_40, is added as a complex number rotated by theta; Backlund's bound
-  on what that remainder omits is at most 2.2e-5 of Z's EM error model on
+  B_2..B_88, is added as a complex number rotated by theta; Backlund's bound
+  on what that remainder omits is at most 4.0e-6 of Z's EM error model on
   [2, 1e4].  N does not depend on the rest of a batch.
 * Riemann-Siegel (RS): main sum of ~sqrt(t/2pi) terms plus four correction
   terms C0..C3 built from derivatives of the entire function
   Psi(p) = cos(2pi(p^2 - p - 1/16))/cos(2pi p), all four from one product of
   a power basis in 2p - 1 with monomial coefficients that are derived at
-  import from the shipped Chebyshev ones, _CORRECTION_MODELS.
-  Truncation error decays like (t/2pi)^(-11/4).
+  import from the shipped Chebyshev ones, _CORRECTION_MODELS.  The first
+  term left out, C4 (t/2pi)^(-9/4), is what riemann_siegel_err must cover.
 
 Z is a function of t alone: every sum over terms adds them in one order
 fixed by the height itself, never by the other heights of a call, so a
@@ -66,12 +66,13 @@ Z_TOP = 1e6 + 1e3
 
 # EM term count N = max(_EM_MIN_TERMS, ceil(_EM_TERMS_PER_T * t)).  With
 # _EM_BERN_TERMS Bernoulli terms, Backlund's bound on the truncation is at
-# most 2.2e-5 of the EM error model on [2, 1e4], largest at t = 150 where the
-# floor hands over; below, the floor keeps it under 1e-11 (a floor of 20
-# would let it reach 1.3e-3 near t = 50).
+# most 4.0e-6 of the EM error model on [2, 1e4], largest at t = 240 where the
+# floor hands over and falling below it (a floor of 30 would let it reach
+# 1.1e-3 near t = 120).  Fewer main-sum terms and more Bernoulli terms cost
+# less: at t = 1000 the 150 cos terms saved outweigh 24 more remainder rows.
 _EM_MIN_TERMS = 60
-_EM_TERMS_PER_T = 0.4
-_EM_BERN_TERMS = 20
+_EM_TERMS_PER_T = 0.25
+_EM_BERN_TERMS = 44
 
 # Matrix elements (terms x heights) one chunk of the main sum may hold:
 # 2 MB per float64 array, at any batch size.
@@ -192,10 +193,15 @@ def _cos_sum(ts: np.ndarray, theta: np.ndarray, counts: np.ndarray) -> np.ndarra
         buf *= weight[:width]
         if least < width:  # mask only where the counts differ
             buf *= n[:width] <= counts[idx]
-        # numpy reduces axis 0 of a wide buffer a row at a time, in n order,
-        # but a lone column pairwise; accumulating it keeps the n order
-        out[idx] = np.add.accumulate(buf)[-1] if buf.shape[1] == 1 else buf.sum(axis=0)
+        out[idx] = _row_sum(buf)
     return out
+
+
+def _row_sum(buf: np.ndarray) -> np.ndarray:
+    """Sum of a terms x heights buffer over its rows, in row order for every
+    height: numpy reduces axis 0 of a wide buffer a row at a time, but a lone
+    column pairwise, so that one is accumulated instead."""
+    return np.add.accumulate(buf)[-1] if buf.shape[1] == 1 else buf.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +247,30 @@ _CORRECTION_MODELS = np.array((
 _CORRECTION_POWERS = np.column_stack([chebyshev.cheb2poly(c) for c in _CORRECTION_MODELS.T])
 
 
+# Batches of at least this many heights build the power basis of C0..C3 row
+# by row on contiguous rows; smaller ones in one strided accumulate, which
+# costs less per call (4.0 against 15 us at one height on a 2-core x86_64 VM).
+_ROW_BY_ROW_MIN = 128
+
+
+def _corrections(x: np.ndarray) -> np.ndarray:
+    """C0..C3 at the heights whose 2p - 1 is x, as a 4 x heights array.
+
+    Row j of the power basis is (2p - 1)^j, each row the one before times
+    2p - 1, the products np.vander makes; einsum, not BLAS, adds each
+    height's 22 products in power order, whatever the number of heights.
+    """
+    powers = np.empty((_CORRECTION_POWERS.shape[0], x.size))
+    powers[0] = 1.0
+    powers[1:] = x
+    if x.size < _ROW_BY_ROW_MIN:
+        np.multiply.accumulate(powers, axis=0, out=powers)
+    else:
+        for j in range(2, powers.shape[0]):
+            powers[j] *= powers[j - 1]
+    return np.einsum("ji,jk->ki", powers, _CORRECTION_POWERS)
+
+
 def _hardy_z_rs_batch(ts: np.ndarray) -> np.ndarray:
     """Riemann-Siegel Z for an array of heights (all >= RS_SWITCH)."""
     ts = np.asarray(ts, dtype=float)
@@ -250,32 +280,74 @@ def _hardy_z_rs_batch(ts: np.ndarray) -> np.ndarray:
     p = tau - floor
     out = 2.0 * _cos_sum(ts, rs_theta(ts), big_n)
     u = 1.0 / tau
-    # einsum, not BLAS: it adds each height's 22 products in power order,
-    # whatever the number of heights
-    c0, c1, c2, c3 = np.einsum("ij,jk->ki", np.vander(2.0 * p - 1.0, _CORRECTION_POWERS.shape[0],
-                                                      increasing=True), _CORRECTION_POWERS)
+    c0, c1, c2, c3 = _corrections(2.0 * p - 1.0)
     corr = c0 + c1 * u + c2 * u ** 2 + c3 * u ** 3
     sign = np.where(big_n & 1, 1.0, -1.0)  # (-1)^(N-1)
     out += sign * tau ** -0.5 * corr
     return out
 
 
-# B_2, B_4, ..., B_40 as (numerator, denominator).
-_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
-              (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
-              (-236364091, 2730), (8553103, 6), (-23749461029, 870),
-              (8615841276005, 14322), (-7709321041217, 510), (2577687858367, 6),
-              (-26315271553053477373, 1919190), (2929993913841559, 6),
-              (-261082718496449122051, 13530))
+# B_2, B_4, ..., B_88 as (numerator, denominator).
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
+              (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730), (8553103, 6),
+              (-23749461029, 870), (8615841276005, 14322), (-7709321041217, 510),
+              (2577687858367, 6), (-26315271553053477373, 1919190), (2929993913841559, 6),
+              (-261082718496449122051, 13530), (1520097643918070802691, 1806),
+              (-27833269579301024235023, 690), (596451111593912163277961, 282),
+              (-5609403368997817686249127547, 46410), (495057205241079648212477525, 66),
+              (-801165718135489957347924991853, 1590), (29149963634884862421418123812691, 798),
+              (-2479392929313226753685415739663229, 870),
+              (84483613348880041862046775994036021, 354),
+              (-1215233140483755572040304994079820246041491, 56786730),
+              (12300585434086858541953039857403386151, 6),
+              (-106783830147866529886385444979142647942017, 510),
+              (1472600022126335654051619428551932342241899101, 64722),
+              (-78773130858718728141909149208474606244347001, 30),
+              (1505381347333367003803076567377857208511438160235, 4686),
+              (-5827954961669944110438277244641067365282488301844260429, 140100870),
+              (34152417289221168014330073731472635186688307783087, 6),
+              (-24655088825935372707687196040585199904365267828865801, 30),
+              (414846365575400828295179035549542073492199375372400483487, 3318),
+              (-4603784299479457646935574969019046849794257872751288919656867, 230010),
+              (1677014149185145836823154509786269900207736027570253414881613, 498),
+              (-2024576195935290360231131160111731009989917391198090877281083932477, 3404310),
+              (660714619417678653573847847426261496277830686653388931761996983, 6),
+              (-1311426488674017507995511424019311843345750275572028644296919890574047, 61410))
 # B_2k/(2k)!, each one correctly rounded division of integers: the Bernoulli
 # corrections of the EM remainder.
-_BERN_OVER_FACT = tuple(num / (den * math.factorial(2 * k))
-                        for k, (num, den) in enumerate(_BERNOULLI[:_EM_BERN_TERMS], start=1))
+_BERN_OVER_FACT = np.array([num / (den * math.factorial(2 * k))
+                            for k, (num, den) in enumerate(_BERNOULLI[:_EM_BERN_TERMS], start=1)])
+# At s = 1/2 + it, (s + 2k - 1)(s + 2k) = 4k^2 - 1/4 - t^2 + 4kt i; the
+# columns hold 4k and 4k^2 - 1/4 for k = 1 .. _EM_BERN_TERMS - 1.
+_EM_STEP_IM = 4.0 * np.arange(1.0, _EM_BERN_TERMS)[:, None]
+_EM_STEP_RE = _EM_STEP_IM * _EM_STEP_IM / 4.0 - 0.25
 
 
 def _em_term_count(ts: np.ndarray) -> np.ndarray:
     """The EM term count N of each height, as floats."""
     return np.maximum(_EM_MIN_TERMS, np.ceil(_EM_TERMS_PER_T * ts))
+
+
+def _em_remainder(ts: np.ndarray, nf: np.ndarray) -> np.ndarray:
+    """The EM remainder at N = nf of each height, as a complex array.
+
+    Its Bernoulli terms are worked in one _EM_BERN_TERMS x heights buffer:
+    row 0 starts as s N^(-s-1) and row k as the factor (s + 2k - 1)(s + 2k)
+    / N^2 that takes term k to term k + 1, so one product down the rows
+    gives each term's s(s+1)...(s+2k-2) N^(1-s-2k), whatever the number of
+    heights.
+    """
+    s = 0.5 + 1j * ts
+    n_s = nf ** -s
+    rem = 0.5 * n_s + nf * n_s / (s - 1.0)
+    inv_n2 = 1.0 / (nf * nf)
+    fac = np.empty((_EM_BERN_TERMS, ts.size), dtype=complex)
+    fac[0] = s * n_s / nf
+    fac.real[1:] = (_EM_STEP_RE - ts * ts) * inv_n2
+    fac.imag[1:] = _EM_STEP_IM * (ts * inv_n2)
+    np.multiply.accumulate(fac, axis=0, out=fac)
+    fac *= _BERN_OVER_FACT[:, None]
+    return rem + _row_sum(fac)
 
 
 def _hardy_z_em_batch(ts: np.ndarray) -> np.ndarray:
@@ -286,16 +358,15 @@ def _hardy_z_em_batch(ts: np.ndarray) -> np.ndarray:
     with N = _em_term_count(t) for each height.  What the remainder omits is
     at most |s + 2K + 1|/(sigma + 2K + 1) times its first omitted term, for
     K = _EM_BERN_TERMS (Backlund; H. M. Edwards, "Riemann's Zeta Function",
-    1974, section 6.4)."""
+    1974, section 6.4).  The remainder is worked _BATCH_ELEMENTS elements at
+    a time."""
     ts = np.asarray(ts, dtype=float)
     theta = rs_theta(ts)
     nf = _em_term_count(ts)
-    s = 0.5 + 1j * ts
-    rem = 0.5 * nf ** (-s) + nf ** (1 - s) / (s - 1.0)
-    fac = s * nf ** (-s - 1.0)
-    for k, b in enumerate(_BERN_OVER_FACT, start=1):
-        rem += b * fac
-        fac = fac * (s + 2 * k - 1) * (s + 2 * k) / (nf * nf)
+    rem = np.empty(ts.shape, dtype=complex)
+    step = max(1, _BATCH_ELEMENTS // _EM_BERN_TERMS)
+    for i in range(0, ts.size, step):
+        rem[i:i + step] = _em_remainder(ts[i:i + step], nf[i:i + step])
     return _cos_sum(ts, theta, nf.astype(int) - 1) + np.real(np.exp(1j * theta) * rem)
 
 
@@ -348,8 +419,13 @@ def hardy_z(t: float) -> float:
 def riemann_siegel_err(t):
     """Error envelope of the Riemann-Siegel path with corrections C0..C3.
 
-    Truncation decays like (t/2pi)^(-11/4); the coefficient 0.02 was
-    calibrated against the Euler-Maclaurin path with several-fold headroom.
+    The first term, 0.02 (t/2pi)^(-11/4), was calibrated against the
+    Euler-Maclaurin path with several-fold headroom.  The truncation it
+    models starts with the first term left out, C4 (t/2pi)^(-9/4) with
+    max|C4| = 4.648e-4, which decays more slowly: the fitted term falls
+    below that from t = 11,600 or so, where the second term is 24 times
+    larger than either and covers it.  The envelope stays at least 2.1 times
+    max|C4| (t/2pi)^(-9/4) on [RS_SWITCH, Z_TOP], least near t = 3,312.
     The second term models phase rounding of the main sum, which takes over
     at large heights.  It scales with |theta(t)|, taken in closed form as
     0.5 t (log(t/2pi) - 1): that exceeds theta by pi/8 less the series' tail,

@@ -90,6 +90,15 @@ def correction_fit() -> np.ndarray:
     return chebyshev.chebfit(xs, c_vals, CHEB_NODES)
 
 
+def correction_c4(p: float) -> float:
+    """Gabcke's C4 at p, the first Riemann-Siegel correction zgb.zeta leaves
+    out, from the derivatives of Psi."""
+    d = psi_derivs_at(p, (0, 4, 8, 12))
+    pi2 = math.pi ** 2
+    return (d[0] / (128.0 * pi2) + 19.0 * d[4] / (24576.0 * pi2 ** 2)
+            + 11.0 * d[8] / (5898240.0 * pi2 ** 3) + d[12] / (2038431744.0 * pi2 ** 4))
+
+
 def correction_models() -> np.ndarray:
     """The rows of correction_fit() that zgb.zeta keeps: the fewest for which
     every dropped tail, the sum of the dropped |coefficients| (which bounds

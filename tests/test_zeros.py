@@ -445,6 +445,60 @@ def test_saved_tables_are_pinned(tmp_path, t_max, count, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+def test_build_table_spends_few_em_main_sum_terms(monkeypatch):
+    # below EM_POLISH_MAX the EM main sum is most of the build's Z work; its
+    # term count repeats exactly (451,996 here, 712,782 at ceil(0.4 t) terms a
+    # height), so a change that spends more of them shows
+    terms = []
+    original = zeta._hardy_z_em_batch
+
+    def counting(ts):
+        terms.append(int((zeta._em_term_count(ts) - 1.0).sum()))
+        return original(ts)
+
+    monkeypatch.setattr(zeta, "_hardy_z_em_batch", counting)
+    assert len(build_table(1e3)) == 649
+    assert sum(terms) <= 470_000
+
+
+def _against_zetazero(n):
+    # mpmath's own locator of the n-th zero against zgb's certified count and
+    # refinement: the index the Gram scan gives the zero nearest it, and the
+    # distance to it within abs_err; returns distance / abs_err
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(20):
+        ref = mpmath.zetazero(n).imag
+    t = float(ref)
+    count, rows, _ = zeros._gram_scan(t - 0.5, t + 0.5)
+    found = zeros._refine_many(rows)
+    i = int(np.argmin(np.abs(found[:, 0] - t)))
+    gamma, abs_err = found[i].tolist()
+    with mpmath.workdps(20):
+        distance = float(abs(mpmath.mpf(gamma) - ref))
+    assert count + i + 1 == n
+    assert distance <= abs_err, (n, distance, abs_err)
+    return distance / abs_err
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+def test_zero_index_and_ordinate_against_zetazero(n):
+    # n = 100 (236.52) refines on the EM grid path, n = 1000 (1419.42) on
+    # the EM polish path
+    _against_zetazero(n)
+
+
+@pytest.mark.slow
+def test_seeded_zero_indices_against_zetazero():
+    # eight seeded indices a band, up to N(1e6) = 1,747,146: about 1 s each
+    rng = np.random.default_rng(26)
+    ratios = {}
+    for lo, hi in ((1, 1000), (1000, 10_000), (10_000, 100_000), (100_000, 1_747_147)):
+        for n in rng.integers(lo, hi, 8).tolist():
+            ratios[n] = _against_zetazero(n)
+    worst = max(ratios, key=ratios.get)
+    print(f"worst distance / abs_err {ratios[worst]:.3g}, at n = {worst}")
+
+
 def test_build_table_domain():
     with pytest.raises(DomainError):
         build_table(10.0)

@@ -14,7 +14,7 @@ import pytest
 from numpy.polynomial import chebyshev
 from scipy.optimize import brentq
 
-from oracles import correction_fit, correction_models
+from oracles import correction_c4, correction_fit, correction_models
 from zgb import zeta
 from zgb.errors import DomainError
 from zgb.zeta import (
@@ -123,8 +123,8 @@ def test_z_within_its_error_model_against_mpmath():
     # grid path below RS_SWITCH and the polish path below EM_POLISH_MAX, each
     # in one batch and one height at a time.  The polish path adds the
     # closest calls seen in [1000, 1500): 1268.1287 (0.86 of the model under
-    # an earlier EM sum, 0.35 now) and the worst of
-    # default_rng(3).uniform(1000, 1500, 2000), at 0.70
+    # an earlier EM sum, 0.32 now) and the worst of
+    # default_rng(3).uniform(1000, 1500, 2000), at 0.65
     rng = np.random.default_rng(8)
     for polish, top, worst in ((False, RS_SWITCH, ()),
                                (True, EM_POLISH_MAX, (1268.1287, 1378.4677181401307))):
@@ -149,9 +149,27 @@ def test_z_within_its_error_model_against_mpmath():
 
 def test_em_bernoulli_coefficients_against_mpmath():
     coeffs = zeta._BERN_OVER_FACT
-    assert len(coeffs) == zeta._EM_BERN_TERMS == 20
+    assert len(coeffs) == zeta._EM_BERN_TERMS == 44
     for k, c in enumerate(coeffs, start=1):
         assert c == pytest.approx(float(mp.bernoulli(2 * k) / mp.factorial(2 * k)), rel=1e-15)
+
+
+def test_em_remainder_matches_a_term_by_term_loop():
+    # the remainder's Bernoulli terms, one product down a terms x heights
+    # buffer, against each height's terms in Python complex arithmetic, each
+    # term from the one before; the roundings differ, so they agree
+    # within 32 eps of the sum of the terms' sizes
+    ts = np.concatenate((np.linspace(2.0, np.nextafter(EM_POLISH_MAX, 0.0), 3000), [240.0]))
+    nf = zeta._em_term_count(ts)
+    got = zeta._em_remainder(ts, nf)
+    for t, n, z in zip(ts.tolist(), nf.tolist(), got.tolist()):
+        s = complex(0.5, t)
+        terms = [0.5 * n ** -s, n ** (1 - s) / (s - 1.0)]
+        fac = s * n ** (-s - 1.0)
+        for k, b in enumerate(zeta._BERN_OVER_FACT.tolist(), start=1):
+            terms.append(b * fac)
+            fac = fac * (s + 2 * k - 1) * (s + 2 * k) / (n * n)
+        assert abs(z - sum(terms)) <= 32 * np.finfo(float).eps * sum(map(abs, terms)), t
 
 
 def test_em_truncation_within_backlund_bound():
@@ -160,7 +178,8 @@ def test_em_truncation_within_backlund_bound():
     # s(s+1)...(s+2K) N^(-s-2K-1) (Backlund; Edwards, "Riemann's Zeta
     # Function", section 6.4); for the kernel's own N(t) and K it must stay
     # far below the EM error model, which leaves the rest to rounding
-    steps = 2.5 * np.arange(1.0, 4001.0)  # the bound peaks where N steps up
+    # the bound peaks where N steps up; its worst ratio is 4.0e-6, at t = 240
+    steps = np.arange(1.0, 1e4 * zeta._EM_TERMS_PER_T + 1.0) / zeta._EM_TERMS_PER_T
     ts = np.unique(np.concatenate((np.linspace(2.0, 1e4, 200001), steps,
                                    np.nextafter(steps, 0.0))))
     big_k = zeta._EM_BERN_TERMS
@@ -276,6 +295,17 @@ def test_methods_agree_within_estimates_at_sampled_points():
         assert abs(z_rs - z_em) <= hardy_z_err(t) + 1e-11
 
 
+def test_rs_error_model_covers_the_first_omitted_correction():
+    # with C0..C3 the first term left out is C4 (t/2pi)^(-9/4); the fitted
+    # 0.02 (t/2pi)^(-11/4) falls below it from t = 11,600 or so, where the
+    # rounding term covers it; the least margin is 2.13 near t = 3,312
+    c4_max = max(abs(correction_c4(p)) for p in np.linspace(0.0, 1.0, 201).tolist())
+    assert c4_max == pytest.approx(4.648e-4, rel=1e-3)
+    ts = np.geomspace(RS_SWITCH, Z_TOP, 200001)
+    margin = riemann_siegel_err(ts) / (c4_max * (ts / zeta.TWO_PI) ** -2.25)
+    assert margin.min() >= 1.0
+
+
 def test_correction_models_drop_only_a_negligible_tail():
     # the shipped coefficients are the oracle's fit, cut where every C_k's
     # dropped coefficients sum to below 1e-3 of the smallest RS error on
@@ -305,16 +335,27 @@ def test_rs_batch_builds_one_correction_basis(monkeypatch):
     # 2000 heights near 1e6 span several main-sum chunks; C0..C3 still take
     # one power basis
     calls = []
-    original = np.vander
+    original = zeta._corrections
 
-    def counting(x, *args, **kwargs):
-        calls.append((np.shape(x), args))
-        return original(x, *args, **kwargs)
+    def counting(x):
+        calls.append(np.shape(x))
+        return original(x)
 
-    monkeypatch.setattr(zeta.np, "vander", counting)
+    monkeypatch.setattr(zeta, "_corrections", counting)
     out = _hardy_z_rs_batch(np.linspace(999000.0, 1e6, 2000))
     assert out.shape == (2000,) and np.all(np.isfinite(out))
-    assert calls == [((2000,), (_CORRECTION_POWERS.shape[0],))]
+    assert calls == [(2000,)]
+
+
+@pytest.mark.parametrize("size", [1, 7, 130, 20000])
+def test_corrections_are_the_vander_products_bit_for_bit(size):
+    # the power rows, one strided accumulate below _ROW_BY_ROW_MIN heights and
+    # row by row from it up, are the products np.vander makes, so C0..C3 are
+    # the same float64 as from the Vandermonde matrix
+    x = np.random.default_rng(size).uniform(-1.0, 1.0, size)
+    reference = np.einsum("ij,jk->ki", np.vander(x, _CORRECTION_POWERS.shape[0], increasing=True),
+                          _CORRECTION_POWERS)
+    assert np.array_equal(zeta._corrections(x), reference)
 
 
 def _cos_sum_reference(ts, theta, counts):
@@ -330,7 +371,7 @@ def _cos_sum_cases():
     rs = np.random.default_rng(12).uniform(2 * math.pi * 81, 2 * math.pi * 41 ** 2, 3000)
     em = np.linspace(2.0, np.nextafter(EM_POLISH_MAX, 0.0), 1500)
     rs_counts = np.floor(np.sqrt(rs / zeta.TWO_PI)).astype(int)
-    em_counts = zeta._em_term_count(em).astype(int) - 1
+    em_counts = np.maximum(60, np.ceil(0.4 * em)).astype(int) - 1  # wider than EM's own
     ones = np.array([700.0, 800.0, 900.0, 1000.0])
     shuffled = np.random.default_rng(13).permutation(rs.size)
     one_chunk = (rs_counts >= 32) & (rs_counts <= 36)  # within 9/8, and 659 x 36 elements
@@ -365,12 +406,25 @@ def test_cos_sum_matches_an_exact_sum(case, budget, monkeypatch):
         assert np.array_equal(_cos_sum(ts[::-1], theta[::-1], counts[::-1])[::-1], got)
 
 
+@pytest.mark.parametrize("budget", [1, 2 * zeta._EM_BERN_TERMS + 1])
+def test_em_remainder_chunks_leave_each_height_as_it_is(budget, monkeypatch):
+    # the remainder is worked in chunks of _BATCH_ELEMENTS // _EM_BERN_TERMS
+    # heights (at least one); chunks of one or two heights give each height
+    # the float64 one chunk of all 300 gives it
+    ts = np.random.default_rng(14).uniform(2.0, EM_POLISH_MAX, 300)
+    whole = _hardy_z_em_batch(ts)
+    monkeypatch.setattr(zeta, "_BATCH_ELEMENTS", budget)
+    assert np.array_equal(_hardy_z_em_batch(ts), whole)
+
+
 def test_batch_kernels_bound_their_working_set():
     # one dense heights x terms array for these batches takes 64 MB (RS,
-    # 20000 x 400 floats) or 31 MB (EM, 1400 x 2800 floats); chunked by one
-    # element budget, the peaks measure 8.0 and 4.3 MB
+    # 20000 x 400 floats), 19 MB (EM, 1400 x 1750 floats) or, for the EM
+    # remainder's Bernoulli terms, 14 MB (20000 x 44 complex); chunked by one
+    # element budget, the peaks measure 5.6, 4.4 and 9.3 MB
     for kernel, ts in ((_hardy_z_rs_batch, np.linspace(9.9e5, 1e6, 20000)),
-                       (_hardy_z_em_batch, np.linspace(6900.0, 6999.0, 1400))):
+                       (_hardy_z_em_batch, np.linspace(6900.0, 6999.0, 1400)),
+                       (_hardy_z_em_batch, np.linspace(1000.0, 1499.0, 20000))):
         tracemalloc.start()
         try:
             kernel(ts)
