@@ -188,63 +188,61 @@ def _turing_blocks(t: float) -> int:
     return math.ceil(min(0.0061 * L * L + 0.08 * L, 0.0031 * L * L + 0.11 * L))
 
 
-def _brackets_from_grid(grid: np.ndarray, zvals: np.ndarray) -> np.ndarray:
+def _grids(a: np.ndarray, b: np.ndarray, step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Grids of max(3, ceil((b - a)/step) + 1) points on [a[i], b[i]], each as
+    np.linspace lays it alone, end to end, and the i of each point."""
+    width = b - a
+    npts = np.maximum(3, np.ceil(width / step).astype(int) + 1)
+    last = np.cumsum(npts) - 1
+    block = np.repeat(np.arange(npts.size), npts)
+    j = np.arange(last[-1] + 1) - (last + 1 - npts)[block]  # index within its grid
+    grid = j * (width / (npts - 1))[block] + a[block]
+    grid[last] = b
+    return grid, block
+
+
+def _brackets_from_grid(grid: np.ndarray, z: np.ndarray,
+                        blk: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Bracket rows (a, b, Z(a), Z(b)) of the sign changes of Z's samples z on
+    grid and, given each point's block id, only of those within one block,
+    with the block id of each row."""
     # a sample whose |Z| is within hardy_z_err of zero has no sign to count
-    keep = np.abs(zvals) > zeta.hardy_z_err(grid)
-    grid, zvals = grid[keep], zvals[keep]
-    i = np.flatnonzero(np.signbit(zvals[:-1]) != np.signbit(zvals[1:]))
-    return np.column_stack((grid[i], grid[i + 1], zvals[i], zvals[i + 1]))
-
-
-def _grid(a: float, b: float, step: float) -> np.ndarray:
-    npts = max(3, int(math.ceil((b - a) / step)) + 1)
-    grid = np.arange(npts) * ((b - a) / (npts - 1)) + a  # np.linspace(a, b, npts)
-    grid[-1] = b
-    return grid
+    keep = np.abs(z) > zeta.hardy_z_err(grid)
+    grid, z = grid[keep], z[keep]
+    flip = np.signbit(z[:-1]) != np.signbit(z[1:])
+    if blk is not None:
+        blk = blk[keep]
+        flip &= blk[:-1] == blk[1:]
+    i = np.flatnonzero(flip)
+    return np.column_stack((grid[i], grid[i + 1], z[i], z[i + 1])), None if blk is None else blk[i]
 
 
 def _scan_window(a: float, b: float, step: float) -> np.ndarray:
-    grid = _grid(a, b, step)
-    return _brackets_from_grid(grid, zeta.hardy_z_many(grid))
-
-
-def _pieces(rows: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> list[np.ndarray]:
-    """The views rows[start:stop], one for each start and stop."""
-    return list(map(rows.__getitem__, map(slice, starts.tolist(), stops.tolist())))
+    grid = _grids(*np.atleast_1d(a, b, step))[0]
+    return _brackets_from_grid(grid, zeta.hardy_z_many(grid))[0]
 
 
 def _rescan(a: np.ndarray, b: np.ndarray, want: np.ndarray,
-            got: list[np.ndarray]) -> list[np.ndarray]:
-    """Bracket rows of the Gram blocks [a, b] holding want zeros, from the
-    rows got that their Gram points show: a block showing fewer is rescanned
-    at halving steps from (b - a)/want down to REFINE_FLOOR.  A round lays the
-    grids of the blocks still short end to end, point for point as _grid
-    makes them, for one Z and one hardy_z_err call; a sign change counts only
-    within a block, so each block's rows are _scan_window's at its last step.
-    """
-    n = np.fromiter(map(len, got), dtype=int, count=len(got))
-    rows, owner = np.concatenate([np.empty((0, 4)), *got]), np.repeat(np.arange(n.size), n)
+            rows: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows, ascending by block, and the block of each, for the Gram blocks
+    [a, b] holding want zeros, from the rows their Gram points show in blocks
+    owner: a block showing fewer is rescanned at halving steps from
+    (b - a)/want down to REFINE_FLOOR.  A round lays the grids still short
+    end to end for one Z and one hardy_z_err call; a sign change counts only
+    within a block, so a block's rows are _scan_window's at its last step."""
+    n = np.bincount(owner, minlength=a.size)
     step = (b - a) / want
     live = np.flatnonzero((n < want) & (step > REFINE_FLOOR))
     while live.size:
         step[live] *= 0.5
-        width = b[live] - a[live]
-        npts = np.maximum(3, np.ceil(width / step[live]).astype(int) + 1)
-        last = np.cumsum(npts) - 1
-        j = np.arange(last[-1] + 1) - np.repeat(last + 1 - npts, npts)
-        grid = j * np.repeat(width / (npts - 1), npts) + np.repeat(a[live], npts)
-        grid[last] = b[live]
-        z = zeta.hardy_z_many(grid)
-        keep = np.abs(z) > zeta.hardy_z_err(grid)
-        grid, z, blk = grid[keep], z[keep], np.repeat(live, npts)[keep]
-        i = np.flatnonzero((np.signbit(z[:-1]) != np.signbit(z[1:])) & (blk[:-1] == blk[1:]))
-        n[live] = np.bincount(blk[i], minlength=n.size)[live]
+        grid, blk = _grids(a[live], b[live], step[live])
+        found, blk = _brackets_from_grid(grid, zeta.hardy_z_many(grid), live[blk])
+        n[live] = np.bincount(blk, minlength=a.size)[live]
         stay = ~np.isin(owner, live)
-        owner = np.concatenate((owner[stay], blk[i]))
-        rows = np.concatenate((rows[stay], np.column_stack((grid[i], grid[i + 1], z[i], z[i + 1]))))
+        rows, owner = np.concatenate((rows[stay], found)), np.concatenate((owner[stay], blk))
         live = live[(n[live] < want[live]) & (step[live] > REFINE_FLOOR)]
-    stops = np.cumsum(n)
-    return _pieces(rows[np.argsort(owner, kind="stable")], stops - n, stops)
+    order = np.argsort(owner, kind="stable")
+    return rows[order], owner[order]
 
 
 def _gram_scan(t_lo: float, t_hi: float) -> tuple[int, np.ndarray, int]:
@@ -289,24 +287,25 @@ def _gram_scan(t_lo: float, t_hi: float) -> tuple[int, np.ndarray, int]:
             break
         pad *= 2
 
-    found = _brackets_from_grid(g, z)
-    # brackets never straddle a good Gram point: its sample is reliable
-    idx = np.searchsorted(found[:, 0], ge)
+    found = _brackets_from_grid(g, z)[0]
+    # brackets never straddle a good Gram point: its sample is reliable, so
+    # a row's block is the last good point at or below its left end, or -1
+    block = np.searchsorted(ge, found[:, 0], side="right") - 1
     lengths = np.diff(ns[ends])
     start, stop = max(c - k, 0), hi + k
-    short = np.flatnonzero(np.diff(idx)[start:stop] != lengths[start:stop]) + start
+    shown = np.bincount(block + 1, minlength=ge.size + 1)[1:]
+    short = np.flatnonzero(shown[start:stop] != lengths[start:stop]) + start
     a, b, want = ge[short], ge[short + 1], lengths[short]
-    got = _rescan(a, b, want, _pieces(found, idx[short], idx[short + 1]))
-    n = np.fromiter(map(len, got), dtype=int, count=short.size)
+    redo = np.isin(block, short)
+    got, owner = _rescan(a, b, want, found[redo], np.searchsorted(short, block[redo]))
+    n = np.bincount(owner, minlength=short.size)
     if (bad := np.flatnonzero(n != want)).size:
         i = int(bad[0])
         raise AuditError(f"Gram block [{a[i]:.9f}, {b[i]:.9f}] shows {n[i]} sign changes "
                          f"where Rosser's rule and Turing's method count {want[i]} zeros")
     # from g_c up, the rows of the short blocks take the place of their
     # Gram-point rows; all rows are disjoint, so their left ends order them
-    owner = np.searchsorted(ge, found[:, 0], side="right") - 1
-    rows = np.concatenate((found[(owner >= c) & ~np.isin(owner, short)],
-                           np.concatenate([found[:0], *got])[np.repeat(short >= c, n)]))
+    rows = np.concatenate((found[(block >= c) & ~redo], got[short[owner] >= c]))
     below, above = _cut(rows[np.argsort(rows[:, 0])], t_lo)
     return int(ns[ends[c]]) + 1 + len(below), _cut(above, t_hi)[0], k
 

@@ -86,6 +86,36 @@ def test_isolate_raises_on_a_short_gram_block(monkeypatch):
     assert "[7000.920483057, 7003.607093067] shows 1 sign changes" in str(info.value)
 
 
+def test_isolate_raises_on_a_gram_block_showing_more_sign_changes(monkeypatch):
+    # Z with its sign wrong on (7007.4, 7007.8), inside the block
+    # [7007.189, 7008.980] of length 2 and between no Gram points: the block's
+    # samples show no sign change, so it is rescanned, and the first round
+    # finds its two zeros and the two false ones at the ends of the interval
+    z = zeta.hardy_z_many
+
+    def wrong(ts, polish=False):
+        return np.where((ts > 7007.4) & (ts < 7007.8), -1.0, 1.0) * z(ts, polish)
+
+    monkeypatch.setattr(zeta, "hardy_z_many", wrong)
+    with pytest.raises(AuditError, match="Gram block") as info:
+        isolate_zeros(7000.0, 7010.0)
+    assert ("[7007.189011284, 7008.979872533] shows 4 sign changes where Rosser's rule "
+            "and Turing's method count 2 zeros") in str(info.value)
+
+
+@pytest.mark.parametrize("lo, hi, count, digest", [
+    (2.0, 1e4, 0, "c5dd515db680d311ae0a34f45612452c8af57cf4545ef3a1f605b54ef4aad12d"),
+    (909407.3563914519, 909457.3563914519, 1575122,
+     "3b4c628764af24f1ad219c4ac651a7071dc5d8b3fbbf1b7b20839ddc3cd770df"),
+], ids=["2-1e4", "window-1e6"])
+def test_gram_scan_rows_are_pinned(lo, hi, count, digest):
+    # the bracket rows, ends and Z values, bit for bit: the table pins see
+    # them only through the refinement and nine printed decimals
+    n, rows, _ = zeros._gram_scan(lo, hi)
+    assert n == count
+    assert hashlib.sha256(rows.astype("<f8").tobytes()).hexdigest() == digest
+
+
 def test_audit_certifies_the_count_at_1e6():
     # Z runs a few Gram blocks past 1e6, so Turing's method certifies
     # N(1e6) = 1,747,146 at 1e6 itself, and an empty table fails against it
@@ -165,16 +195,17 @@ def test_gram_scan_doubles_a_pad_too_short_for_turing(monkeypatch):
     assert len(calls) > 2  # one for the pad, one per pass of the scan
 
 
-def _per_block_descent(a, b, want, got):
+def _per_block_descent(a, b, want, rows, owner):
     # each short Gram block on its own, one _scan_window call a halving step
     out = []
-    for lo, hi, m, rows in zip(a, b, want, got):
-        step = (hi - lo) / m
-        while len(rows) < m and step > zeros.REFINE_FLOOR:
+    for i, (lo, hi, m) in enumerate(zip(a, b, want)):
+        got, step = rows[owner == i], (hi - lo) / m
+        while len(got) < m and step > zeros.REFINE_FLOOR:
             step *= 0.5
-            rows = _scan_window(lo, hi, step)
-        out.append(rows)
-    return out
+            got = _scan_window(lo, hi, step)
+        out.append(got)
+    n = list(map(len, out))
+    return np.concatenate([np.empty((0, 4)), *out]), np.repeat(np.arange(len(out)), n)
 
 
 @pytest.mark.parametrize("lo, hi", [(2.0, 3000.0), (909407.3563914519, 909457.3563914519)])
@@ -195,8 +226,10 @@ def test_batched_rescans_match_the_per_block_descent(monkeypatch, lo, hi):
     # for bit
     assert (new[0], new[2]) == (old[0], old[2])
     assert np.array_equal(new[1], old[1])
-    (args, got), = blocks
-    assert len(got) > 1 and all(map(np.array_equal, got, _per_block_descent(*args)))
+    (args, (rows, owner)), = blocks
+    want_rows, want_owner = _per_block_descent(*args)
+    assert len(args[0]) > 1
+    assert np.array_equal(rows, want_rows) and np.array_equal(owner, want_owner)
     # the window has short Turing blocks below t_lo; the range from 2 starts at g_-1
     assert any(b <= lo for b in args[1]) == (lo > 1e5)
 
@@ -245,11 +278,31 @@ def test_no_rescanned_bracket_spans_two_blocks(monkeypatch):
     err = zeta.hardy_z_err
     monkeypatch.setattr(zeta, "hardy_z_err",
                         lambda t, polish=False: np.where(t == g, np.inf, err(t, polish)))
-    args = (np.array([12.0, g]), np.array([g, 21.5]), np.array([1, 1]), [np.empty((0, 4))] * 2)
-    got = zeros._rescan(*args)
-    assert [len(rows) for rows in got] == [1, 1]
-    assert got[0][0, 0] < GAMMA1 < got[0][0, 1] <= g <= got[1][0, 0] < GAMMA2 < got[1][0, 1]
-    assert all(map(np.array_equal, got, _per_block_descent(*args)))
+    args = (np.array([12.0, g]), np.array([g, 21.5]), np.array([1, 1]),
+            np.empty((0, 4)), np.empty(0, dtype=int))
+    rows, owner = zeros._rescan(*args)
+    assert owner.tolist() == [0, 1]
+    assert rows[0, 0] < GAMMA1 < rows[0, 1] <= g <= rows[1, 0] < GAMMA2 < rows[1, 1]
+    want_rows, want_owner = _per_block_descent(*args)
+    assert np.array_equal(rows, want_rows) and np.array_equal(owner, want_owner)
+
+
+def test_grids_laid_together_match_each_grid_alone():
+    # a rescan round lays many blocks' grids in one array: each must get the
+    # bits it gets alone, np.linspace's, wherever it sits and whatever its
+    # neighbours, near 1e6 too
+    a = np.array([12.0, 7003.607093067, 7005.0, 999990.0, 999999.9])
+    b = np.array([14.145, 7005.0, 7005.2, 999999.9, 1e6])
+    step = np.array([0.3, 0.2239, 1e-3, 0.1779, 1.1])
+    grid, block = zeros._grids(a, b, step)
+    back, back_block = zeros._grids(a[::-1], b[::-1], step[::-1])
+    assert np.array_equal(block, np.sort(block)) and block[-1] == a.size - 1
+    for i in range(a.size):
+        alone, own = zeros._grids(a[i:i + 1], b[i:i + 1], step[i:i + 1])
+        npts = max(3, int(np.ceil((b[i] - a[i]) / step[i])) + 1)
+        assert not own.any() and np.array_equal(alone, np.linspace(a[i], b[i], npts))
+        assert np.array_equal(grid[block == i], alone)
+        assert np.array_equal(back[back_block == a.size - 1 - i], alone)
 
 
 # --------------------------------------------------------------------- refine
