@@ -311,21 +311,19 @@ def _gram_scan(t_lo: float, t_hi: float) -> tuple[int, np.ndarray, int]:
 
 
 def _cut(rows: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Split ascending one-zero bracket rows at t into (zeros <= t, zeros > t).
+    """Split ascending one-zero bracket rows at t into views (zeros <= t, zeros > t).
 
-    A row across t is trimmed to the side of t its zero lies on, as Z(t)
-    tells, and carries Z(t) at its new end; a zero within hardy_z_err of t
-    counts as lying at t, the end of its row.
+    A row across t is trimmed in place to the side of t its zero lies on, as
+    Z(t) tells, and carries Z(t) at its new end; a zero within hardy_z_err
+    of t counts as lying at t, the end of its row.
     """
     i = int(np.searchsorted(rows[:, 1], t, side="right"))
-    below, above = rows[:i], rows[i:]
-    if not above.size or above[0, 0] >= t:
-        return below, above
-    a, b, za, zb = above[0]
-    zt = zeta.hardy_z_many(np.array([t]))[0]
-    if abs(zt) <= zeta.hardy_z_err(t) or (za > 0) != (zt > 0):
-        return np.vstack((below, (a, t, za, zt))), above[1:]
-    return below, np.vstack(((t, b, zt, zb), above[1:]))
+    if i < len(rows) and rows[i, 0] < t:
+        zt = zeta.hardy_z_many(np.array([t]))[0]
+        below = int(abs(zt) <= zeta.hardy_z_err(t) or (rows[i, 2] > 0) != (zt > 0))
+        rows[i, below::2] = t, zt  # (b, Z(b)) for a zero at or below t, else (a, Z(a))
+        i += below
+    return rows[:i], rows[i:]
 
 
 def isolate_zeros(t_lo: float, t_hi: float) -> list[tuple[float, float]]:

@@ -74,8 +74,8 @@ _EM_MIN_TERMS = 60
 _EM_TERMS_PER_T = 0.25
 _EM_BERN_TERMS = 44
 
-# Matrix elements (terms x heights) one chunk of the main sum may hold:
-# 2 MB per float64 array, at any batch size.
+# Matrix elements (terms x heights) any buffer of a Z kernel may hold, 2 MB
+# per float64 array at any batch size; _in_slices alone divides it.
 _BATCH_ELEMENTS = 1 << 18
 
 # Riemann-Siegel theta asymptotic series: coefficient of t^-(2n-1) is
@@ -163,16 +163,16 @@ def _cos_sum(ts: np.ndarray, theta: np.ndarray, counts: np.ndarray) -> np.ndarra
     n order: a padded term adds exactly 0, so a height's sum is the same
     float64 whatever else is in its call or its chunk.  Heights are taken in
     ascending order, and a chunk closes before a count passes 9/8 of its
-    first height's, or its terms x heights pass _BATCH_ELEMENTS; so padding
-    stays under an eighth of a chunk when the counts rise with t, as both
-    paths' do.  A batch that fits one chunk is worked as it comes, unsorted.
+    first height's, so padding stays under an eighth of a chunk when the
+    counts rise with t, as both paths' do.  A batch within one such window is
+    worked as it comes, unsorted.  The kernels size each call by _in_slices.
     """
     out = np.empty(ts.shape)
     top = int(counts.max(initial=0))
     least = int(counts.min(initial=top))
     n = np.arange(1.0, top + 1)[:, None]  # the terms of the widest chunk, as a column
     log_n, weight = np.log(n), n ** -0.5
-    if 8 * top <= 9 * least and ts.size * top <= _BATCH_ELEMENTS:
+    if 8 * top <= 9 * least:
         # skipping the sort and plan saves 5-9 of 56-68 us in a one-point
         # call near 1e6, and up to a tenth of a 7-point one (2-core x86_64 VM)
         chunks = [(slice(None), top, least)]
@@ -182,7 +182,6 @@ def _cos_sum(ts: np.ndarray, theta: np.ndarray, counts: np.ndarray) -> np.ndarra
         chunks, pos = [], 0
         while pos < order.size:
             stop = int(np.searchsorted(widest, 9 * int(widest[pos]) // 8, side="right"))
-            stop = min(stop, pos + max(1, _BATCH_ELEMENTS // max(1, int(widest[stop - 1]))))
             idx = order[pos:stop]
             chunks.append((idx, int(widest[stop - 1]), int(counts[idx].min())))
             pos = stop
@@ -194,6 +193,17 @@ def _cos_sum(ts: np.ndarray, theta: np.ndarray, counts: np.ndarray) -> np.ndarra
         if least < width:  # mask only where the counts differ
             buf *= n[:width] <= counts[idx]
         out[idx] = _row_sum(buf)
+    return out
+
+
+def _in_slices(body, ts: np.ndarray, terms: int) -> np.ndarray:
+    """body(ts) on consecutive slices of at most _BATCH_ELEMENTS // max(terms,
+    _EM_BERN_TERMS) heights, terms the main-sum count at ts's highest height:
+    no kernel buffer outgrows _BATCH_ELEMENTS, and Z, of t alone, moves no bit."""
+    step = max(1, _BATCH_ELEMENTS // max(terms, _EM_BERN_TERMS))
+    out = np.empty(ts.shape)
+    for i in range(0, ts.size, step):
+        out[i:i + step] = body(ts[i:i + step])
     return out
 
 
@@ -272,8 +282,11 @@ def _corrections(x: np.ndarray) -> np.ndarray:
 
 
 def _hardy_z_rs_batch(ts: np.ndarray) -> np.ndarray:
-    """Riemann-Siegel Z for an array of heights (all >= RS_SWITCH)."""
-    ts = np.asarray(ts, dtype=float)
+    """Riemann-Siegel Z for an array of heights (all >= RS_SWITCH), by _in_slices."""
+    return _in_slices(_hardy_z_rs_slice, ts, int(math.sqrt(ts.max(initial=0.0) / TWO_PI)))
+
+
+def _hardy_z_rs_slice(ts: np.ndarray) -> np.ndarray:
     tau = np.sqrt(ts / TWO_PI)
     floor = np.floor(tau)
     big_n = floor.astype(int)
@@ -358,16 +371,14 @@ def _hardy_z_em_batch(ts: np.ndarray) -> np.ndarray:
     with N = _em_term_count(t) for each height.  What the remainder omits is
     at most |s + 2K + 1|/(sigma + 2K + 1) times its first omitted term, for
     K = _EM_BERN_TERMS (Backlund; H. M. Edwards, "Riemann's Zeta Function",
-    1974, section 6.4).  The remainder is worked _BATCH_ELEMENTS elements at
-    a time."""
-    ts = np.asarray(ts, dtype=float)
-    theta = rs_theta(ts)
-    nf = _em_term_count(ts)
-    rem = np.empty(ts.shape, dtype=complex)
-    step = max(1, _BATCH_ELEMENTS // _EM_BERN_TERMS)
-    for i in range(0, ts.size, step):
-        rem[i:i + step] = _em_remainder(ts[i:i + step], nf[i:i + step])
-    return _cos_sum(ts, theta, nf.astype(int) - 1) + np.real(np.exp(1j * theta) * rem)
+    1974, section 6.4).  It is worked by _in_slices."""
+    return _in_slices(_hardy_z_em_slice, ts, int(_em_term_count(ts.max(initial=0.0))) - 1)
+
+
+def _hardy_z_em_slice(ts: np.ndarray) -> np.ndarray:
+    theta, nf = rs_theta(ts), _em_term_count(ts)
+    rem = np.real(np.exp(1j * theta) * _em_remainder(ts, nf))
+    return _cos_sum(ts, theta, nf.astype(int) - 1) + rem
 
 
 def _em_top(polish: bool) -> float:

@@ -6,9 +6,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from zgb import summation, zeros
+from zgb import summation, zeros, zeta
 from zgb.errors import ConvergenceError
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -55,3 +56,16 @@ def test_traced_pass_reports_every_metric_as_a_finite_number(tracing):
     json.dumps(values, allow_nan=False)
     assert values["zeros.refine_zero.failed"] == 1.0
     assert values["zeros.grid.points"] > 0 and values["summation.sweep.records"] > 0
+
+
+def test_a_z_call_over_several_slices_is_one_traced_span(tracing):
+    # 2000 heights near 1e6 take four slices of the RS kernel; the slicing
+    # stays inside the hooked kernel, so the batch is one span of its size
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        zeta.hardy_z_many(np.linspace(999000.0, 1e6, 2000))
+    finally:
+        tracer.uninstall()
+    assert [s.name for s in tracer.spans].count("zeta.rs") == 1
+    assert tracing.layer_metrics(tracer, 0)[0]["zeta.rs.points"] == 2000

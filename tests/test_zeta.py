@@ -331,20 +331,24 @@ def test_correction_powers_are_the_shipped_chebyshev_columns():
     assert np.max(np.abs(got - chebyshev.chebval(x, _CORRECTION_MODELS).T)) <= 1e-15
 
 
-def test_rs_batch_builds_one_correction_basis(monkeypatch):
-    # 2000 heights near 1e6 span several main-sum chunks; C0..C3 still take
-    # one power basis
+def test_rs_batch_builds_one_correction_basis_per_slice(monkeypatch):
+    # 2000 heights near 1e6 take four slices of at most _BATCH_ELEMENTS // 398
+    # heights; each slice builds one power basis for C0..C3, and the bases
+    # cover every height of the batch once, in order
     calls = []
     original = zeta._corrections
 
-    def counting(x):
-        calls.append(np.shape(x))
+    def recording(x):
+        calls.append(x.copy())
         return original(x)
 
-    monkeypatch.setattr(zeta, "_corrections", counting)
-    out = _hardy_z_rs_batch(np.linspace(999000.0, 1e6, 2000))
+    monkeypatch.setattr(zeta, "_corrections", recording)
+    ts = np.linspace(999000.0, 1e6, 2000)
+    out = _hardy_z_rs_batch(ts)
     assert out.shape == (2000,) and np.all(np.isfinite(out))
-    assert calls == [(2000,)]
+    tau = np.sqrt(ts / zeta.TWO_PI)
+    assert np.array_equal(np.concatenate(calls), 2.0 * (tau - np.floor(tau)) - 1.0)
+    assert len(calls) == 4 and max(x.size for x in calls) <= zeta._BATCH_ELEMENTS // 398
 
 
 @pytest.mark.parametrize("size", [1, 7, 130, 20000])
@@ -389,10 +393,11 @@ def _cos_sum_cases():
 
 @pytest.mark.parametrize("case", sorted(_cos_sum_cases()))
 @pytest.mark.parametrize("budget", [zeta._BATCH_ELEMENTS, 1000, 1])
-def test_cos_sum_matches_an_exact_sum(case, budget, monkeypatch):
-    # chunks close at 9/8 of their first count and at the element budget;
-    # the two smaller budgets split the 9/8 windows, down to one height each
-    monkeypatch.setattr(zeta, "_BATCH_ELEMENTS", budget)
+def test_cos_sum_matches_an_exact_sum(case, budget):
+    # chunks close at 9/8 of their first count; the kernels call the sum on
+    # consecutive slices of budget // max(largest count, _EM_BERN_TERMS)
+    # heights, and the two smaller budgets split the 9/8 windows, down to one
+    # height a slice, each giving its heights the sums one call gives them
     ts, counts = _cos_sum_cases()[case]
     theta = rs_theta(ts)
     got = _cos_sum(ts, theta, counts)
@@ -404,25 +409,45 @@ def test_cos_sum_matches_an_exact_sum(case, budget, monkeypatch):
         assert np.array_equal(got[order], _cos_sum(ts0, rs_theta(ts0), counts0)[np.argsort(ts0)])
     if case == "one-chunk":  # a height's value does not depend on its row in the buffer
         assert np.array_equal(_cos_sum(ts[::-1], theta[::-1], counts[::-1])[::-1], got)
+    step = max(1, budget // max(int(counts.max(initial=0)), zeta._EM_BERN_TERMS))
+    for i in range(0, ts.size, step):
+        part = slice(i, i + step)
+        assert np.array_equal(_cos_sum(ts[part], theta[part], counts[part]), got[part])
 
 
 @pytest.mark.parametrize("budget", [1, 2 * zeta._EM_BERN_TERMS + 1])
 def test_em_remainder_chunks_leave_each_height_as_it_is(budget, monkeypatch):
-    # the remainder is worked in chunks of _BATCH_ELEMENTS // _EM_BERN_TERMS
-    # heights (at least one); chunks of one or two heights give each height
-    # the float64 one chunk of all 300 gives it
+    # the kernel, remainder and main sum alike, is worked in slices of
+    # _BATCH_ELEMENTS // max(terms at the highest height, _EM_BERN_TERMS)
+    # heights (at least one); here the top height takes 374 terms, so both
+    # budgets give slices of one height, and each height gets the float64
+    # one slice of all 300 gives it
     ts = np.random.default_rng(14).uniform(2.0, EM_POLISH_MAX, 300)
     whole = _hardy_z_em_batch(ts)
     monkeypatch.setattr(zeta, "_BATCH_ELEMENTS", budget)
     assert np.array_equal(_hardy_z_em_batch(ts), whole)
 
 
+@pytest.mark.parametrize("budget", [1, 2 * 398 + 1])
+def test_rs_slices_leave_each_height_as_it_is(budget, monkeypatch):
+    # the twin of the EM check: the top height, 1e6, takes 398 main-sum
+    # terms, so the budgets give slices of one and of two heights, and each
+    # height gets the float64 one slice of all 300 gives it
+    ts = np.append(np.random.default_rng(15).uniform(RS_SWITCH, 1e6, 299), 1e6)
+    whole = _hardy_z_rs_batch(ts)
+    monkeypatch.setattr(zeta, "_BATCH_ELEMENTS", budget)
+    assert np.array_equal(_hardy_z_rs_batch(ts), whole)
+
+
 def test_batch_kernels_bound_their_working_set():
     # one dense heights x terms array for these batches takes 64 MB (RS,
     # 20000 x 400 floats), 19 MB (EM, 1400 x 1750 floats) or, for the EM
-    # remainder's Bernoulli terms, 14 MB (20000 x 44 complex); chunked by one
-    # element budget, the peaks measure 5.6, 4.4 and 9.3 MB
+    # remainder's Bernoulli terms, 14 MB (20000 x 44 complex); C0..C3's power
+    # basis, built whole for 80000 RS heights, takes 14 MB (22 x 80000 floats)
+    # and lifts the peak to 21.1 MB; worked in slices sized by one element
+    # budget, the peaks measure 2.7, 3.2, 2.5 and 2.7 MB
     for kernel, ts in ((_hardy_z_rs_batch, np.linspace(9.9e5, 1e6, 20000)),
+                       (_hardy_z_rs_batch, np.linspace(9.9e5, 1e6, 80000)),
                        (_hardy_z_em_batch, np.linspace(6900.0, 6999.0, 1400)),
                        (_hardy_z_em_batch, np.linspace(1000.0, 1499.0, 20000))):
         tracemalloc.start()
