@@ -303,10 +303,12 @@ def _gram_scan(t_lo: float, t_hi: float) -> tuple[int, np.ndarray, int]:
         i = int(bad[0])
         raise AuditError(f"Gram block [{a[i]:.9f}, {b[i]:.9f}] shows {n[i]} sign changes "
                          f"where Rosser's rule and Turing's method count {want[i]} zeros")
-    # from g_c up, the rows of the short blocks take the place of their
-    # Gram-point rows; all rows are disjoint, so their left ends order them
-    rows = np.concatenate((found[(block >= c) & ~redo], got[short[owner] >= c]))
-    below, above = _cut(rows[np.argsort(rows[:, 0])], t_lo)
+    # from g_c up, the rows of the short blocks replace their Gram-point rows;
+    # both sets ascend and all rows are disjoint, so one insert merges them
+    rows, got = found[(block >= c) & ~redo], got[short[owner] >= c]
+    del found, block, redo
+    rows = np.insert(rows, np.searchsorted(rows[:, 0], got[:, 0]), got, axis=0)
+    below, above = _cut(rows, t_lo)
     return int(ns[ends[c]]) + 1 + len(below), _cut(above, t_hi)[0], k
 
 

@@ -5,9 +5,9 @@ n^-1/2 cos(theta(t) - t log n) up to a term count of each height's own:
 * Euler-Maclaurin (EM): slow (N - 1 terms, N = max(60, ceil(t/4))) but
   near machine accuracy.  It is the low-height path of Z and the reference
   the fast path is checked against up to 1e4.  Its remainder at N, with
-  B_2..B_88, is added as a complex number rotated by theta; Backlund's bound
-  on what that remainder omits is at most 4.0e-6 of Z's EM error model on
-  [2, 1e4].  N does not depend on the rest of a batch.
+  B_2..B_2K for K = _EM_BERN_TERMS, is added as a complex number rotated by
+  theta; Backlund's bound on what that remainder omits is at most 4.0e-6 of
+  Z's EM error model on [2, 1e4].  N does not depend on the rest of a batch.
 * Riemann-Siegel (RS): main sum of ~sqrt(t/2pi) terms plus four correction
   terms C0..C3 built from derivatives of the entire function
   Psi(p) = cos(2pi(p^2 - p - 1/16))/cos(2pi p), all four from one product of
@@ -32,8 +32,10 @@ demand margins that exceed accumulated error.
 
 Both paths rotate by one theta, rs_theta, exact to rounding for t >= 1: the
 asymptotic series from a switch height of 30 up, and below it the argument
-of Gamma(1/4 + it/2) from Stirling's series after a recurrence shift.  The
-package needs numpy and nothing else.
+of Gamma(1/4 + it/2) from Stirling's series after a recurrence shift.
+Both series and the EM remainder take their coefficients from one list of
+Bernoulli numbers, derived exactly at import.  The package needs numpy and
+nothing else.
 
 All functions are pure; array-valued helpers are vectorised with numpy.
 """
@@ -41,6 +43,7 @@ All functions are pure; array-valued helpers are vectorised with numpy.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 # cheb2poly turns the shipped C0..C3 coefficients into a power basis at
@@ -78,22 +81,33 @@ _EM_BERN_TERMS = 44
 # per float64 array at any batch size; _in_slices alone divides it.
 _BATCH_ELEMENTS = 1 << 18
 
-# Riemann-Siegel theta asymptotic series: coefficient of t^-(2n-1) is
-# (1 - 2^(1-2n)) |B_2n| / (4n (2n-1)).
-_THETA_COEFFS = (
-    1.0 / 48.0,
-    7.0 / 5760.0,
-    31.0 / 80640.0,
-    127.0 / 430080.0,
-)
+
+def _bernoulli(count: int) -> list[Fraction]:
+    """B_2, B_4, ..., B_2count, exact: B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))
+    from the tangent numbers T_k, by the integer recurrence of R. P. Brent and
+    D. Harvey, "Fast computation of Bernoulli, Tangent and Secant numbers" (2013)."""
+    tan = [0] + [math.factorial(k - 1) for k in range(1, count + 1)]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            tan[j] = (j - k) * tan[j - 1] + (j - k + 2) * tan[j]
+    return [Fraction((-1) ** (k - 1) * 2 * k * tan[k], 4 ** k * (4 ** k - 1))
+            for k in range(1, count + 1)]
+
+
+# Every series coefficient below is worked from these exactly and rounded once.
+_BERNOULLI = _bernoulli(_EM_BERN_TERMS)
+
+# Riemann-Siegel theta asymptotic series: the coefficient of t^-(2n-1) is
+# (1 - 2^(1-2n)) |B_2n| / (4n (2n-1)), for n <= 4.
+_THETA_COEFFS = tuple(float((1 - Fraction(2, 4 ** n)) * abs(b) / (4 * n * (2 * n - 1)))
+                      for n, b in enumerate(_BERNOULLI[:4], start=1))
 
 # The series from here up: its first omitted term (1 - 2^-9) |B_10| / 180 t^-9 is 2e-17 at 30.
 _THETA_SERIES_MIN = 30.0
 # Below, Stirling at w = 1/4 + K + it/2: |w| >= 8.25 puts |B_18| / 306 |w|^-17 below 1e-16.
 _GAMMA_SHIFT = 8
-# Stirling series of log Gamma: the coefficient of w^-(2k-1) is B_2k / (2k (2k-1)).
-_STIRLING_COEFFS = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0,
-                    -691.0 / 360360.0, 1.0 / 156.0, -3617.0 / 122400.0)
+# Stirling series of log Gamma: the coefficient of w^-(2k-1) is B_2k / (2k (2k-1)), for k <= 8.
+_STIRLING_COEFFS = tuple(float(b / (2 * k * (2 * k - 1))) for k, b in enumerate(_BERNOULLI[:8], 1))
 
 
 def rs_theta(t):
@@ -300,36 +314,8 @@ def _hardy_z_rs_slice(ts: np.ndarray) -> np.ndarray:
     return out
 
 
-# B_2, B_4, ..., B_88 as (numerator, denominator).
-_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
-              (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730), (8553103, 6),
-              (-23749461029, 870), (8615841276005, 14322), (-7709321041217, 510),
-              (2577687858367, 6), (-26315271553053477373, 1919190), (2929993913841559, 6),
-              (-261082718496449122051, 13530), (1520097643918070802691, 1806),
-              (-27833269579301024235023, 690), (596451111593912163277961, 282),
-              (-5609403368997817686249127547, 46410), (495057205241079648212477525, 66),
-              (-801165718135489957347924991853, 1590), (29149963634884862421418123812691, 798),
-              (-2479392929313226753685415739663229, 870),
-              (84483613348880041862046775994036021, 354),
-              (-1215233140483755572040304994079820246041491, 56786730),
-              (12300585434086858541953039857403386151, 6),
-              (-106783830147866529886385444979142647942017, 510),
-              (1472600022126335654051619428551932342241899101, 64722),
-              (-78773130858718728141909149208474606244347001, 30),
-              (1505381347333367003803076567377857208511438160235, 4686),
-              (-5827954961669944110438277244641067365282488301844260429, 140100870),
-              (34152417289221168014330073731472635186688307783087, 6),
-              (-24655088825935372707687196040585199904365267828865801, 30),
-              (414846365575400828295179035549542073492199375372400483487, 3318),
-              (-4603784299479457646935574969019046849794257872751288919656867, 230010),
-              (1677014149185145836823154509786269900207736027570253414881613, 498),
-              (-2024576195935290360231131160111731009989917391198090877281083932477, 3404310),
-              (660714619417678653573847847426261496277830686653388931761996983, 6),
-              (-1311426488674017507995511424019311843345750275572028644296919890574047, 61410))
-# B_2k/(2k)!, each one correctly rounded division of integers: the Bernoulli
-# corrections of the EM remainder.
-_BERN_OVER_FACT = np.array([num / (den * math.factorial(2 * k))
-                            for k, (num, den) in enumerate(_BERNOULLI[:_EM_BERN_TERMS], start=1)])
+# B_2k / (2k)!: the Bernoulli corrections of the EM remainder.
+_BERN_OVER_FACT = np.array([float(b / math.factorial(2 * k)) for k, b in enumerate(_BERNOULLI, 1)])
 # At s = 1/2 + it, (s + 2k - 1)(s + 2k) = 4k^2 - 1/4 - t^2 + 4kt i; the
 # columns hold 4k and 4k^2 - 1/4 for k = 1 .. _EM_BERN_TERMS - 1.
 _EM_STEP_IM = 4.0 * np.arange(1.0, _EM_BERN_TERMS)[:, None]

@@ -5,8 +5,10 @@ wanted (theta as a Gamma argument, Z and its error model), mpmath provides
 arbitrary-precision references.
 """
 
+import hashlib
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -148,10 +150,20 @@ def test_z_within_its_error_model_against_mpmath():
 
 
 def test_em_bernoulli_coefficients_against_mpmath():
-    coeffs = zeta._BERN_OVER_FACT
-    assert len(coeffs) == zeta._EM_BERN_TERMS == 44
-    for k, c in enumerate(coeffs, start=1):
-        assert c == pytest.approx(float(mp.bernoulli(2 * k) / mp.factorial(2 * k)), rel=1e-15)
+    # the Bernoulli numbers derived at import are exact, and every series
+    # coefficient taken from them is its formula worked in exact rationals
+    # and rounded once: theta's t^-(2n-1), Stirling's w^-(2k-1) and the EM
+    # remainder's B_2k/(2k)!
+    bern = [Fraction(*mp.bernfrac(2 * k)) for k in range(1, zeta._EM_BERN_TERMS + 1)]
+    assert zeta._BERNOULLI == bern
+    assert len(zeta._BERN_OVER_FACT) == zeta._EM_BERN_TERMS == 44
+    assert zeta._BERN_OVER_FACT.tolist() == [float(b / math.factorial(2 * k))
+                                             for k, b in enumerate(bern, start=1)]
+    assert zeta._THETA_COEFFS == tuple(
+        float((1 - Fraction(1, 2 ** (2 * n - 1))) * abs(b) / (4 * n * (2 * n - 1)))
+        for n, b in enumerate(bern[:4], start=1))
+    assert zeta._STIRLING_COEFFS == tuple(float(b / (2 * k * (2 * k - 1)))
+                                          for k, b in enumerate(bern[:8], start=1))
 
 
 def test_em_remainder_matches_a_term_by_term_loop():
@@ -251,6 +263,30 @@ def test_z_of_a_height_does_not_depend_on_its_batch(polish):
         assert np.array_equal(alone, whole[::10])
         if not polish:
             assert np.array_equal([hardy_z(t) for t in ts[::10].tolist()], whole[::10])
+
+
+def test_z_and_theta_are_pinned_bit_for_bit():
+    # 2,000 seeded heights in each band where Z or theta takes other code:
+    # Stirling's theta, grid and polish EM, RS where EM checks it, RS to 1e6,
+    # and the band past it that only Turing's method reads.  Nothing else in
+    # tier-1 pins polish-path EM on [500, 1500) bit for bit.  A change that
+    # moves Z on purpose (ROADMAP items 1 and 4) re-pins it, with each moved
+    # ordinate checked against mpmath
+    rng = np.random.default_rng(29)
+    ts = np.concatenate([rng.uniform(lo, hi, 2000) for lo, hi in (
+        (2.0, 30.0), (30.0, RS_SWITCH), (RS_SWITCH, EM_POLISH_MAX), (EM_POLISH_MAX, 1e4),
+        (1e4, 1e6), (1e6, Z_TOP))])
+    got = {name: hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()
+           for name, values in (("ts", ts), ("z", hardy_z_many(ts)),
+                                ("z_polish", hardy_z_many(ts, polish=True)),
+                                ("theta", rs_theta(ts)), ("theta_deriv", rs_theta_deriv(ts)))}
+    assert got == {
+        "ts": "d4babee560d6721d7e5c48761d27eff0a19f7b4651ea83a2a31abcdd60f13545",
+        "z": "42815672fbe6acfd907cd40e9aa2797e3b965759c5d127c00875ee6ceba975c4",
+        "z_polish": "5b48b285831cc941091808553fb7952bb2a115191bf472adccdccb82d041387f",
+        "theta": "930a1351100950529a0bd74404945f1905eb4c17367c70004a4fc74827bba86f",
+        "theta_deriv": "afd6f79a3de6ca56ebcd1cea2dd666b4924ee61032d9fbe26d6b0b1338ed2962",
+    }
 
 
 def test_z_sign_bookkeeping_14_to_18():
