@@ -223,16 +223,16 @@ def _scan_window(a: float, b: float, step: float) -> np.ndarray:
 
 
 def _rescan(a: np.ndarray, b: np.ndarray, want: np.ndarray,
-            rows: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows, ascending by block, and the block of each, for the Gram blocks
-    [a, b] holding want zeros, from the rows their Gram points show in blocks
-    owner: a block showing fewer is rescanned at halving steps from
-    (b - a)/want down to REFINE_FLOOR.  A round lays the grids still short
-    end to end for one Z and one hardy_z_err call; a sign change counts only
-    within a block, so a block's rows are _scan_window's at its last step."""
-    n = np.bincount(owner, minlength=a.size)
-    step = (b - a) / want
+    [a, b] holding want zeros whose Gram points show n != want sign changes.
+    Blocks showing fewer are rescanned at halving steps from (b - a)/want
+    down to REFINE_FLOOR, all in one Z call a round; a block that ends with
+    other than want raises AuditError.  A sign change counts only within a
+    block, so a block's rows are _scan_window's at its last step."""
+    n, step = n.copy(), (b - a) / want
     live = np.flatnonzero((n < want) & (step > REFINE_FLOOR))
+    rows, owner = np.empty((0, 4)), np.empty(0, dtype=int)
     while live.size:
         step[live] *= 0.5
         grid, blk = _grids(a[live], b[live], step[live])
@@ -241,6 +241,10 @@ def _rescan(a: np.ndarray, b: np.ndarray, want: np.ndarray,
         stay = ~np.isin(owner, live)
         rows, owner = np.concatenate((rows[stay], found)), np.concatenate((owner[stay], blk))
         live = live[(n[live] < want[live]) & (step[live] > REFINE_FLOOR)]
+    if (bad := np.flatnonzero(n != want)).size:
+        i = int(bad[0])
+        raise AuditError(f"Gram block [{a[i]:.9f}, {b[i]:.9f}] shows {n[i]} sign changes "
+                         f"where Rosser's rule and Turing's method count {want[i]} zeros")
     order = np.argsort(owner, kind="stable")
     return rows[order], owner[order]
 
@@ -288,28 +292,23 @@ def _gram_scan(t_lo: float, t_hi: float) -> tuple[int, np.ndarray, int]:
         pad *= 2
 
     found = _brackets_from_grid(g, z)[0]
+    lengths, n_c = np.diff(ns[ends]), int(ns[ends[c]]) + 1
+    del ns, g, z
     # brackets never straddle a good Gram point: its sample is reliable, so
     # a row's block is the last good point at or below its left end, or -1
     block = np.searchsorted(ge, found[:, 0], side="right") - 1
-    lengths = np.diff(ns[ends])
     start, stop = max(c - k, 0), hi + k
     shown = np.bincount(block + 1, minlength=ge.size + 1)[1:]
     short = np.flatnonzero(shown[start:stop] != lengths[start:stop]) + start
-    a, b, want = ge[short], ge[short + 1], lengths[short]
-    redo = np.isin(block, short)
-    got, owner = _rescan(a, b, want, found[redo], np.searchsorted(short, block[redo]))
-    n = np.bincount(owner, minlength=short.size)
-    if (bad := np.flatnonzero(n != want)).size:
-        i = int(bad[0])
-        raise AuditError(f"Gram block [{a[i]:.9f}, {b[i]:.9f}] shows {n[i]} sign changes "
-                         f"where Rosser's rule and Turing's method count {want[i]} zeros")
     # from g_c up, the rows of the short blocks replace their Gram-point rows;
     # both sets ascend and all rows are disjoint, so one insert merges them
-    rows, got = found[(block >= c) & ~redo], got[short[owner] >= c]
-    del found, block, redo
+    rows = found[(block >= c) & ~np.isin(block, short)]
+    del found, block
+    got, owner = _rescan(ge[short], ge[short + 1], lengths[short], shown[short])
+    got = got[short[owner] >= c]
     rows = np.insert(rows, np.searchsorted(rows[:, 0], got[:, 0]), got, axis=0)
     below, above = _cut(rows, t_lo)
-    return int(ns[ends[c]]) + 1 + len(below), _cut(above, t_hi)[0], k
+    return n_c + len(below), _cut(above, t_hi)[0], k
 
 
 def _cut(rows: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -364,20 +363,20 @@ def _refine_many(rows: np.ndarray) -> np.ndarray:
     the step back onto the row's end where the polish went past it.
     """
     a, b, fa, fb = rows.T.copy()
-    same = np.flatnonzero(fa * fb > 0)
-    if same.size:  # ends of one sign: one within hardy_z_err of zero is the zero's place
-        for x, f in ((a, fa), (b, fb)):
-            f[same] = np.where(np.abs(f[same]) > zeta.hardy_z_err(x[same]), f[same], 0.0)
+    for x, f in ((a, fa), (b, fb)):
+        f[np.abs(f) <= zeta.hardy_z_err(x)] = 0.0
     bad = np.flatnonzero(fa * fb > 0)
     if bad.size:
         i = int(bad[0])
         raise DomainError(f"bracket ({a[i]}, {b[i]}) carries no sign change")
 
-    # the last two iterates of each bracket, with their grid-path values
-    x0, f0, x1, f1 = a.copy(), fa.copy(), b.copy(), fb.copy()
-    ga, gb = fa.copy(), fb.copy()  # end values as Illinois scales them
+    # the last two iterates, with grid-path values: an end at the zero's place is the last
+    left = fa == 0.0
+    x0, f0 = np.where(left, b, a), np.where(left, fb, fa)
+    x1, f1 = np.where(left, a, b), np.where(left, fa, fb)
+    ga, gb = fa, fb  # end values as Illinois scales them
     kept = np.zeros(a.shape, dtype=int)  # end that stayed last: -1 a, +1 b
-    live = np.arange(a.size)
+    live = np.flatnonzero(fa * fb < 0)
     while live.size:
         x = b[live] - gb[live] * (b[live] - a[live]) / (gb[live] - ga[live])
         # a point that rounds onto an end leaves the bracket as narrow as it gets
