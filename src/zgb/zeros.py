@@ -10,9 +10,9 @@ zero count at both ends of the range, so each sign change brackets exactly
 one zero and none is missed; Z runs to zeta.Z_TOP, past 1e6, for its blocks.
 Each bracket is a row (a, b, Z(a), Z(b)) with grid-path Z at both ends, so no
 end is evaluated twice; an end within hardy_z_err of zero is the zero's place.
-Brackets are refined by Illinois steps on the grid path of Z plus a secant
-polish on its polish path (hardy_z_many with polish=True, Euler-Maclaurin up
-to zeta.EM_POLISH_MAX).  The finished table is audited two ways:
+Brackets are refined by Anderson-Bjorck steps on Z's grid path and a secant
+polish on its polish path (hardy_z_many with polish=True, Euler-Maclaurin
+up to zeta.EM_POLISH_MAX).  The finished table is audited two ways:
 
 * Rosser envelope (independent cross-check): |N(T) - F(T)| <= R(T) at the
   top height and at 100 intermediate heights.
@@ -353,20 +353,19 @@ def _refine_many(rows: np.ndarray) -> np.ndarray:
     zero is the zero's place, and its Z counts as 0; only ends of one strict
     sign raise DomainError.
 
-    Bracketed Illinois steps (regula falsi that halves the value kept at an
-    end that stays twice in a row) narrow each bracket on the grid path of Z.
-    A bracket stops at the first iterate whose |Z| is within hardy_z_err,
-    since that sign could point the next step away from the zero.  A secant
-    polish on the polish path of Z then starts from the last two iterates,
-    reusing their values where the two paths are the same function.
+    Anderson-Bjorck steps (regula falsi that scales the value kept at an end
+    that stays twice in a row by 1 - f(x)/f(replaced end), or 1/2 if that is
+    not positive) narrow each bracket on Z's grid path until an iterate's |Z|
+    is within hardy_z_err, whose sign could point the next step away.  The
+    secant polish on Z's polish path starts from the last two iterates: x1
+    alone is evaluated again where the paths differ, and f(x0) shifts too.
     abs_err = last secant step + hardy_z_err / |slope| + 1e-15 gamma, plus
     the step back onto the row's end where the polish went past it.
     """
     a, b, fa, fb = rows.T.copy()
     for x, f in ((a, fa), (b, fb)):
         f[np.abs(f) <= zeta.hardy_z_err(x)] = 0.0
-    bad = np.flatnonzero(fa * fb > 0)
-    if bad.size:
+    if (bad := np.flatnonzero(fa * fb > 0)).size:
         i = int(bad[0])
         raise DomainError(f"bracket ({a[i]}, {b[i]}) carries no sign change")
 
@@ -374,7 +373,7 @@ def _refine_many(rows: np.ndarray) -> np.ndarray:
     left = fa == 0.0
     x0, f0 = np.where(left, b, a), np.where(left, fb, fa)
     x1, f1 = np.where(left, a, b), np.where(left, fa, fb)
-    ga, gb = fa, fb  # end values as Illinois scales them
+    ga, gb = fa, fb  # end values as Anderson-Bjorck scales them
     kept = np.zeros(a.shape, dtype=int)  # end that stayed last: -1 a, +1 b
     live = np.flatnonzero(fa * fb < 0)
     while live.size:
@@ -389,17 +388,18 @@ def _refine_many(rows: np.ndarray) -> np.ndarray:
         live, x, fx = live[sure], x[sure], fx[sure]
         right = np.sign(fx) == np.sign(gb[live])
         i, j = live[right], live[~right]
+        m = 1.0 - fx / np.where(right, gb[live], ga[live])
+        m = np.where(m > 0.0, m, 0.5)
+        ga[i] *= np.where(kept[i] == -1, m[right], 1.0)
+        gb[j] *= np.where(kept[j] == 1, m[~right], 1.0)
         b[i], gb[i] = x[right], fx[right]
-        ga[i] *= np.where(kept[i] == -1, 0.5, 1.0)
         a[j], ga[j] = x[~right], fx[~right]
-        gb[j] *= np.where(kept[j] == 1, 0.5, 1.0)
         kept[i], kept[j] = -1, 1
 
     # secant polish on the polish path of Z, from the last two iterates
-    for x, f in ((x0, f0), (x1, f1)):
-        redo = zeta.em_path(x, polish=True) != zeta.em_path(x)
-        if redo.any():
-            f[redo] = zeta.hardy_z_many(x[redo], polish=True)
+    if (redo := zeta.em_path(x1, polish=True) != zeta.em_path(x1)).any():
+        fx = zeta.hardy_z_many(x1[redo], polish=True)
+        f0[redo], f1[redo] = fx - (f1[redo] - f0[redo]), fx
     last_step = np.abs(x1 - x0)
     slope = np.abs(f1 - f0) / np.maximum(last_step, 1e-300)
     live = np.flatnonzero(last_step > 1e-13)

@@ -1,8 +1,10 @@
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from zgb import build_table, compute_constants
+from zgb import build_table, compute_constants, zeta
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -44,3 +46,49 @@ def table100():
 @pytest.fixture(scope="session")
 def table1000():
     return build_table(1000.0)
+
+
+class ZCounts:
+    """The heights hardy_z_many handed to each Z kernel, by path ("rs" or
+    "em"), with the Z points and main-sum terms they cost."""
+
+    #: each path's kernel, and the main-sum terms a height costs on it:
+    #: floor(sqrt(t / 2 pi)) on RS, one fewer than the EM term count on EM
+    _PATHS = {"rs": ("_hardy_z_rs_batch", lambda ts: np.floor(np.sqrt(ts / (2.0 * math.pi)))),
+              "em": ("_hardy_z_em_batch", lambda ts: zeta._em_term_count(ts) - 1.0)}
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self.heights = {path: [] for path in self._PATHS}
+
+    def batches(self, path: str | None = None):
+        """(path, heights) of each kernel call, on one path or on both."""
+        for p in [path] if path else self.heights:
+            for ts in self.heights[p]:
+                yield p, ts
+
+    def points(self, path: str | None = None) -> int:
+        return sum(ts.size for _, ts in self.batches(path))
+
+    def terms(self, path: str | None = None) -> int:
+        return sum(int(self._PATHS[p][1](ts).sum()) for p, ts in self.batches(path))
+
+    def watch(self, monkeypatch) -> "ZCounts":
+        """Record every kernel call for as long as monkeypatch's patches hold."""
+        for path, (name, _) in self._PATHS.items():
+            def kernel(ts, path=path, original=getattr(zeta, name)):
+                self.heights[path].append(np.array(ts, dtype=float))
+                return original(ts)
+
+            monkeypatch.setattr(zeta, name, kernel)
+        return self
+
+
+@pytest.fixture
+def z_counts(monkeypatch) -> ZCounts:
+    """Z points and main-sum terms by path, counted from the start of the test;
+    outside pytest, ZCounts().watch(mp) under pytest.MonkeyPatch.context()
+    counts the same way."""
+    return ZCounts().watch(monkeypatch)

@@ -372,7 +372,7 @@ def test_refine_a_bracket_that_ends_at_a_zero(n):
     # isolating up to the ordinate itself trims the last bracket to end
     # there, where |Z| is within its error: that end is the zero's place; so
     # is the left end of a bracket from the ordinate up to the next zero's
-    # bracket (less than 10 above), though an Illinois point rounds onto it
+    # bracket (less than 10 above), though a regula falsi point rounds onto it
     mpmath = pytest.importorskip("mpmath")
     gamma = mpmath.zetazero(n).imag
     bracket = isolate_zeros(2.0, float(gamma))[-1]
@@ -406,42 +406,28 @@ def test_refine_zero_refines_once_and_raises_on_a_miss(monkeypatch):
     assert results[0][0, 1] > 1e-9
 
 
-def test_refine_spends_few_z_points_per_zero(monkeypatch):
-    # Illinois steps plus a secant polish from the last two iterates, on rows
-    # that carry Z at both ends, take 9.00 Z points per zero to 1e3 (5844 for
-    # 649 zeros; 28.1 with bisection to 1e-6 before the polish); the bound
-    # leaves 33 % headroom
+def test_refine_spends_few_z_points_per_zero(z_counts):
+    # Anderson-Bjorck steps plus a secant polish from the last two iterates,
+    # on rows that carry Z at both ends, take 7.23 Z points per zero to 1e3
+    # (4690 for 649 zeros; 8.78 with Illinois steps and both iterates
+    # evaluated again on the EM polish path); the bound leaves 10 % headroom
     rows = zeros._gram_scan(2.0, 1e3)[1]
-    points = []
-    for name in ("_hardy_z_rs_batch", "_hardy_z_em_batch"):
-        original = getattr(zeta, name)
-
-        def counting(ts, original=original):
-            points.append(len(ts))
-            return original(ts)
-
-        monkeypatch.setattr(zeta, name, counting)
+    z_counts.clear()
     refined = zeros._refine_many(rows)
     assert len(refined) == 649
-    assert sum(points) / len(refined) <= 12.0
+    assert z_counts.points() / len(refined) <= 8.0
     assert max(e for _, e in refined) <= 1e-8
 
 
-def test_refine_evaluates_no_bracket_end(monkeypatch):
+def test_refine_evaluates_no_bracket_end(z_counts):
     # each row carries Z at both of its ends, so the refinement spends no
     # point on them
     rows = zeros._gram_scan(2.0, 1e3)[1]
-    heights = []
-    original = zeta.hardy_z_many
-
-    def recording(ts, polish=False):
-        heights.extend(np.atleast_1d(ts).tolist())
-        return original(ts, polish)
-
-    monkeypatch.setattr(zeta, "hardy_z_many", recording)
+    z_counts.clear()
     assert len(zeros._refine_many(rows)) == 649
-    assert heights
-    assert not set(rows[:, :2].ravel().tolist()) & set(heights)
+    heights = np.concatenate([ts for _, ts in z_counts.batches()])
+    assert heights.size
+    assert not set(rows[:, :2].ravel().tolist()) & set(heights.tolist())
 
 
 def test_isolate_returns_tuples_that_share_ends():
@@ -521,9 +507,9 @@ def test_build_table_up_to_a_zero_ordinate():
 
 @pytest.mark.parametrize("t_max, count, digest", [
     (1e3, 649, "c4d92a81d25e9145a5b3e5d3ded90615639860e30ba70bfb16afda15f4b04883"),
-    pytest.param(1e4, 10142, "3748908cee13adad4d16c56bd302ff80dfae412ec3c1413ab30072e032bca236",
+    pytest.param(1e4, 10142, "ec8b8833c0c02278a465d3c5dabe2d18d656500dde880e264f5b9dc12e0ad75c",
                  marks=pytest.mark.slow),
-    pytest.param(1e5, 138069, "ac60ba053a5576235a3df5dd73541f1331cabae31d9aef5885dd9e893d0c091b",
+    pytest.param(1e5, 138069, "82b071e56890d4fbe2a6fa0043fb0a83b51f038c483b06e41709b28cc5637213",
                  marks=pytest.mark.slow),
 ], ids=["1e3", "1e4", "1e5"])
 def test_saved_tables_are_pinned(tmp_path, t_max, count, digest):
@@ -537,20 +523,13 @@ def test_saved_tables_are_pinned(tmp_path, t_max, count, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-def test_build_table_spends_few_em_main_sum_terms(monkeypatch):
+def test_build_table_spends_few_em_main_sum_terms(z_counts):
     # below EM_POLISH_MAX the EM main sum is most of the build's Z work; its
-    # term count repeats exactly (451,996 here, 712,782 at ceil(0.4 t) terms a
-    # height), so a change that spends more of them shows
-    terms = []
-    original = zeta._hardy_z_em_batch
-
-    def counting(ts):
-        terms.append(int((zeta._em_term_count(ts) - 1.0).sum()))
-        return original(ts)
-
-    monkeypatch.setattr(zeta, "_hardy_z_em_batch", counting)
+    # term count repeats exactly (357,049 here with Anderson-Bjorck steps and
+    # one polish-path point a bracket, 451,996 with Illinois steps and two),
+    # so a change that spends more of them shows; the bound leaves 10 % headroom
     assert len(build_table(1e3)) == 649
-    assert sum(terms) <= 470_000
+    assert z_counts.terms("em") <= 393_000
 
 
 def _against_zetazero(n):
