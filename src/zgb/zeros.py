@@ -536,9 +536,11 @@ def _read_ordinates(path: str | Path) -> tuple[np.ndarray, float, bytes]:
     A line holds one decimal ordinate, alone or after an index column, or
     nothing; anything else, or a first ordinate not near 14.1347, raises.
 
-    The checks run on whole columns, and only a failed one looks for its
-    line: the first failure in file order, with a line's checks in the
-    order field count, layout, decimal, finite, increasing.
+    Detection runs on whole columns: the bulk parse, field counts,
+    finiteness and strict rise.  Only if it fails does one loop walk the
+    lines in file order, a line's checks in the order field count, layout,
+    decimal, finite, increasing, and raise at the first failing line; numpy
+    parses a token as float() does, so the loop finds what detection saw.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -551,37 +553,33 @@ def _read_ordinates(path: str | Path) -> tuple[np.ndarray, float, bytes]:
     # the line ends of text-mode reading: \n, \r\n and \r
     fields = list(map(str.split, text.replace("\r\n", "\n").replace("\r", "\n").split("\n")))
     tokens = [f[-1] for f in fields if f]
-    width = np.fromiter(map(len, fields), dtype=np.intp, count=len(fields))
-    rows = np.flatnonzero(width)  # 0-based numbers of the nonblank lines
-    width = width[rows]
-    bad = len(tokens)  # the first token that is not a decimal
+    width = np.fromiter(map(len, filter(None, fields)), dtype=np.intp, count=len(tokens))
     try:
-        values = np.array(tokens, dtype=float)  # parses as float() does
+        values = np.array(tokens, dtype=float)
+        clean = np.isfinite(values).all() and (values[1:] > values[:-1]).all()
     except ValueError:
-        for bad, token in enumerate(tokens):
+        clean = False
+    if not clean or ((width > 2) | (width != width[:1])).any():
+        n_cols, prev = 0, -math.inf
+        for line, f in enumerate(fields, start=1):
+            if not f:
+                continue
+            n_cols, got, token = n_cols or len(f), len(f), f[-1]
+            if got > 2:
+                raise TableFormatError(
+                    f"expected 1 or 2 whitespace-separated fields, got {got}", line=line)
+            if got != n_cols:
+                raise TableFormatError(f"layout switched from {n_cols} to {got} fields", line=line)
             try:
-                float(token)
-            except ValueError:
-                break
-        values = np.array(tokens[:bad], dtype=float)
-    n_cols = int(width[0]) if rows.size else 1
-    broken = np.flatnonzero((width != n_cols) | (width > 2))
-    # a NaN fails the rise too, but its line reports it as non-finite
-    faults = np.flatnonzero(~np.isfinite(values) | ~(values > np.append(-np.inf, values[:-1])))
-    first = min([bad, *broken[:1].tolist(), *faults[:1].tolist()])
-    if first < rows.size:
-        line, got, token = int(rows[first]) + 1, int(width[first]), tokens[first]
-        if got > 2:
-            raise TableFormatError(
-                f"expected 1 or 2 whitespace-separated fields, got {got}", line=line)
-        if got != n_cols:
-            raise TableFormatError(f"layout switched from {n_cols} to {got} fields", line=line)
-        if first == bad:
-            raise TableFormatError(f"not a decimal: {token!r}", line=line)
-        if not np.isfinite(values[first]):
-            raise TableFormatError(f"non-finite ordinate {token!r}", line=line)
-        raise TableFormatError(f"ordinates must increase strictly: {float(values[first])} "
-                               f"after {float(values[first - 1])}", line=line)
+                value = float(token)
+            except ValueError as exc:
+                raise TableFormatError(f"not a decimal: {token!r}", line=line) from exc
+            if not math.isfinite(value):
+                raise TableFormatError(f"non-finite ordinate {token!r}", line=line)
+            if value <= prev:
+                raise TableFormatError(
+                    f"ordinates must increase strictly: {value} after {prev}", line=line)
+            prev = value
 
     if not values.size:
         raise TableFormatError(f"no ordinates found in {path}")

@@ -129,6 +129,21 @@ def test_sweep_2_to_100(table100):
     assert sweep.min_margin_hi > 0
 
 
+def test_sweep_fails_a_verdict_on_a_small_negative_margin(table100, monkeypatch):
+    # move both constants so that each least margin is -0.005: a verdict that
+    # forgave a margin that small would still report the bound as holding
+    from zgb import summation
+
+    sweep = theorem_sweep(table100, 2.0, 100.0, 200)
+    monkeypatch.setattr(summation, "_LOWER", summation._LOWER + sweep.min_margin_lo + 0.005)
+    monkeypatch.setattr(summation, "_UPPER", summation._UPPER - sweep.min_margin_hi - 0.005)
+    moved = theorem_sweep(table100, 2.0, 100.0, 200)
+    assert moved.min_margin_lo == pytest.approx(-0.005, abs=1e-12)
+    assert moved.min_margin_hi == pytest.approx(-0.005, abs=1e-12)
+    assert not moved.all_lower_ok
+    assert not moved.all_upper_ok
+
+
 def test_sweep_record_at_2(table100):
     sweep = theorem_sweep(table100, 2.0, 100.0, 50)
     first = sweep.records[0]

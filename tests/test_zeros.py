@@ -6,6 +6,7 @@ N(1000) = 649, and the close pair near 7005 whose gap (0.0377) is far below
 the initial grid step.
 """
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -341,6 +342,15 @@ def test_grids_laid_together_match_each_grid_alone():
         assert np.array_equal(back[back_block == a.size - 1 - i], alone)
 
 
+def test_a_sample_within_its_error_of_zero_has_no_sign():
+    # Z = 1e-12 at 1000.1 is far inside hardy_z_err there (about 1.8e-8), so
+    # the sample is dropped and the one sign change spans the whole grid
+    grid = np.array([1000.0, 1000.1, 1000.2])
+    rows, blk = zeros._brackets_from_grid(grid, np.array([1.0, 1e-12, -1.0]))
+    assert blk is None
+    assert rows.tolist() == [[1000.0, 1000.2, 1.0, -1.0]]
+
+
 # --------------------------------------------------------------------- refine
 
 
@@ -530,6 +540,25 @@ def test_build_table_spends_few_em_main_sum_terms(z_counts):
     # so a change that spends more of them shows; the bound leaves 10 % headroom
     assert len(build_table(1e3)) == 649
     assert z_counts.terms("em") <= 393_000
+
+
+def test_main_sum_batches_arrive_in_ascending_order(monkeypatch):
+    # _cos_sum plans its chunks in the order it is given: an unsorted batch
+    # still sums right but pads more, so every caller must send its heights
+    # ascending; near 1e6 refine_zero may miss its 1e-9 target, but only
+    # after its Z calls
+    heights = []
+    real = zeta._cos_sum
+    monkeypatch.setattr(zeta, "_cos_sum",
+                        lambda ts, *rest: heights.append(ts.copy()) or real(ts, *rest))
+    build_table(1e3)
+    built = len(heights)
+    for bracket in isolate_zeros(999000.0, 999002.0):
+        with contextlib.suppress(ConvergenceError):
+            refine_zero(bracket)
+    assert 0 < built < len(heights)
+    for ts in heights:
+        assert np.all(ts[1:] >= ts[:-1]), ts
 
 
 def _against_zetazero(n):
