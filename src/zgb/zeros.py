@@ -214,7 +214,10 @@ def _brackets_from_grid(grid: np.ndarray, z: np.ndarray,
         blk = blk[keep]
         flip &= blk[:-1] == blk[1:]
     i = np.flatnonzero(flip)
-    return np.column_stack((grid[i], grid[i + 1], z[i], z[i + 1])), None if blk is None else blk[i]
+    rows = np.empty((i.size, 4))  # filled column by column: no gathered copies held
+    for col, (v, j) in enumerate(((grid, 0), (grid, 1), (z, 0), (z, 1))):
+        np.take(v, i + j, out=rows[:, col])
+    return rows, None if blk is None else blk[i]
 
 
 def _scan_window(a: float, b: float, step: float) -> np.ndarray:
@@ -359,8 +362,10 @@ def _refine_many(rows: np.ndarray) -> np.ndarray:
     is within hardy_z_err, whose sign could point the next step away.  The
     secant polish on Z's polish path starts from the last two iterates: x1
     alone is evaluated again where the paths differ, and f(x0) shifts too.
-    abs_err = last secant step + hardy_z_err / |slope| + 1e-15 gamma, plus
-    the step back onto the row's end where the polish went past it.
+    A secant step of at most 8 ulps of the iterate is taken without Z at its
+    end and ends the row's polish.  abs_err = last secant step, taken or
+    evaluated, + hardy_z_err / |slope| + 1e-15 gamma, plus the step back
+    onto the row's end where the polish went past it.
     """
     a, b, fa, fb = rows.T.copy()
     for x, f in ((a, fa), (b, fb)):
@@ -415,6 +420,11 @@ def _refine_many(rows: np.ndarray) -> np.ndarray:
         last_step[live[step == 0.0]] = 0.0
         go = (step > 0.0) & (step < last_step[live])
         live, x2, step = live[go], x2[go], step[go]
+        # a step of a few ulps is taken unconfirmed: Z moves over it by about
+        # its own error or less, so a step from Z at its end is rounding noise
+        done = step <= 8.0 * np.spacing(x1[live])
+        x1[live[done]], last_step[live[done]] = x2[done], step[done]
+        live, x2, step = live[~done], x2[~done], step[~done]
         if not live.size:
             break
         f2 = zeta.hardy_z_many(x2, polish=True)

@@ -50,7 +50,7 @@ def table1000():
 
 class ZCounts:
     """The heights hardy_z_many handed to each Z kernel, by path ("rs" or
-    "em"), with the Z points and main-sum terms they cost."""
+    "em"), with the kernel calls, Z points and main-sum terms they cost."""
 
     #: each path's kernel, and the main-sum terms a height costs on it:
     #: floor(sqrt(t / 2 pi)) on RS, one fewer than the EM term count on EM
@@ -68,6 +68,10 @@ class ZCounts:
         for p in [path] if path else self.heights:
             for ts in self.heights[p]:
                 yield p, ts
+
+    def calls(self, path: str | None = None) -> int:
+        """Kernel calls, each of which pays the kernel's per-call overhead."""
+        return sum(1 for _ in self.batches(path))
 
     def points(self, path: str | None = None) -> int:
         return sum(ts.size for _, ts in self.batches(path))

@@ -439,7 +439,7 @@ def test_cos_sum_matches_an_exact_sum(case, budget):
     got = _cos_sum(ts, theta, counts)
     assert got.shape == ts.shape
     assert np.max(np.abs(got - _cos_sum_reference(ts, theta, counts)), initial=0.0) <= 1e-13
-    if case == "rs-shuffled":  # the chunks follow the sorted heights, not the input order
+    if case == "rs-shuffled":  # chunks follow the input order; each height keeps its bits
         ts0, counts0 = _cos_sum_cases()["rs-counts-9-40"]
         order = np.argsort(ts)
         assert np.array_equal(got[order], _cos_sum(ts0, rs_theta(ts0), counts0)[np.argsort(ts0)])
