@@ -1,6 +1,7 @@
 """Critical-line machinery: the Riemann-Siegel theta function and the Hardy
 Z-function, by two routes over one main-sum kernel, _cos_sum, which adds
-n^-1/2 cos(theta(t) - t log n) up to a term count of each height's own:
+n^-1/2 cos(theta(t) - t log n) up to a term count of each height's own and
+takes a cosine only for those terms:
 
 * Euler-Maclaurin (EM): slow (N - 1 terms, N = max(60, ceil(t/4))) but
   near machine accuracy.  It is the low-height path of Z and the reference
@@ -172,40 +173,25 @@ def rs_theta_deriv(t):
 def _cos_sum(ts: np.ndarray, theta: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sum of n^-1/2 cos(theta - t log n) over 1 <= n <= counts, per height.
 
-    Each chunk of heights is worked in one terms x heights buffer, padded to
-    its largest count with zero terms, and summed one term row at a time in
-    n order: a padded term adds exactly 0, so a height's sum is the same
-    float64 whatever else is in its call or its chunk.  Heights are taken as
-    given, and a chunk closes before the running largest count passes 9/8 of
-    its value at the chunk's first height: padding stays under an eighth of a
-    chunk when the counts rise along the batch, as in every batch the kernels
-    send, and an unsorted batch only pads more.  A batch within one such
-    window is one chunk, unplanned.  The kernels size each call by _in_slices.
+    The call is worked in one terms x heights buffer, as tall as the largest
+    count, and summed one term row at a time in n order.  The cosine is taken
+    only where a height has a term, and every other entry is set to +0.0: a
+    sum starts from the n = 1 row, which every height has, and adding +0.0
+    leaves it as it is, so a height's sum is the same float64 whatever else
+    is in its call, in any order.  The kernels size each call by _in_slices.
     """
-    out = np.empty(ts.shape)
     top = int(counts.max(initial=0))
-    least = int(counts.min(initial=top))
-    n = np.arange(1.0, top + 1)[:, None]  # the terms of the widest chunk, as a column
-    log_n, weight = np.log(n), n ** -0.5
-    if 8 * top <= 9 * least:
-        # planning nothing saves 3-4 of 56-64 us in a one-point call near 1e6 (2-core x86_64 VM)
-        chunks = [(slice(None), top, least)]
-    else:
-        widest = np.maximum.accumulate(counts)  # bounds each chunk's largest count
-        chunks, pos = [], 0
-        while pos < ts.size:
-            stop = int(np.searchsorted(widest, 9 * int(widest[pos]) // 8, side="right"))
-            chunks.append((slice(pos, stop), int(widest[stop - 1]), int(counts[pos:stop].min())))
-            pos = stop
-    for idx, width, least in chunks:
-        buf = np.multiply(log_n[:width], ts[idx])  # one buffer, each step in place
-        np.subtract(theta[idx], buf, out=buf)
+    n = np.arange(1.0, top + 1)[:, None]  # the terms, as a column
+    buf = np.multiply(np.log(n), ts)  # one buffer, each step in place
+    np.subtract(theta, buf, out=buf)
+    if counts.min(initial=top) == top:
         np.cos(buf, out=buf)
-        buf *= weight[:width]
-        if least < width:  # mask only where the counts differ
-            buf *= n[:width] <= counts[idx]
-        out[idx] = _row_sum(buf)
-    return out
+    else:
+        has = n <= counts
+        np.cos(buf, out=buf, where=has)
+        np.copyto(buf, 0.0, where=np.logical_not(has, out=has))
+    buf *= n ** -0.5
+    return _row_sum(buf)
 
 
 def _in_slices(body, ts: np.ndarray, terms: int) -> np.ndarray:
@@ -430,20 +416,24 @@ def riemann_siegel_err(t):
     """
     arr = np.asarray(t, dtype=float)
     v = arr / TWO_PI
-    trunc = 0.02 * v ** -2.75
-    rounding = 8.0 * _EPS * np.maximum(0.5 * arr * (np.log(v) - 1.0), 10.0) * (v ** 0.25 + 1.0)
-    out = trunc + rounding
+    # numpy works each operation on a large temporary that nothing else holds
+    # in place, so an array of heights costs three float arrays its size;
+    # halving last is exact, the float64 that halving t first gives
+    rounding = 8.0 * _EPS * np.maximum((np.log(v) - 1.0) * arr * 0.5, 10.0) * (v ** 0.25 + 1.0)
+    out = 0.02 * v ** -2.75 + rounding
     return float(out) if np.isscalar(t) else out
 
 
 def hardy_z_err(t, polish: bool = False):
-    """Bound on |computed - true| for hardy_z_many(..., polish) at height t.
+    """Bound on |computed - true| for hardy_z_many(..., polish) at height t > 0.
 
-    Accepts scalars or arrays, like riemann_siegel_err.
+    Accepts scalars or arrays, like riemann_siegel_err.  The RS envelope is
+    worked at every height, then EM's term is set by index where the EM path
+    runs, which takes in every height below RS_SWITCH.
     """
     arr = np.asarray(t, dtype=float)
-    out = riemann_siegel_err(np.maximum(arr, RS_SWITCH))
+    out = np.asarray(riemann_siegel_err(arr))  # assignable for a scalar t too
     em = em_path(arr, polish)
     if em.any():
-        out = np.where(em, 1e-14 + 3e-15 * (1.0 + arr), out)
+        out[em] = 1e-14 + 3e-15 * (1.0 + arr[em])
     return float(out) if np.isscalar(t) else out

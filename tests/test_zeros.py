@@ -584,25 +584,6 @@ def test_build_table_spends_few_em_main_sum_terms(z_counts):
     assert z_counts.terms("em") <= 330_000
 
 
-def test_main_sum_batches_arrive_in_ascending_order(monkeypatch):
-    # _cos_sum plans its chunks in the order it is given: an unsorted batch
-    # still sums right but pads more, so every caller must send its heights
-    # ascending; near 1e6 refine_zero may miss its 1e-9 target, but only
-    # after its Z calls
-    heights = []
-    real = zeta._cos_sum
-    monkeypatch.setattr(zeta, "_cos_sum",
-                        lambda ts, *rest: heights.append(ts.copy()) or real(ts, *rest))
-    build_table(1e3)
-    built = len(heights)
-    for bracket in isolate_zeros(999000.0, 999002.0):
-        with contextlib.suppress(ConvergenceError):
-            refine_zero(bracket)
-    assert 0 < built < len(heights)
-    for ts in heights:
-        assert np.all(ts[1:] >= ts[:-1]), ts
-
-
 def _against_zetazero(n):
     # mpmath's own locator of the n-th zero against zgb's certified count and
     # refinement: the index the Gram scan gives the zero nearest it, and the

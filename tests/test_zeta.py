@@ -289,6 +289,41 @@ def test_z_and_theta_are_pinned_bit_for_bit():
     }
 
 
+def test_z_error_model_is_pinned_bit_for_bit():
+    # the error model at the heights of the Z and theta pin, under both path
+    # policies: every sign decision and every abs_err reads it, so a rewrite
+    # of its arithmetic keeps each bit; the digests are the parent's, whose
+    # terms were separate arrays over a copy of t clipped to RS_SWITCH
+    rng = np.random.default_rng(29)
+    ts = np.concatenate([rng.uniform(lo, hi, 2000) for lo, hi in (
+        (2.0, 30.0), (30.0, RS_SWITCH), (RS_SWITCH, EM_POLISH_MAX), (EM_POLISH_MAX, 1e4),
+        (1e4, 1e6), (1e6, Z_TOP))])
+    got = {name: hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()
+           for name, values in (("err", hardy_z_err(ts)), ("err_polish", hardy_z_err(ts, polish=True)),
+                                ("rs_err", riemann_siegel_err(ts)))}
+    assert got == {
+        "err": "3b634ed229216971afaf2c40466fef1e120e1a1b8e4c483f8dca3fe0b99c012d",
+        "err_polish": "bce9cde15a5d83f56d95bc36c5b8a8690a68622b473e00ae3265e222bf3785e3",
+        "rs_err": "b08e3e27f86419520173d3efa3de4aa12b0b3a5409ffcdef94aea1fc627ff26a",
+    }
+
+
+def test_z_error_model_works_in_three_arrays_of_its_heights():
+    # the isolation grid of a 1e6 scan passes 1.75 M heights at once: the RS
+    # envelope takes three float arrays their size, then the EM rows are set
+    # by index (3.0 times the heights' nbytes; 5.0 with a clipped copy of the
+    # heights, separate terms and np.where)
+    ts = np.random.default_rng(34).uniform(2.0, 1e6, 200_000)
+    for polish in (False, True):
+        tracemalloc.start()
+        try:
+            hardy_z_err(ts, polish)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.2 * ts.nbytes
+
+
 def test_z_sign_bookkeeping_14_to_18():
     # no ordinate lies in (14.2, 18], so the signs agree
     assert math.copysign(1.0, hardy_z(18.0)) == math.copysign(1.0, hardy_z(14.2))
@@ -414,7 +449,7 @@ def _cos_sum_cases():
     em_counts = np.maximum(60, np.ceil(0.4 * em)).astype(int) - 1  # wider than EM's own
     ones = np.array([700.0, 800.0, 900.0, 1000.0])
     shuffled = np.random.default_rng(13).permutation(rs.size)
-    one_chunk = (rs_counts >= 32) & (rs_counts <= 36)  # within 9/8, and 659 x 36 elements
+    one_chunk = (rs_counts >= 32) & (rs_counts <= 36)  # counts 32-36, and 659 x 36 elements
     return {
         "rs-counts-9-40": (rs, rs_counts),
         "em-counts-59-599": (em, em_counts),
@@ -430,16 +465,16 @@ def _cos_sum_cases():
 @pytest.mark.parametrize("case", sorted(_cos_sum_cases()))
 @pytest.mark.parametrize("budget", [zeta._BATCH_ELEMENTS, 1000, 1])
 def test_cos_sum_matches_an_exact_sum(case, budget):
-    # chunks close at 9/8 of their first count; the kernels call the sum on
-    # consecutive slices of budget // max(largest count, _EM_BERN_TERMS)
-    # heights, and the two smaller budgets split the 9/8 windows, down to one
-    # height a slice, each giving its heights the sums one call gives them
+    # the kernels call the sum on consecutive slices of budget // max(largest
+    # count, _EM_BERN_TERMS) heights, and the two smaller budgets split each
+    # case, down to one height a slice, each giving its heights the sums one
+    # call gives them
     ts, counts = _cos_sum_cases()[case]
     theta = rs_theta(ts)
     got = _cos_sum(ts, theta, counts)
     assert got.shape == ts.shape
     assert np.max(np.abs(got - _cos_sum_reference(ts, theta, counts)), initial=0.0) <= 1e-13
-    if case == "rs-shuffled":  # chunks follow the input order; each height keeps its bits
+    if case == "rs-shuffled":  # heights in any order; each height keeps its bits
         ts0, counts0 = _cos_sum_cases()["rs-counts-9-40"]
         order = np.argsort(ts)
         assert np.array_equal(got[order], _cos_sum(ts0, rs_theta(ts0), counts0)[np.argsort(ts0)])
