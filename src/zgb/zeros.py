@@ -8,6 +8,8 @@ holds m zeros; a block whose samples show fewer sign changes is rescanned at
 halving steps.  Turing's method, on Gram blocks from 168 pi up, certifies the
 zero count at both ends of the range, so each sign change brackets exactly
 one zero and none is missed; Z runs to zeta.Z_TOP, past 1e6, for its blocks.
+The scan walks the Gram points in chunks closed at good Gram points, so its
+memory stays flat in the height and a build refines each chunk as it comes.
 Each bracket is a row (a, b, Z(a), Z(b)) with grid-path Z at both ends, so no
 end is evaluated twice; an end within hardy_z_err of zero is the zero's place.
 Brackets are refined by Anderson-Bjorck steps on Z's grid path and a secant
@@ -31,6 +33,7 @@ import json
 import math
 import os
 import uuid
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -214,10 +217,8 @@ def _brackets_from_grid(grid: np.ndarray, z: np.ndarray,
         blk = blk[keep]
         flip &= blk[:-1] == blk[1:]
     i = np.flatnonzero(flip)
-    rows = np.empty((i.size, 4))  # filled column by column: no gathered copies held
-    for col, (v, j) in enumerate(((grid, 0), (grid, 1), (z, 0), (z, 1))):
-        np.take(v, i + j, out=rows[:, col])
-    return rows, None if blk is None else blk[i]
+    return (np.column_stack((grid[i], grid[i + 1], z[i], z[i + 1])),
+            None if blk is None else blk[i])
 
 
 def _scan_window(a: float, b: float, step: float) -> np.ndarray:
@@ -252,9 +253,19 @@ def _rescan(a: np.ndarray, b: np.ndarray, want: np.ndarray,
     return rows[order], owner[order]
 
 
-def _gram_scan(t_lo: float, t_hi: float) -> tuple[int, np.ndarray, int]:
+_SCAN_CHUNK = 1 << 16  # the most Gram points a chunk of _gram_chunks samples
+
+
+def _gram_samples(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Gram points at the indices ns, Z there, and which are good, g_-1 too."""
+    g = _gram_points(ns)
+    z = zeta.hardy_z_many(g)
+    return g, z, (np.where(ns % 2, -z, z) > zeta.hardy_z_err(g)) | (ns == -1)
+
+
+def _gram_chunks(t_lo: float, t_hi: float) -> Iterator[tuple[int, np.ndarray, int]]:
     """N(t_lo) and sign-change brackets, one for each zero in (t_lo, t_hi],
-    with the count certified by Turing's method.
+    with the count certified by Turing's method, in chunks.
 
     A Gram point g_n is good when (-1)^n Z(g_n) > hardy_z_err, and a Gram
     block runs from one good point to the next.  By Rosser's rule a block of
@@ -262,56 +273,78 @@ def _gram_scan(t_lo: float, t_hi: float) -> tuple[int, np.ndarray, int]:
     are rescanned together, at halving steps down to REFINE_FLOOR, by _rescan.
     Turing's method, in Brent's form, turns k such blocks below a good
     g_c <= t_lo into N(g_c) >= c + 1 and k above a good g_d >= t_hi into
-    N(g_d) <= d + 1, with k = _turing_blocks at the highest Gram point
-    sampled.  Then d - c sign changes between them pin N(g_c) = c + 1 and
-    N(g_d) = d + 1 and leave no zero unbracketed, so every block checked
-    must show exactly its length: one that falls short at the floor, or
-    shows more, raises AuditError.
+    N(g_d) <= d + 1, with k = _turing_blocks at the highest Gram point the
+    first pad reaches.  Then d - c sign changes between them pin
+    N(g_c) = c + 1 and N(g_d) = d + 1 and leave no zero unbracketed, so every
+    block checked must show exactly its length: one that falls short at the
+    floor, or shows more, raises AuditError.
 
     No Turing block starts below TURING_MIN = 168 pi: g_d >= TURING_MIN, and
     where the blocks below g_c would not, the count anchors at N(g_-1) = 0,
     since no zero lies below g_-1 = 9.67.  For t_hi <= 1e6 the blocks above
     g_d fit below zeta.Z_TOP; where they do not, Z raises DomainError.
 
-    Returns (N(t_lo), the bracket rows (a, b, Z(a), Z(b)) of the zeros in
-    (t_lo, t_hi], k), with a row across t_lo or t_hi trimmed by _cut.
+    A chunk of at most _SCAN_CHUNK Gram points closes at a good point, which
+    opens the next, so no block or row spans a seam.  From the chunk holding
+    t_lo on, each yields (N below its first row, its rows (a, b, Z(a), Z(b))
+    in (t_lo, t_hi], a row across either end trimmed by _cut, k).  The blocks
+    above g_d are checked in the last chunk: callers run the walk to its end.
     """
     top = max(t_hi, TURING_MIN)
     first = max(-1, int(zeta.rs_theta(max(t_lo, 10.0)) // math.pi))
     last = int(zeta.rs_theta(top) // math.pi) + 1
-    pad = 4 * _turing_blocks(top) + 4
-    while True:
-        ns = np.arange(max(-1, first - pad), last + pad + 1)
-        g = _gram_points(ns)
-        z = zeta.hardy_z_many(g)
-        k = _turing_blocks(float(g[-1]))
-        ends = np.flatnonzero((np.where(ns % 2, -z, z) > zeta.hardy_z_err(g)) | (ns == -1))
-        ge = g[ends]
+    pad, k = 4 * _turing_blocks(top) + 4, 0
+    while True:  # the pad doubles until k good blocks lie below t_lo
+        ns = np.arange(max(-1, first - pad), last + pad + 1)[:_SCAN_CHUNK]
+        g, z, good = _gram_samples(ns)
+        # k is set once, at the highest Gram point the first pad reaches
+        k = k or _turing_blocks(float(g[-1] if ns[-1] == last + pad
+                                      else _gram_points(last + pad)))
+        ge = g[good]
         lo = int(np.searchsorted(ge, t_lo, side="right")) - 1  # last good <= t_lo
-        hi = int(np.searchsorted(ge, top, side="left"))        # first good >= top
         c = lo if lo >= k and ge[lo - k] >= TURING_MIN else (0 if ns[0] == -1 else -1)
-        if 0 <= c <= hi and hi + k < ge.size:
+        if c >= 0:
             break
         pad *= 2
+    end, need, n, start = last + pad, k, int(ns[good][c]) + 1, max(c - k, 0)
+    while True:
+        ends = np.flatnonzero(good)
+        ge, lengths = g[ends], np.diff(ns[ends])
+        hi = int(np.searchsorted(ge, top, side="left"))  # first good >= top
+        stop = min(hi + need, ge.size - 1)  # blocks [start, stop) are checked here
+        need -= max(stop - hi, 0)           # good blocks still wanted above g_d = ge[hi]
+        found = _brackets_from_grid(g, z)[0]
+        # brackets never straddle a good Gram point: its sample is reliable, so
+        # a row's block is the last good point at or below its left end, or -1
+        block = np.searchsorted(ge, found[:, 0], side="right") - 1
+        shown = np.bincount(block + 1, minlength=ge.size + 1)[1:]
+        short = np.flatnonzero(shown[start:stop] != lengths[start:stop]) + start
+        # from g_c up, the rows of the short blocks replace their Gram-point rows;
+        # both sets ascend and all rows are disjoint, so one insert merges them
+        rows = found[(block >= c) & (block < stop) & ~np.isin(block, short)]
+        got, owner = _rescan(ge[short], ge[short + 1], lengths[short], shown[short])
+        got = got[short[owner] >= c]
+        rows = np.insert(rows, np.searchsorted(rows[:, 0], got[:, 0]), got, axis=0)
+        below, rows = _cut(rows, t_lo)
+        n += len(below)
+        rows = _cut(rows, t_hi)[0]
+        if ge[stop] > t_lo:  # a chunk at or below t_lo only adds to the count
+            yield n, rows, k
+        if not need:
+            return
+        # the next chunk opens at this one's last good point, with the samples
+        # from there on; where they end at the pad, the pad is walked again
+        n, end, keep = n + len(rows), end + pad * (ns[-1] == end), slice(ends[-1], None)
+        more = np.arange(ns[-1] + 1, min(ns[ends[-1]] + _SCAN_CHUNK, end + 1))
+        ns, g, z, good = (np.concatenate((v[keep], w))
+                          for v, w in zip((ns, g, z, good), (more, *_gram_samples(more))))
+        c = start = 0
 
-    found = _brackets_from_grid(g, z)[0]
-    lengths, n_c = np.diff(ns[ends]), int(ns[ends[c]]) + 1
-    del ns, g, z
-    # brackets never straddle a good Gram point: its sample is reliable, so
-    # a row's block is the last good point at or below its left end, or -1
-    block = np.searchsorted(ge, found[:, 0], side="right") - 1
-    start, stop = max(c - k, 0), hi + k
-    shown = np.bincount(block + 1, minlength=ge.size + 1)[1:]
-    short = np.flatnonzero(shown[start:stop] != lengths[start:stop]) + start
-    # from g_c up, the rows of the short blocks replace their Gram-point rows;
-    # both sets ascend and all rows are disjoint, so one insert merges them
-    rows = found[(block >= c) & ~np.isin(block, short)]
-    del found, block
-    got, owner = _rescan(ge[short], ge[short + 1], lengths[short], shown[short])
-    got = got[short[owner] >= c]
-    rows = np.insert(rows, np.searchsorted(rows[:, 0], got[:, 0]), got, axis=0)
-    below, above = _cut(rows, t_lo)
-    return n_c + len(below), _cut(above, t_hi)[0], k
+
+def _gram_scan(t_lo: float, t_hi: float) -> tuple[int, np.ndarray, int]:
+    """_gram_chunks(t_lo, t_hi) run to its end: (N(t_lo), every row, k)."""
+    ns, rows, ks = zip(*_gram_chunks(t_lo, t_hi))
+    return ns[0], np.concatenate(rows), ks[0]
 
 
 def _cut(rows: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -476,10 +509,10 @@ def audit_completeness(table: ZeroTable) -> AuditReport:
 
 
 def build_table(t_max: float) -> ZeroTable:
-    """Isolate and refine every ordinate up to t_max into an audited table."""
+    """Isolate and refine, chunk by chunk, every ordinate up to t_max into an audited table."""
     if not 20.0 <= t_max <= 1e6:
         raise DomainError(f"build_table requires 20 <= t_max <= 1e6, got {t_max}")
-    zeros = _refine_many(_gram_scan(2.0, t_max)[1])
+    zeros = np.concatenate([_refine_many(rows) for _, rows, _ in _gram_chunks(2.0, t_max)])
     table = ZeroTable(zeros[:, 0], zeros[:, 1], t_max)
     report = table.audit
     if not report.passed:

@@ -414,14 +414,14 @@ def riemann_siegel_err(t):
     RS_SWITCH up it is above |theta| by at most 4.7e-4 of it.  Valid for
     t >= 30.  Accepts scalars or arrays.
     """
-    arr = np.asarray(t, dtype=float)
+    arr = np.atleast_1d(np.asarray(t, dtype=float))  # ** on np.float64 would take C's pow
     v = arr / TWO_PI
     # numpy works each operation on a large temporary that nothing else holds
     # in place, so an array of heights costs three float arrays its size;
     # halving last is exact, the float64 that halving t first gives
     rounding = 8.0 * _EPS * np.maximum((np.log(v) - 1.0) * arr * 0.5, 10.0) * (v ** 0.25 + 1.0)
     out = 0.02 * v ** -2.75 + rounding
-    return float(out) if np.isscalar(t) else out
+    return float(out[0]) if np.isscalar(t) else out.reshape(np.shape(t))
 
 
 def hardy_z_err(t, polish: bool = False):
@@ -432,7 +432,7 @@ def hardy_z_err(t, polish: bool = False):
     runs, which takes in every height below RS_SWITCH.
     """
     arr = np.asarray(t, dtype=float)
-    out = np.asarray(riemann_siegel_err(arr))  # assignable for a scalar t too
+    out = riemann_siegel_err(arr)  # an array, 0-d for a scalar t
     em = em_path(arr, polish)
     if em.any():
         out[em] = 1e-14 + 3e-15 * (1.0 + arr[em])

@@ -12,7 +12,6 @@ import hashlib
 import json
 import os
 import re
-import resource
 import subprocess
 import sys
 import tracemalloc
@@ -123,33 +122,91 @@ def test_gram_scan_rows_are_pinned(lo, hi, count, digest):
     assert hashlib.sha256(rows.astype("<f8").tobytes()).hexdigest() == digest
 
 
-def test_gram_scan_merges_its_rows_without_a_sorted_copy():
-    # the rescanned rows go into the kept Gram-point rows by one insert: a
-    # concatenation and its sorted copy took the peak to 5.3 times the rows'
-    # size, the insert to 4.2, and a rescan from counts, not from a copy of
-    # the short blocks' Gram-point rows, to 3.5
-    tracemalloc.start()
-    try:
-        rows = zeros._gram_scan(2.0, 1e5)[1]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4.0 * rows.nbytes
+@pytest.mark.parametrize("size", [60, 64, 1000])
+@pytest.mark.parametrize("lo, hi, count, digest", [
+    (2.0, 3000.0, 0, "3b3bab7c5d0def366f25b9419a871b795201442115cc861a58a27dc5fa5ec282"),
+    (2.0, 1e4, 0, "c5dd515db680d311ae0a34f45612452c8af57cf4545ef3a1f605b54ef4aad12d"),
+    (909407.3563914519, 909457.3563914519, 1575122,
+     "3b4c628764af24f1ad219c4ac651a7071dc5d8b3fbbf1b7b20839ddc3cd770df"),
+    (400.0, 600.0, 202, "74843cdc3584e1784d6e582a64a06001b3fe969c6123bc216aacf9d304afb443"),
+], ids=["2-3000", "2-1e4", "window-1e6", "400-600"])
+def test_gram_chunk_seams_leave_every_row_as_it_is(monkeypatch, size, lo, hi, count, digest):
+    # chunks close at good Gram points, so no block or bracket spans a seam,
+    # and a chunk carries the samples past its last good point into the next:
+    # the rows are the pinned ones, on no more Z points than one chunk takes;
+    # below 168 pi the count anchors at g_-1, so chunks below 400 only count,
+    # and on [2, 1e4] some chunks of 60 end with a row past their last good
+    # point
+    points = []
+    z = zeta.hardy_z_many
+    monkeypatch.setattr(zeta, "hardy_z_many",
+                        lambda ts, polish=False: (points.append(np.size(ts)), z(ts, polish))[1])
+    zeros._gram_scan(lo, hi)
+    whole = sum(points)
+    monkeypatch.setattr(zeros, "_SCAN_CHUNK", size)
+    del points[:]
+    n, rows, _ = zeros._gram_scan(lo, hi)
+    assert n == count
+    assert hashlib.sha256(rows.astype("<f8").tobytes()).hexdigest() == digest
+    assert sum(points) <= whole
+    gram_points = (zeta.rs_theta(hi) - zeta.rs_theta(max(lo, 10.0))) / np.pi
+    assert (len(list(zeros._gram_chunks(lo, hi))) > 1) == (gram_points > size)
+
+
+def test_gram_chunks_keep_their_memory_flat_in_the_range(monkeypatch):
+    # a chunk's samples, rows and rescans are freed before the next chunk:
+    # walking to 1e5 peaks near walking to 2e4 (3.3 and 2.8 MB), where the
+    # whole-range pass took 14.9 MB at 1e5
+    monkeypatch.setattr(zeros, "_SCAN_CHUNK", 4096)
+    peaks = []
+    for t_hi in (2e4, 1e5):
+        tracemalloc.start()
+        try:
+            for _ in zeros._gram_chunks(2.0, t_hi):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_every_caller_runs_the_walk_to_its_last_chunk(monkeypatch):
+    # the Turing blocks above t_hi are checked only in the last chunk: Z with
+    # its sign wrong on (7007.4, 7007.8), inside the block [7007.189,
+    # 7008.980] just above 7007, breaks the certificate after two chunks of
+    # rows have come out, and no caller returns a row
+    z = zeta.hardy_z_many
+    monkeypatch.setattr(zeta, "hardy_z_many", lambda ts, polish=False: np.where(
+        (ts > 7007.4) & (ts < 7007.8), -1.0, 1.0) * z(ts, polish))
+    monkeypatch.setattr(zeros, "_SCAN_CHUNK", 64)
+    chunks = []
+    with pytest.raises(AuditError, match=r"\[7007.189011284, 7008.979872533\] shows 4"):
+        chunks.extend(zeros._gram_chunks(6900.0, 7007.0))
+    assert len(chunks) == 2 and all(len(rows) for _, rows, _ in chunks)
+    with pytest.raises(AuditError, match="shows 4 sign changes"):
+        isolate_zeros(6900.0, 7007.0)
+    with pytest.raises(AuditError, match="shows 4 sign changes"):
+        build_table(7007.0)
 
 
 @pytest.mark.slow
 def test_gram_scan_to_1e6_is_pinned_within_its_memory():
-    # all 1,747,146 rows up to 1e6, bit for bit, in a fresh process whose
-    # peak RSS is the scan's own: about 17 s and 230 MB; the largest of this
-    # process's children is the scan, since no other child comes near it
-    code = ("import hashlib; from zgb import zeros; n, rows, _ = zeros._gram_scan(2.0, 1e6); "
-            "print(n, len(rows), hashlib.sha256(rows.astype('<f8').tobytes()).hexdigest())")
+    # all 1,747,146 rows up to 1e6, bit for bit, hashed chunk by chunk in a
+    # fresh process, about 17 s and 63 MB; the process reads its own peak
+    # RSS, VmHWM, since its ru_maxrss also takes in the RSS of this process,
+    # from which it was spawned (113 MB in a run of the whole suite)
+    code = ("import hashlib; from zgb import zeros; h, ns, count = hashlib.sha256(), [], 0\n"
+            "for n, rows, _ in zeros._gram_chunks(2.0, 1e6):\n"
+            "    ns.append(n); count += len(rows); h.update(rows.astype('<f8').tobytes())\n"
+            "peak = [line.split()[1] for line in open('/proc/self/status') if "
+            "line.startswith('VmHWM:')]\n"
+            "print(ns[0], count, h.hexdigest(), *peak)")
     env = dict(os.environ, PYTHONPATH=str(Path(zeros.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=600,
                          capture_output=True, text=True).stdout.split()
-    assert out == ["0", "1747146",
-                   "d6963ad7643489e60350be86fd79179384e5277bed58d308eb19075c18508375"]
-    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss <= 275 * 1024  # KiB
+    assert out[:3] == ["0", "1747146",
+                       "d6963ad7643489e60350be86fd79179384e5277bed58d308eb19075c18508375"]
+    assert int(out[3]) <= 100 * 1024  # KiB
 
 
 def test_audit_certifies_the_count_at_1e6():
@@ -170,12 +227,15 @@ def test_gram_scan_raises_where_turing_blocks_pass_the_top_of_z(monkeypatch):
 
     def blocks(t):
         calls.append(t)
-        return 1 if len(calls) == 1 else 1000
+        return 1 if len(calls) % 2 else 1000  # the pad's guess, then k
 
     monkeypatch.setattr(zeros, "_turing_blocks", blocks)
     with pytest.raises(DomainError, match=f"validated for t <= {zeta.Z_TOP}"):
         isolate_zeros(999990.0, 1e6)
-    assert len(calls) > 2
+    chunks = []
+    with pytest.raises(DomainError, match=f"validated for t <= {zeta.Z_TOP}"):
+        chunks.extend(zeros._gram_chunks(999990.0, 1e6))
+    assert chunks == [] and len(calls) == 4
 
 
 def test_audit_below_168_pi_uses_no_turing_bound(table100, monkeypatch):
@@ -216,19 +276,46 @@ def test_isolate_domain_errors():
 
 
 def test_gram_scan_doubles_a_pad_too_short_for_turing(monkeypatch):
-    # the first guess of one Turing block sizes the pad; ten blocks at the top
-    # Gram point sampled do not fit in it, so the scan doubles the pad
+    # the first guess of one Turing block sizes a pad of 8 Gram points; ten
+    # blocks below 7000 do not fit in it, so the scan doubles the pad, and k
+    # stays the ten it was computed as once
     want = isolate_zeros(7000.0, 7010.0)
-    calls = []
+    calls, lows = [], []
 
     def blocks(t):
         calls.append(t)
         return 1 if len(calls) == 1 else 10
 
+    z = zeta.hardy_z_many
+    monkeypatch.setattr(zeta, "hardy_z_many",
+                        lambda ts, polish=False: (lows.append(np.min(ts)), z(ts, polish))[1])
     monkeypatch.setattr(zeros, "_turing_blocks", blocks)
     assert isolate_zeros(7000.0, 7010.0) == want
     assert len(want) == 11
-    assert len(calls) > 2  # one for the pad, one per pass of the scan
+    assert len(calls) == 2  # one for the pad, one for k
+    first = int(zeta.rs_theta(7000.0) // np.pi)
+    assert min(lows) < zeros._gram_points(first - 8)
+
+
+def test_gram_scan_walks_on_past_a_pad_too_short_above_the_top(monkeypatch):
+    # from 2 the count anchors at g_-1, so the pad of 8 Gram points never
+    # doubles, and ten good blocks above the first good point past 168 pi do
+    # not fit in it: the walk samples on past it, and the rows stay
+    n, rows, _ = zeros._gram_scan(2.0, 20.0)
+    calls, highs = [], []
+
+    def blocks(t):
+        calls.append(t)
+        return 1 if len(calls) == 1 else 10
+
+    z = zeta.hardy_z_many
+    monkeypatch.setattr(zeta, "hardy_z_many",
+                        lambda ts, polish=False: (highs.append(np.max(ts)), z(ts, polish))[1])
+    monkeypatch.setattr(zeros, "_turing_blocks", blocks)
+    got = zeros._gram_scan(2.0, 20.0)
+    assert (got[0], got[2]) == (n, 10) and np.array_equal(got[1], rows)
+    last = int(zeta.rs_theta(zeros.TURING_MIN) // np.pi) + 1
+    assert max(highs) > zeros._gram_points(last + 8)
 
 
 def _per_block_descent(a, b, want, n):
@@ -571,6 +658,20 @@ def test_saved_tables_are_pinned(tmp_path, t_max, count, digest):
     path = tmp_path / "zeros.txt"
     save_table(table, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_build_table_refines_chunk_by_chunk_to_the_pinned_bytes(tmp_path, monkeypatch):
+    # each chunk's rows are refined as they come, and each row alone, so the
+    # 1e3 table in chunks of 64 Gram points prints the bytes of one chunk
+    refine, sizes = zeros._refine_many, []
+    monkeypatch.setattr(zeros, "_refine_many",
+                        lambda rows: (sizes.append(len(rows)), refine(rows))[1])
+    monkeypatch.setattr(zeros, "_SCAN_CHUNK", 64)
+    table = build_table(1e3)
+    assert len(sizes) > 1 and sum(sizes) == 649
+    save_table(table, tmp_path / "zeros.txt")
+    assert hashlib.sha256((tmp_path / "zeros.txt").read_bytes()).hexdigest() == (
+        "c4d92a81d25e9145a5b3e5d3ded90615639860e30ba70bfb16afda15f4b04883")
 
 
 def test_build_table_spends_few_em_main_sum_terms(z_counts):
