@@ -2,7 +2,7 @@
 
 Subcommands:
     zeros      build and persist an audited zero table
-    count      N(T) against the Rosser envelope
+    count      N(T) by Turing's method, with the Rosser envelope verdict
     sum        A(T), M(T) and their difference
     constants  the additive bound constants and their rational comparisons
     verify     sweep the two-sided bound over a height range
@@ -12,6 +12,10 @@ Reports are strict JSON (default) or CSV, deterministic for identical inputs:
 no timestamps, sorted keys, null for a margin no record reaches.  Exit 0 only
 when every check in scope passed; failed checks exit 1 with a machine-readable
 error object, invalid inputs and paths that cannot be read or written exit 2.
+
+count answers from certified_count and reads a table only to check a --table
+against it.  The other queries read the --table file, else a table cached in
+$ZGB_TABLE_DIR, else one they build, cache and read as saved.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from .bounds import big_f, big_r, compute_constants, main_term
 from .errors import TableFormatError, ZgbError
 from .ingestion import cross_validate, parse_reference
 from .summation import a_of_t, check_sweep_range, theorem_sweep
-from .zeros import ZeroTable, build_table, count_up_to, load_table, save_table
+from .zeros import (ZeroTable, _as_saved, build_table, certified_count, count_up_to,
+                    load_table, save_table)
 
 ENV_TABLE_DIR = "ZGB_TABLE_DIR"
 
@@ -54,8 +59,10 @@ def _resolve_table(path: str | None, needed_t_max: float) -> ZeroTable:
 
     A cached table that fails to load with TableFormatError, fails its
     audit, or covers less than its file name says (the name rounds t_max to
-    six digits), is rebuilt and saved over; a --table file is used as given,
-    and the query's first count runs its audit.
+    six digits), is rebuilt and saved over.  A table saved to the cache is
+    returned as load_table reads it back, so the answer is the cached one.
+    A --table file is used as given, and the query's first count runs its
+    audit.
     """
     if path:
         return load_table(path)
@@ -82,6 +89,7 @@ def _resolve_table(path: str | None, needed_t_max: float) -> ZeroTable:
     if cache is not None:
         cache.mkdir(parents=True, exist_ok=True)
         save_table(table, cache / _cache_file(table.t_max))
+        table = _as_saved(table)
     return table
 
 
@@ -129,8 +137,17 @@ def _cmd_zeros(args) -> int:
 def _cmd_count(args) -> int:
     f = big_f(args.at)  # rejects an invalid height before any table work
     r = big_r(args.at)
-    table = _resolve_table(args.table, args.at)
-    n = count_up_to(table, args.at)
+    n = certified_count(args.at)[0]
+    if args.table:
+        table = load_table(args.table)
+        listed = count_up_to(table, args.at)
+        lo, hi = sorted((n, listed))
+        # only an ordinate within its abs_err of T may lie on the other side of T
+        if (abs(table.gammas[lo:hi] - args.at) > table.abs_err[lo:hi]).any():
+            _emit({"error": "CountMismatch", "T": args.at, "N": n, "table_N": listed,
+                   "message": f"the table counts {listed} ordinates up to T={args.at}, "
+                              f"Turing's method certifies {n}"}, "json", None)
+            return 1
     ok = abs(n - f) <= r
     report = {
         "command": "count",

@@ -18,12 +18,15 @@ up to zeta.EM_POLISH_MAX).  The finished table is audited two ways:
 
 * Rosser envelope (independent cross-check): |N(T) - F(T)| <= R(T) at the
   top height and at 100 intermediate heights.
-* Turing certificate: the same Gram-block routine certifies N(t_max), and the
-  table must hold exactly that many ordinates up to t_max.
+* Turing certificate: certified_count(t_max), the same Gram-block routine on
+  the blocks around t_max alone, and the table must hold exactly that many
+  ordinates up to t_max.
 
 A table runs its audit on the first read of ZeroTable.audit; a failure of
-either check fails it, build_table then raises AuditError, and count_up_to
-refuses the table.  A multiple zero shows no sign change of its own, so it
+either check fails it, build_table then raises AuditError, and count_up_to,
+the gate of every query that reads a table's ordinates, refuses the table.
+N(T) itself needs no table: certified_count(T) is the one route from a count
+to the local scan.  A multiple zero shows no sign change of its own, so it
 would surface as a block that stays short, not as a wrong table.
 """
 
@@ -493,6 +496,20 @@ def refine_zero(bracket: tuple[float, float]) -> ZeroOrdinate:
     return ZeroOrdinate(gamma=gamma, abs_err=abs_err)
 
 
+def certified_count(T: float) -> tuple[int, int]:
+    """N(T) by Turing's method on the Gram blocks around T alone, and the
+    Rosser-satisfying blocks it took on each side; no table is read.
+
+    A zero within hardy_z_err of T counts as lying at T.  Past 1e6 the scan
+    still answers while its blocks fit below zeta.Z_TOP, but no table or
+    isolation reaches there, so T must lie in [2, 1e6].
+    """
+    if not 2.0 <= T <= 1e6:  # NaN fails too
+        raise DomainError(f"certified_count requires 2 <= T <= 1e6, got {T}")
+    n, _, k = _gram_scan(T, T)
+    return n, k
+
+
 def audit_completeness(table: ZeroTable) -> AuditReport:
     """Check a table against the Rosser envelope and the Turing-certified
     zero count at t_max."""
@@ -501,7 +518,7 @@ def audit_completeness(table: ZeroTable) -> AuditReport:
     envelope = [(h, n, big_f(h), big_r(h))
                 for h, n in zip(heights.tolist(), table.count_at(heights).tolist())]
     failures = tuple(row for row in envelope if abs(row[1] - row[2]) > row[3])
-    certified, _, k = _gram_scan(t_max, t_max)
+    certified, k = certified_count(t_max)
     return AuditReport(t_max=t_max, count=len(table), envelope_ok=not failures,
                        envelope_failures=failures, certified_count=certified,
                        turing_blocks=k,
@@ -570,6 +587,18 @@ def save_table(table: ZeroTable, path: str | Path) -> None:
     }
     _replace_atomically(sidecar_path(path),
                         (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
+
+
+def _as_saved(table: ZeroTable) -> ZeroTable:
+    """The table load_table gives for the files save_table writes of table:
+    each ordinate as its printed line reads back, abs_err the print's
+    rounding, and t_max, which the sidecar keeps exactly.  The lines are
+    printed and read a slice at a time, so memory stays near the table's."""
+    line, gammas = f"%.{_TABLE_DECIMALS}f\n", np.empty(len(table))
+    for i in range(0, len(table), _SCAN_CHUNK):
+        s = table.gammas[i:i + _SCAN_CHUNK].tolist()
+        gammas[i:i + len(s)] = np.array((line * len(s) % tuple(s)).split(), dtype=float)
+    return ZeroTable(gammas, np.full(len(table), 10.0 ** -_TABLE_DECIMALS), table.t_max)
 
 
 def _read_ordinates(path: str | Path) -> tuple[np.ndarray, float, bytes]:

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zgb
 from zgb import build_table, compute_constants, zeta
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -46,6 +50,36 @@ def table100():
 @pytest.fixture(scope="session")
 def table1000():
     return build_table(1000.0)
+
+
+@pytest.fixture(scope="session")
+def table10000():
+    return build_table(1e4)
+
+
+#: appended to a child's code: its own peak RSS, VmHWM, in KiB, as its last line
+_PRINT_PEAK = ("\nprint(*[line.split()[1] for line in open('/proc/self/status') "
+               "if line.startswith('VmHWM:')])\n")
+
+
+def run_child(code: str, cwd: Path | None = None, **env: str) -> tuple[str, int]:
+    """Run Python code in a fresh process with zgb importable and the given
+    environment variables set; return its stdout and its own peak RSS in KiB.
+
+    The child reads VmHWM from /proc/self/status, since its ru_maxrss would
+    also take in the RSS of this process, from which it is spawned.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(zgb.__file__).parents[1]), **env)
+    out = subprocess.run([sys.executable, "-c", code + _PRINT_PEAK], env=env, cwd=cwd,
+                         check=True, timeout=600, capture_output=True, text=True).stdout
+    stdout, _, peak = out.rstrip("\n").rpartition("\n")
+    return stdout, int(peak)
+
+
+@pytest.fixture(scope="session")
+def child():
+    """run_child: code in a fresh process, with its stdout and peak RSS."""
+    return run_child
 
 
 class ZCounts:

@@ -12,12 +12,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zgb
-from zgb import zeros
+from zgb import cli, zeros
 from zgb.cli import VERIFY_CSV_COLUMNS, main
-from zgb.zeros import save_table, sidecar_path
+from zgb.zeros import ZeroTable, certified_count, save_table, sidecar_path
 
 
 def run_cli(capsys, *argv):
@@ -222,17 +223,46 @@ def test_report_to_file(tmp_path, capsys, reference_path):
     assert json.loads(dest.read_text())["T"] == 50.0
 
 
+#: A(25) and A(50): the sums of 1/gamma over the first two and ten ordinates as saved
+A_25, A_50 = 0.11831687346202022, 0.3365765802666088
+
+
 def test_table_cache_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ZGB_TABLE_DIR", str(tmp_path))
-    code, out = run_cli(capsys, "count", "--at", "25")
+    code, out = run_cli(capsys, "sum", "--at", "25")
     assert code == 0
-    assert json.loads(out)["N"] == 2
+    assert json.loads(out)["A"] == pytest.approx(A_25, abs=1e-9)
     cached = list(tmp_path.glob("zeros_*.txt"))
     assert len(cached) == 1
     # second run must reuse the cache rather than rebuilding
-    code, out = run_cli(capsys, "count", "--at", "25")
+    code, out = run_cli(capsys, "sum", "--at", "25")
     assert code == 0
     assert list(tmp_path.glob("zeros_*.txt")) == cached
+
+
+@pytest.mark.parametrize("at, n", [("20", 1), ("100", 29), ("1e4", 10142), ("1e5", 138069)])
+def test_count_reads_builds_and_writes_no_table(tmp_path, capsys, monkeypatch, at, n):
+    monkeypatch.setenv("ZGB_TABLE_DIR", str(tmp_path))
+    for name in ("build_table", "load_table", "save_table"):
+        monkeypatch.setattr(cli, name, None)
+    monkeypatch.setattr(zeros, "audit_completeness", None)
+    code, out = run_cli(capsys, "count", "--at", at)
+    assert code == 0, out
+    assert json.loads(out)["N"] == n
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cold_count_at_1e6_stays_small_and_writes_nothing(child, tmp_path):
+    # the report a built 1e6 table gave, from Turing's method at 1e6 alone,
+    # in about 32 MB where building that table took about 210 MB and a minute
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    out, peak = child("from zgb.cli import main\nassert main(['count', '--at', '1e6']) == 0",
+                      cwd=tmp_path, ZGB_TABLE_DIR=str(cache))
+    assert json.loads(out) == {"F": 1747145.508632109, "N": 1747146, "R": 4.617692845409218,
+                               "T": 1e6, "command": "count", "envelope_ok": True}
+    assert peak < 60 * 1024  # KiB
+    assert list(tmp_path.rglob("*")) == [cache]
 
 
 def test_count_at_a_zero_ordinate(tmp_path, capsys, monkeypatch):
@@ -247,10 +277,10 @@ def test_count_at_a_zero_ordinate(tmp_path, capsys, monkeypatch):
 def test_cache_entry_named_above_its_coverage_is_rebuilt(tmp_path, capsys, monkeypatch):
     # zeros_1234.57.txt covers 1234.5678 only: its name rounds t_max up
     monkeypatch.setenv("ZGB_TABLE_DIR", str(tmp_path))
-    code, out = run_cli(capsys, "count", "--at", "1234.5678")
+    code, out = run_cli(capsys, "sum", "--at", "1234.5678")
     assert code == 0, out
     assert [f.name for f in tmp_path.glob("zeros_*.txt")] == ["zeros_1234.57.txt"]
-    code, out = run_cli(capsys, "count", "--at", "1234.569")
+    code, out = run_cli(capsys, "sum", "--at", "1234.569")
     assert code == 0, out
     assert json.loads(out)["T"] == 1234.569
 
@@ -309,7 +339,7 @@ def _unreadable_path_cases():
                      "FileNotFoundError", "{tmp}/missing/x.txt", id="table-dir-missing"),
         pytest.param(["zeros", "--t-max", "30", "--out", "{tmp}/adir"], out_is_a_dir,
                      "IsADirectoryError", "{tmp}/adir", id="table-path-is-a-dir"),
-        pytest.param(["count", "--at", "50"], cache_is_a_file,
+        pytest.param(["sum", "--at", "50"], cache_is_a_file,
                      "FileExistsError", "{tmp}/cache", id="cache-dir-is-a-file"),
     ]
 
@@ -357,10 +387,62 @@ def test_corrupt_cache_entry_is_rebuilt(tmp_path, capsys, monkeypatch, table100)
             meta = json.loads(sidecar_path(path).read_text())
             del meta["count"], meta["sha256"]
             sidecar_path(path).write_text(json.dumps(meta))
-        code, out = run_cli(capsys, "count", "--at", "50")
+        code, out = run_cli(capsys, "sum", "--at", "50")
         assert code == 0, out
-        assert json.loads(out)["N"] == 10
+        assert json.loads(out)["A"] == pytest.approx(A_50, abs=1e-9)
         assert (path.read_bytes(), sidecar_path(path).read_bytes()) == good
+
+
+def test_cold_and_cached_queries_give_the_same_bytes(tmp_path, capsys, monkeypatch,
+                                                     reference_path):
+    # a table built for a query is saved to the cache and answers as saved:
+    # its ordinates as printed, abs_err their rounding
+    monkeypatch.setenv("ZGB_TABLE_DIR", str(tmp_path))
+    queries = [("ingest", "--file", str(reference_path)), ("sum", "--at", "1000")]
+    cold = [run_cli(capsys, *q) for q in queries]
+    cached = list(tmp_path.glob("zeros_*.txt"))
+    assert len(cached) == 2
+    assert [run_cli(capsys, *q) for q in queries] == cold
+    assert list(tmp_path.glob("zeros_*.txt")) == cached
+    assert [code for code, _ in cold] == [0, 0]
+    assert json.loads(cold[0][1])["validation"]["max_abs_diff"] == 0.0
+
+
+@pytest.mark.parametrize("below, code", [(5e-10, 0), (2e-9, 1), (1e-6, 1)])
+def test_count_table_must_agree_with_the_certificate(capsys, tmp_path, table10000, below, code):
+    # the 5,000th ordinate moved up to a printed height just past the middle
+    # of its gap: the audit passes, and at T below it the table counts 4999
+    # where Turing's method certifies 5000.  Within the ordinate's abs_err
+    # of T (1e-9, the print's rounding) either count may hold; beyond it the
+    # query fails and names both
+    gammas = table10000.gammas.copy()
+    gammas[4999] = round((gammas[4999] + gammas[5000]) / 2 + 1e-6, 9)
+    path = tmp_path / "moved.txt"
+    save_table(ZeroTable(gammas, table10000.abs_err, 1e4), path)
+    at = float(gammas[4999]) - below
+    got, out = run_cli(capsys, "count", "--at", repr(at), "--table", str(path))
+    report = json.loads(out)
+    assert got == code, out
+    assert report["N"] == 5000
+    if code:
+        assert report["error"] == "CountMismatch"
+        assert (report["T"], report["table_N"]) == (at, 4999)
+        assert "4999" in report["message"] and "5000" in report["message"]
+
+
+def test_reference_file_agrees_with_the_certificate(capsys, reference_path):
+    # the reference prints 9 decimals, so a printed ordinate can lie below
+    # its zero (the third does); at it the two counts differ by one ordinate
+    # within its abs_err of T, which either count may hold
+    table = zeros.load_table(reference_path)
+    rng = np.random.default_rng(649)
+    picks = table.gammas[rng.choice(len(table), 8, replace=False)]
+    heights = [25.01085758, *rng.uniform(2.0, 999.0, 8), *picks, *(picks + 1e-7)]
+    for at in map(float, heights):
+        code, out = run_cli(capsys, "count", "--at", repr(at), "--table", str(reference_path))
+        assert code == 0, out
+        assert json.loads(out)["N"] == certified_count(at)[0]
+    assert certified_count(25.01085758)[0] == table.count_at(25.01085758) - 1
 
 
 def test_count_csv_single_row(capsys, reference_path):
@@ -500,6 +582,7 @@ def test_verify_rejects_an_empty_or_nan_range(capsys, reference_path, t_min, t_m
     ("verify", "--t-min", "500", "--t-max", "100"),
     ("verify", "--t-max", "nan"),
     ("count", "--at", "nan"),
+    ("count", "--at", "1000000.5"),
     ("sum", "--at", "nan"),
 ])
 def test_invalid_heights_exit_2_before_any_table_work(capsys, tmp_path, monkeypatch, argv):

@@ -10,12 +10,8 @@ import contextlib
 import dataclasses
 import hashlib
 import json
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +30,7 @@ from zgb.zeros import (
     _scan_window,
     audit_completeness,
     build_table,
+    certified_count,
     count_up_to,
     isolate_zeros,
     load_table,
@@ -190,23 +187,17 @@ def test_every_caller_runs_the_walk_to_its_last_chunk(monkeypatch):
 
 
 @pytest.mark.slow
-def test_gram_scan_to_1e6_is_pinned_within_its_memory():
+def test_gram_scan_to_1e6_is_pinned_within_its_memory(child):
     # all 1,747,146 rows up to 1e6, bit for bit, hashed chunk by chunk in a
-    # fresh process, about 17 s and 63 MB; the process reads its own peak
-    # RSS, VmHWM, since its ru_maxrss also takes in the RSS of this process,
-    # from which it was spawned (113 MB in a run of the whole suite)
+    # fresh process, about 17 s and 63 MB of the child's own peak RSS
     code = ("import hashlib; from zgb import zeros; h, ns, count = hashlib.sha256(), [], 0\n"
             "for n, rows, _ in zeros._gram_chunks(2.0, 1e6):\n"
             "    ns.append(n); count += len(rows); h.update(rows.astype('<f8').tobytes())\n"
-            "peak = [line.split()[1] for line in open('/proc/self/status') if "
-            "line.startswith('VmHWM:')]\n"
-            "print(ns[0], count, h.hexdigest(), *peak)")
-    env = dict(os.environ, PYTHONPATH=str(Path(zeros.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=600,
-                         capture_output=True, text=True).stdout.split()
-    assert out[:3] == ["0", "1747146",
-                       "d6963ad7643489e60350be86fd79179384e5277bed58d308eb19075c18508375"]
-    assert int(out[3]) <= 100 * 1024  # KiB
+            "print(ns[0], count, h.hexdigest())")
+    out, peak = child(code)
+    assert out.split() == ["0", "1747146",
+                           "d6963ad7643489e60350be86fd79179384e5277bed58d308eb19075c18508375"]
+    assert peak <= 100 * 1024  # KiB
 
 
 def test_audit_certifies_the_count_at_1e6():
@@ -929,6 +920,38 @@ def test_audit_empty_table_low_coverage():
     report = audit_completeness(empty)
     assert report.envelope_ok
     assert report.passed
+
+
+def test_audit_takes_its_count_from_the_certificate(table100, monkeypatch):
+    # certified_count is the one route from a count to the local scan
+    monkeypatch.setattr(zeros, "certified_count", lambda T: (28, 5))
+    report = audit_completeness(table100)
+    assert (report.certified_count, report.turing_blocks) == (28, 5)
+    assert not report.passed
+
+
+def test_certified_count_equals_the_built_tables_at_seeded_heights(table1000, table10000):
+    # uniform heights, heights within 1e-6 of an ordinate on either side, and
+    # the ordinates themselves: the built ordinates lie well within 1e-6 of
+    # their zeros, so each table's count is N(T) at every one of them
+    rng = np.random.default_rng(20070)
+    for table, top in ((table1000, 1000.0), (table10000, 1e4)):
+        near = table.gammas[rng.choice(len(table), 40, replace=False)]
+        heights = np.concatenate((rng.uniform(2.0, top, 40), near,
+                                  near + rng.uniform(-1e-6, 1e-6, 40)))
+        for T in heights.tolist():
+            assert certified_count(T)[0] == table.count_at(T), T
+
+
+def test_certified_count_domain():
+    # the scan alone answers past 1e6, while its Turing blocks fit below
+    # zeta.Z_TOP, but no table reaches there
+    assert certified_count(2.0) == (0, 1)
+    assert certified_count(1e6)[0] == 1747146
+    assert zeros._gram_scan(1e6 + 1.0, 1e6 + 1.0)[0] == 1747148
+    for T in (1.999, 1e6 + 0.5, float("nan")):
+        with pytest.raises(DomainError, match="certified_count requires 2 <= T <= 1e6"):
+            certified_count(T)
 
 
 # ---------------------------------------------------------------- persistence
