@@ -13,9 +13,9 @@ no timestamps, sorted keys, null for a margin no record reaches.  Exit 0 only
 when every check in scope passed; failed checks exit 1 with a machine-readable
 error object, invalid inputs and paths that cannot be read or written exit 2.
 
-count answers from certified_count and reads a table only to check a --table
-against it.  The other queries read the --table file, else a table cached in
-$ZGB_TABLE_DIR, else one they build, cache and read as saved.
+count answers from certified_count; the other queries read the --table file,
+else a table cached in $ZGB_TABLE_DIR, else one they build and read as saved.
+A table that disagrees with certified_count at the top height exits 1.
 """
 
 from __future__ import annotations
@@ -59,10 +59,10 @@ def _resolve_table(path: str | None, needed_t_max: float) -> ZeroTable:
 
     A cached table that fails to load with TableFormatError, fails its
     audit, or covers less than its file name says (the name rounds t_max to
-    six digits), is rebuilt and saved over.  A table saved to the cache is
-    returned as load_table reads it back, so the answer is the cached one.
-    A --table file is used as given, and the query's first count runs its
-    audit.
+    six digits), is rebuilt and saved over.  A table built here, cached or
+    not, is returned as saved (_as_saved), so a query answers alike from a
+    build, the cache or a --table file of that table.  A --table file is
+    used as given, and the query's first count runs its audit.
     """
     if path:
         return load_table(path)
@@ -89,8 +89,7 @@ def _resolve_table(path: str | None, needed_t_max: float) -> ZeroTable:
     if cache is not None:
         cache.mkdir(parents=True, exist_ok=True)
         save_table(table, cache / _cache_file(table.t_max))
-        table = _as_saved(table)
-    return table
+    return _as_saved(table)
 
 
 def _emit(report: dict, fmt: str, out: str | None, rows=None, columns=None) -> None:
@@ -134,20 +133,25 @@ def _cmd_zeros(args) -> int:
     return 0
 
 
+def _count_mismatch(table: ZeroTable, T: float, n: int) -> bool:
+    """Whether table counts up to T other than n, Turing's N(T), by an
+    ordinate beyond its abs_err of T; if so, CountMismatch is emitted."""
+    listed = count_up_to(table, T)
+    lo, hi = sorted((n, listed))
+    # only an ordinate within its abs_err of T may lie on the other side of T
+    if mismatch := (abs(table.gammas[lo:hi] - T) > table.abs_err[lo:hi]).any():
+        _emit({"error": "CountMismatch", "T": T, "N": n, "table_N": listed,
+               "message": f"the table counts {listed} ordinates up to T={T}, "
+                          f"Turing's method certifies {n}"}, "json", None)
+    return mismatch
+
+
 def _cmd_count(args) -> int:
     f = big_f(args.at)  # rejects an invalid height before any table work
     r = big_r(args.at)
     n = certified_count(args.at)[0]
-    if args.table:
-        table = load_table(args.table)
-        listed = count_up_to(table, args.at)
-        lo, hi = sorted((n, listed))
-        # only an ordinate within its abs_err of T may lie on the other side of T
-        if (abs(table.gammas[lo:hi] - args.at) > table.abs_err[lo:hi]).any():
-            _emit({"error": "CountMismatch", "T": args.at, "N": n, "table_N": listed,
-                   "message": f"the table counts {listed} ordinates up to T={args.at}, "
-                              f"Turing's method certifies {n}"}, "json", None)
-            return 1
+    if args.table and _count_mismatch(load_table(args.table), args.at, n):
+        return 1
     ok = abs(n - f) <= r
     report = {
         "command": "count",
@@ -164,6 +168,8 @@ def _cmd_count(args) -> int:
 def _cmd_sum(args) -> int:
     m = main_term(args.at)  # rejects an invalid height before any table work
     table = _resolve_table(args.table, max(args.at, 20.0))
+    if args.at >= 2.0 and _count_mismatch(table, args.at, certified_count(args.at)[0]):
+        return 1
     a = a_of_t(table, args.at)
     report = {
         "command": "sum",
@@ -199,6 +205,8 @@ def _cmd_constants(args) -> int:
 def _cmd_verify(args) -> int:
     check_sweep_range(args.t_min, args.t_max, args.samples)
     table = _resolve_table(args.table, args.t_max)
+    if _count_mismatch(table, args.t_max, certified_count(args.t_max)[0]):
+        return 1
     sweep = theorem_sweep(table, args.t_min, args.t_max, args.samples)
     passed = sweep.all_lower_ok and sweep.all_upper_ok
     if args.format == "csv":

@@ -35,8 +35,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import uuid
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -296,9 +297,10 @@ def _gram_chunks(t_lo: float, t_hi: float) -> Iterator[tuple[int, np.ndarray, in
     top = max(t_hi, TURING_MIN)
     first = max(-1, int(zeta.rs_theta(max(t_lo, 10.0)) // math.pi))
     last = int(zeta.rs_theta(top) // math.pi) + 1
-    pad, k = 4 * _turing_blocks(top) + 4, 0
-    while True:  # the pad doubles until k good blocks lie below t_lo
-        ns = np.arange(max(-1, first - pad), last + pad + 1)[:_SCAN_CHUNK]
+    pad = low = 4 * _turing_blocks(top) + 4
+    k = 0
+    while True:  # the pads double until k good blocks lie below t_lo
+        ns = np.arange(max(-1, first - low), last + pad + 1)[:_SCAN_CHUNK]
         g, z, good = _gram_samples(ns)
         # k is set once, at the highest Gram point the first pad reaches
         k = k or _turing_blocks(float(g[-1] if ns[-1] == last + pad
@@ -308,7 +310,8 @@ def _gram_chunks(t_lo: float, t_hi: float) -> Iterator[tuple[int, np.ndarray, in
         c = lo if lo >= k and ge[lo - k] >= TURING_MIN else (0 if ns[0] == -1 else -1)
         if c >= 0:
             break
-        pad *= 2
+        # below TURING_MIN no wider pad gives those blocks: anchor at g_-1
+        pad, low = (2 * pad, 2 * low) if g[0] >= TURING_MIN else (pad, first + 1)
     end, need, n, start = last + pad, k, int(ns[good][c]) + 1, max(c - k, 0)
     while True:
         ends = np.flatnonzero(good)
@@ -555,14 +558,15 @@ def sidecar_path(path: str | Path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
-def _replace_atomically(path: Path, data: bytes) -> None:
-    """Write data to a temp file beside path, then move it over path, so a
-    failed or concurrent write never leaves a partial file under that name.
-    An OSError that names a file names path, the name the caller gave."""
+def _replace_atomically(path: Path, chunks: Iterable[bytes]) -> None:
+    """Write chunks, as they come, to a temp file beside path, then move it
+    over path, so a failed or concurrent write never leaves a partial file
+    under that name.  An OSError naming a file names path, the caller's."""
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
@@ -571,34 +575,87 @@ def _replace_atomically(path: Path, data: bytes) -> None:
         raise
 
 
+def _printed(gammas: np.ndarray) -> Iterator[bytes]:
+    """The one printer of table files: the bytes of gammas' file, one %.9f
+    ordinate a line, in slices of _SCAN_CHUNK lines."""
+    for i in range(0, gammas.size, _SCAN_CHUNK):
+        s = gammas[i:i + _SCAN_CHUNK].tolist()
+        yield (f"%.{_TABLE_DECIMALS}f\n" * len(s) % tuple(s)).encode()
+
+
 def save_table(table: ZeroTable, path: str | Path) -> None:
-    """Write the ordinates, and a sidecar with the coverage height, audit
-    status, ordinate count, sha256 of the table bytes and tool version."""
+    """Write the ordinates, a slice of _printed at a time, and a sidecar with
+    the coverage height, audit status, count, sha256 and tool version."""
     import hashlib  # not at module top: it loads OpenSSL into every zgb process
-    path = Path(path)
-    data = ((f"%.{_TABLE_DECIMALS}f\n" * len(table)) % tuple(table.gammas.tolist())).encode()
-    _replace_atomically(path, data)
+    path, digest = Path(path), hashlib.sha256()
+    _replace_atomically(path, (digest.update(s) or s for s in _printed(table.gammas)))
     meta = {
         "t_max": table.t_max,
         "audited": table.audited,
         "count": len(table),
-        "sha256": hashlib.sha256(data).hexdigest(),
+        "sha256": digest.hexdigest(),
         "tool_version": __version__,
     }
     _replace_atomically(sidecar_path(path),
-                        (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
+                        [(json.dumps(meta, indent=2, sort_keys=True) + "\n").encode()])
 
 
 def _as_saved(table: ZeroTable) -> ZeroTable:
     """The table load_table gives for the files save_table writes of table:
-    each ordinate as its printed line reads back, abs_err the print's
-    rounding, and t_max, which the sidecar keeps exactly.  The lines are
-    printed and read a slice at a time, so memory stays near the table's."""
-    line, gammas = f"%.{_TABLE_DECIMALS}f\n", np.empty(len(table))
-    for i in range(0, len(table), _SCAN_CHUNK):
-        s = table.gammas[i:i + _SCAN_CHUNK].tolist()
-        gammas[i:i + len(s)] = np.array((line * len(s) % tuple(s)).split(), dtype=float)
-    return ZeroTable(gammas, np.full(len(table), 10.0 ** -_TABLE_DECIMALS), table.t_max)
+    _printed's slices read back by _parse_lines, t_max as the sidecar keeps it."""
+    gammas, decimals = _parse_lines(lambda: (s.decode() for s in _printed(table.gammas)))
+    return ZeroTable(gammas, np.full(gammas.size, 10.0 ** -decimals), table.t_max)
+
+
+def _parse_lines(blocks: Callable[[], Iterable[str]]) -> tuple[np.ndarray, int]:
+    """The one parser of table lines: the ordinates of the text that blocks()
+    gives, anew at each call, in blocks of whole lines, and the fewest
+    decimals on a line.  Detection runs on a block's whole columns (bulk
+    parse, field counts, finiteness, strict rise), carrying the layout and
+    the last ordinate across seams.  Only if a block fails does one loop walk
+    the whole text's lines, a line's checks in the order field count, layout,
+    decimal, finite, increasing, and raise at the first failing line; numpy
+    parses a token as float() does, so the loop finds what detection saw."""
+    parts, n_cols, decimals = [np.full(1, -math.inf)], 0, math.inf  # -inf below the first
+    for block in blocks():
+        if not (fields := [f for f in map(str.split, block.split("\n")) if f]):
+            continue
+        tokens = [f[-1] for f in fields]
+        width = np.fromiter(map(len, fields), dtype=np.intp, count=len(fields))
+        n_cols = n_cols or int(width[0])
+        try:
+            values = np.array(tokens, dtype=float)
+        except ValueError:
+            break
+        if (not (np.isfinite(values).all() and (np.diff(values, prepend=parts[-1][-1]) > 0).all())
+                or ((width > 2) | (width != n_cols)).any()):
+            break
+        point = np.char.find(tokens := np.array(tokens), ".")
+        decimals = min(decimals, int(np.where(point >= 0, np.char.str_len(tokens) - point - 1,
+                                              0).min()))
+        parts.append(values)
+    else:
+        return np.concatenate(parts)[1:], decimals
+    prev = -math.inf
+    for line, f in enumerate(map(str.split, "".join(blocks()).split("\n")), start=1):
+        if not f:
+            continue
+        got, token = len(f), f[-1]
+        if got > 2:
+            raise TableFormatError(
+                f"expected 1 or 2 whitespace-separated fields, got {got}", line=line)
+        if got != n_cols:
+            raise TableFormatError(f"layout switched from {n_cols} to {got} fields", line=line)
+        try:
+            value = float(token)
+        except ValueError as exc:
+            raise TableFormatError(f"not a decimal: {token!r}", line=line) from exc
+        if not math.isfinite(value):
+            raise TableFormatError(f"non-finite ordinate {token!r}", line=line)
+        if value <= prev:
+            raise TableFormatError(
+                f"ordinates must increase strictly: {value} after {prev}", line=line)
+        prev = value
 
 
 def _read_ordinates(path: str | Path) -> tuple[np.ndarray, float, bytes]:
@@ -607,68 +664,33 @@ def _read_ordinates(path: str | Path) -> tuple[np.ndarray, float, bytes]:
 
     A line holds one decimal ordinate, alone or after an index column, or
     nothing; anything else, or a first ordinate not near 14.1347, raises.
-
-    Detection runs on whole columns: the bulk parse, field counts,
-    finiteness and strict rise.  Only if it fails does one loop walk the
-    lines in file order, a line's checks in the order field count, layout,
-    decimal, finite, increasing, and raise at the first failing line; numpy
-    parses a token as float() does, so the loop finds what detection saw.
+    _parse_lines reads the text a block at a time, so no object a line of
+    the whole file is held while every line passes.
     """
     path = Path(path)
     data = path.read_bytes()
-    try:
-        text = data.decode()
-    except UnicodeDecodeError as exc:
-        before = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        raise TableFormatError(f"not UTF-8: byte {data[exc.start]:#04x}",
-                               line=before.count(b"\n") + 1) from exc
     # the line ends of text-mode reading: \n, \r\n and \r
-    fields = list(map(str.split, text.replace("\r\n", "\n").replace("\r", "\n").split("\n")))
-    tokens = [f[-1] for f in fields if f]
-    width = np.fromiter(map(len, filter(None, fields)), dtype=np.intp, count=len(tokens))
+    lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
-        values = np.array(tokens, dtype=float)
-        clean = np.isfinite(values).all() and (values[1:] > values[:-1]).all()
-    except ValueError:
-        clean = False
-    if not clean or ((width > 2) | (width != width[:1])).any():
-        n_cols, prev = 0, -math.inf
-        for line, f in enumerate(fields, start=1):
-            if not f:
-                continue
-            n_cols, got, token = n_cols or len(f), len(f), f[-1]
-            if got > 2:
-                raise TableFormatError(
-                    f"expected 1 or 2 whitespace-separated fields, got {got}", line=line)
-            if got != n_cols:
-                raise TableFormatError(f"layout switched from {n_cols} to {got} fields", line=line)
-            try:
-                value = float(token)
-            except ValueError as exc:
-                raise TableFormatError(f"not a decimal: {token!r}", line=line) from exc
-            if not math.isfinite(value):
-                raise TableFormatError(f"non-finite ordinate {token!r}", line=line)
-            if value <= prev:
-                raise TableFormatError(
-                    f"ordinates must increase strictly: {value} after {prev}", line=line)
-            prev = value
-
+        lines.decode()  # checked whole, decoded a block at a time
+    except UnicodeDecodeError as exc:
+        raise TableFormatError(f"not UTF-8: byte {lines[exc.start]:#04x}",
+                               line=lines[:exc.start].count(b"\n") + 1) from exc
+    # blocks of whole lines, each to the first line end from 16 * _SCAN_CHUNK
+    # bytes on: about _SCAN_CHUNK table lines
+    whole_lines = re.compile(rb".{0,%d}[^\n]*\n?" % (16 * _SCAN_CHUNK), re.S)
+    values, decimals = _parse_lines(lambda: (m[0].decode() for m in whole_lines.finditer(lines)))
     if not values.size:
         raise TableFormatError(f"no ordinates found in {path}")
     if abs(values[0] - _SANITY_FIRST) > _SANITY_TOL:
         raise TableFormatError(
-            f"sanity gate: first ordinate {float(values[0])} is not ~{_SANITY_FIRST}",
-            line=1,
-        )
-    arr = np.array(tokens)
-    point = np.char.find(arr, ".")
-    decimals = np.where(point >= 0, np.char.str_len(arr) - point - 1, 0)
-    return values, 10.0 ** (-int(decimals.min())), data
+            f"sanity gate: first ordinate {float(values[0])} is not ~{_SANITY_FIRST}", line=1)
+    return values, 10.0 ** -decimals, data
 
 
 def load_table(path: str | Path) -> ZeroTable:
     """Load a table file, computed or published, honouring its sidecar when
-    present; this is the one reader of table files.
+    present; the one reader of table files, which parses a block at a time.
 
     Without a sidecar the audited coverage ends just past the last printed
     ordinate, so the inclusive boundary convention survives the file's

@@ -408,26 +408,48 @@ def test_cold_and_cached_queries_give_the_same_bytes(tmp_path, capsys, monkeypat
     assert json.loads(cold[0][1])["validation"]["max_abs_diff"] == 0.0
 
 
-@pytest.mark.parametrize("below, code", [(5e-10, 0), (2e-9, 1), (1e-6, 1)])
-def test_count_table_must_agree_with_the_certificate(capsys, tmp_path, table10000, below, code):
+@pytest.mark.parametrize("command, below, code", [
+    pytest.param(command, below, code, id=f"{command}-{below}-{code}".removeprefix("count-"))
+    for command in ("count", "sum", "verify") for below, code in [(5e-10, 0), (2e-9, 1), (1e-6, 1)]
+])
+def test_count_table_must_agree_with_the_certificate(capsys, tmp_path, table10000,
+                                                     command, below, code):
     # the 5,000th ordinate moved up to a printed height just past the middle
     # of its gap: the audit passes, and at T below it the table counts 4999
     # where Turing's method certifies 5000.  Within the ordinate's abs_err
-    # of T (1e-9, the print's rounding) either count may hold; beyond it the
-    # query fails and names both
+    # of T (1e-9, the print's rounding) either count may hold; beyond it
+    # count, sum at T and verify up to T fail and name both
     gammas = table10000.gammas.copy()
     gammas[4999] = round((gammas[4999] + gammas[5000]) / 2 + 1e-6, 9)
     path = tmp_path / "moved.txt"
     save_table(ZeroTable(gammas, table10000.abs_err, 1e4), path)
     at = float(gammas[4999]) - below
-    got, out = run_cli(capsys, "count", "--at", repr(at), "--table", str(path))
+    height = ["--t-min", "2", "--t-max"] if command == "verify" else ["--at"]
+    got, out = run_cli(capsys, command, *height, repr(at), "--table", str(path))
     report = json.loads(out)
     assert got == code, out
-    assert report["N"] == 5000
+    assert report.get("N", 5000) == 5000
     if code:
         assert report["error"] == "CountMismatch"
         assert (report["T"], report["table_N"]) == (at, 4999)
         assert "4999" in report["message"] and "5000" in report["message"]
+    else:
+        assert report["command"] == command
+
+
+def test_cold_queries_without_a_cache_answer_as_saved(tmp_path, capsys, monkeypatch,
+                                                     reference_path):
+    # with no cache a query still answers from its built table as saved, so
+    # it prints what it prints with --table on the file zgb zeros writes
+    monkeypatch.delenv("ZGB_TABLE_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    queries = [("ingest", "--file", str(reference_path)), ("sum", "--at", "1000")]
+    cold = [run_cli(capsys, *q) for q in queries]
+    assert list(tmp_path.iterdir()) == []
+    assert run_cli(capsys, "zeros", "--t-max", "1000")[0] == 0
+    table = str(tmp_path / "zeros_1000.txt")
+    assert [run_cli(capsys, *q, "--table", table) for q in queries] == cold
+    assert [code for code, _ in cold] == [0, 0]
 
 
 def test_reference_file_agrees_with_the_certificate(capsys, reference_path):

@@ -316,19 +316,34 @@ def _outcome(parse, path, *args):
     return "ok", np.asarray(values, dtype=np.float64).view(np.int64).tolist(), abs_err
 
 
+#: the block sizes every bulk-parser case runs at: the default, and blocks
+#: of 16 bytes on to a line end, a line or two each, so most cases cross seams
+_BLOCK_SIZES = [None, 1]
+
+
+def _read_in_blocks(chunk, *args):
+    """_read_ordinates with _SCAN_CHUNK set to chunk, unless it is None."""
+    from zgb import zeros
+
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(zeros, "_SCAN_CHUNK", chunk)
+        return zeros._read_ordinates(*args)
+
+
 @given(_table_files())
 @settings(max_examples=300, deadline=None)
 def test_bulk_parser_matches_line_parser(case):
     import tempfile
     from pathlib import Path
 
-    from zgb.zeros import _read_ordinates
-
     text, declared = case
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "table.txt"
         path.write_bytes(text.encode())
-        assert _outcome(_read_ordinates, path) == _outcome(_read_ordinates_by_line, path)
+        for chunk in _BLOCK_SIZES:
+            assert (_outcome(_read_in_blocks, chunk, path)
+                    == _outcome(_read_ordinates_by_line, path))
         if declared is not None:
             assert (_outcome(_reference_columns, path, declared)
                     == _outcome(_read_ordinates_by_line, path, declared))
@@ -337,11 +352,37 @@ def test_bulk_parser_matches_line_parser(case):
 @pytest.mark.parametrize("token", ["1_00.5", "１４.１", "1e400", "١٠٠.٥"])
 def test_bulk_parser_reads_tokens_as_float_does(tmp_path, token):
     # float() accepts underscores and non-ASCII digits and overflows to inf
-    from zgb.zeros import _read_ordinates
-
     path = tmp_path / "edge.txt"
     path.write_text(f"14.134725142\n{token}\n")
-    assert _outcome(_read_ordinates, path) == _outcome(_read_ordinates_by_line, path)
+    for chunk in _BLOCK_SIZES:
+        assert _outcome(_read_in_blocks, chunk, path) == _outcome(_read_ordinates_by_line, path)
+
+
+@pytest.mark.parametrize("fault, line", [
+    ("30.424876126", "ordinates must increase strictly: 30.424876126 after 30.424876126"),
+    ("30.424876125", "ordinates must increase strictly: 30.424876125 after 30.424876126"),
+    ("5 32.935061588", "layout switched from 1 to 2 fields"),
+    ("32.93506l588", "not a decimal: '32.93506l588'"),
+], ids=["tie", "fall", "layout", "token"])
+def test_bulk_parser_finds_a_fault_that_opens_a_later_block(tmp_path, monkeypatch, fault, line):
+    # a fault on the first line of the third block: the last ordinate and the
+    # layout carry across the seam, and the error names the fault's own line
+    from zgb import zeros
+
+    gammas = [14.134725142, 21.022039639, 25.010857580, 30.424876126, 32.935061588,
+              37.586178159, 40.918719012]
+    lines = [f"{g:.9f}" for g in gammas]
+    lines[4] = fault
+    path = tmp_path / "seam.txt"
+    path.write_text("\n".join(lines) + "\n")
+    parse, blocks = zeros._parse_lines, []
+    monkeypatch.setattr(zeros, "_parse_lines",
+                        lambda make: (blocks.append(list(make())), parse(make))[1])
+    with pytest.raises(TableFormatError) as exc:
+        _read_in_blocks(1, path)
+    assert (str(exc.value), exc.value.line) == (f"line 5: {line}", 5)
+    assert _outcome(_read_in_blocks, 1, path) == _outcome(_read_ordinates_by_line, path)
+    assert [b.count("\n") for b in blocks[0][:2]] == [2, 2]  # line 5 opens block 3
 
 
 def test_parsing_builds_no_ordinate_records(reference_path, monkeypatch):

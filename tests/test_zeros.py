@@ -954,7 +954,51 @@ def test_certified_count_domain():
             certified_count(T)
 
 
+@pytest.mark.parametrize("T", [100.0, 300.0, 500.0])
+def test_certified_count_below_168_pi_samples_few_z_points(z_counts, T):
+    # once the lowest sample lies below 168 pi no wider pad gives Turing's
+    # blocks, so the scan anchors at g_-1 at once and keeps its top pad:
+    # 649, 541 and 409 Z points here, where doubling both pads until the
+    # lower one reached g_-1 took 967, 1,885 and 2,015
+    certified_count(T)
+    assert z_counts.points() <= 700
+
+
 # ---------------------------------------------------------------- persistence
+
+
+def test_as_saved_is_the_table_load_table_reads(table1000, tmp_path, monkeypatch):
+    # one printer and one parser: in slices of 64 lines, the table a query
+    # answers from after a build is the one load_table reads from its files
+    monkeypatch.setattr(zeros, "_SCAN_CHUNK", 64)
+    path = tmp_path / "zeros.txt"
+    save_table(table1000, path)
+    saved, loaded = zeros._as_saved(table1000), load_table(path)
+    assert saved.gammas.tobytes() == loaded.gammas.tobytes()
+    assert saved.abs_err.tobytes() == loaded.abs_err.tobytes()
+    assert saved.t_max == loaded.t_max == 1000.0
+
+
+@pytest.mark.slow
+def test_saving_and_loading_a_1e6_sized_table_stay_within_their_memory(child, tmp_path):
+    # 1,747,146 rows, as many as the 1e6 table, written and read a slice at
+    # a time: save_table adds about 5 MB to the table's resident set, where
+    # printing the whole file at once added 90 MB, and load_table peaks at
+    # about 140 MB, where parsing the whole file at once took 690 MB.  The
+    # audit of this synthetic table fails, and neither call needs it to pass
+    path = tmp_path / "zeros.txt"
+    rss = ("[int(line.split()[1]) for line in open('/proc/self/status') "
+           "if line.startswith('VmRSS:')][0]")
+    out, peak = child(
+        "import numpy as np; from zgb import zeros\n"
+        "table = zeros.ZeroTable(14.134725142 + 0.5 * np.arange(1747146), np.zeros(1747146), 9e5)\n"
+        f"before = {rss}\n"
+        f"zeros.save_table(table, {str(path)!r})\n"
+        "print(before)")
+    assert peak - int(out) <= 20 * 1024  # KiB
+    out, peak = child(f"from zgb import zeros\nprint(len(zeros.load_table({str(path)!r})))")
+    assert out == "1747146"
+    assert peak < 200 * 1024  # KiB
 
 
 def test_save_and_reparse_round_trip(table100, tmp_path):
