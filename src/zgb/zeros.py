@@ -10,11 +10,10 @@ zero count at both ends of the range, so each sign change brackets exactly
 one zero and none is missed; Z runs to zeta.Z_TOP, past 1e6, for its blocks.
 The scan walks the Gram points in chunks closed at good Gram points, so its
 memory stays flat in the height and a build refines each chunk as it comes.
-Each bracket is a row (a, b, Z(a), Z(b)) with grid-path Z at both ends, so no
-end is evaluated twice; an end within hardy_z_err of zero is the zero's place.
-Brackets are refined by Anderson-Bjorck steps on Z's grid path and a secant
-polish on its polish path (hardy_z_many with polish=True, Euler-Maclaurin
-up to zeta.EM_POLISH_MAX).  The finished table is audited two ways:
+Each bracket is a row (a, b, Z(a), Z(b)) with Z at both ends, so no end is
+evaluated twice; an end within hardy_z_err of zero is the zero's place.
+Brackets are refined by Anderson-Bjorck steps and a secant polish, on the one
+Z of zeta.hardy_z_many.  The finished table is audited two ways:
 
 * Rosser envelope (independent cross-check): |N(T) - F(T)| <= R(T) at the
   top height and at 100 intermediate heights.
@@ -86,17 +85,20 @@ class AuditReport:
 @dataclass(frozen=True, eq=False)
 class ZeroTable:
     """Sorted ordinates covering (0, t_max], held as two read-only 1-D columns
-    of one length, copied from the caller's: the heights gammas and their
-    finite, non-negative absolute error bounds abs_err.  t_max must be finite
-    and no lower than the last ordinate less its abs_err.  The table is
-    frozen, so its audit, run by the first read of audit, stays its own."""
+    of one length, copied from the caller's unless read-only: the heights
+    gammas and their finite, non-negative absolute error bounds abs_err.
+    t_max must be finite and no lower than the last ordinate less its
+    abs_err.  The table is frozen, so its audit stays its own."""
 
     gammas: np.ndarray
     abs_err: np.ndarray
     t_max: float
 
     def __post_init__(self):
-        g, e = (np.array(c, dtype=float) for c in (self.gammas, self.abs_err))
+        # a read-only float64 column owning its memory is shared: nothing
+        # writes it unless its owner makes it writeable again
+        g, e = (c if isinstance(c, np.ndarray) and c.dtype == float and c.base is None and
+                not c.flags.writeable else np.array(c, dtype=float) for c in (self.gammas, self.abs_err))
         g.flags.writeable = e.flags.writeable = False
         vars(self).update(gammas=g, abs_err=e)  # past the frozen __setattr__
         if g.ndim != 1 or e.shape != g.shape:
@@ -148,15 +150,19 @@ def _neumaier_prefix(values: np.ndarray) -> np.ndarray:
 
     Neumaier's sum, done on columns: the running totals are one sequential
     cumsum, each step's rounding error follows from them, and the errors
-    are summed by a second cumsum, so every rounding is the loop's own.
+    are summed by a second cumsum, so every rounding is the loop's own; both
+    are worked in place, and before, the totals a step back, is a view.
     """
     values = np.asarray(values, dtype=float)
-    total = np.cumsum(values)
-    before = np.concatenate(([0.0], total[:-1]))
-    err = np.where(np.abs(before) >= np.abs(values),
-                   (before - total) + values, (values - total) + before)
-    comp = np.cumsum(np.concatenate(([0.0], err)))[1:]  # 0.0 + e, as the loop adds it
-    return np.concatenate(([0.0], total + comp))
+    out, err = np.zeros(values.size + 1), np.zeros(values.size + 1)  # 0.0 + e first
+    total, before, step = out[1:], out[:-1], err[1:]
+    np.cumsum(values, out=total)
+    first = np.abs(before, out=step) >= np.abs(values)
+    np.add(np.subtract(before, total, out=step, where=first), values, out=step, where=first)
+    other = np.logical_not(first, out=first)
+    np.add(np.subtract(values, total, out=step, where=other), before, out=step, where=other)
+    total += np.cumsum(err, out=err)[1:]
+    return out
 
 
 def count_up_to(table: ZeroTable, T: float) -> int:
@@ -390,21 +396,20 @@ def isolate_zeros(t_lo: float, t_hi: float) -> list[tuple[float, float]]:
 
 
 def _refine_many(rows: np.ndarray) -> np.ndarray:
-    """Refine bracket rows (a, b, Z(a), Z(b)), with grid-path Z at both ends,
-    all at once; returns (gamma, abs_err) rows.  An end within hardy_z_err of
-    zero is the zero's place, and its Z counts as 0; only ends of one strict
-    sign raise DomainError.
+    """Refine bracket rows (a, b, Z(a), Z(b)), with Z at both ends, all at
+    once; returns (gamma, abs_err) rows.  An end within hardy_z_err of zero
+    is the zero's place, and its Z counts as 0; only ends of one strict sign
+    raise DomainError.
 
     Anderson-Bjorck steps (regula falsi that scales the value kept at an end
     that stays twice in a row by 1 - f(x)/f(replaced end), or 1/2 if that is
-    not positive) narrow each bracket on Z's grid path until an iterate's |Z|
-    is within hardy_z_err, whose sign could point the next step away.  The
-    secant polish on Z's polish path starts from the last two iterates: x1
-    alone is evaluated again where the paths differ, and f(x0) shifts too.
-    A secant step of at most 8 ulps of the iterate is taken without Z at its
-    end and ends the row's polish.  abs_err = last secant step, taken or
-    evaluated, + hardy_z_err / |slope| + 1e-15 gamma, plus the step back
-    onto the row's end where the polish went past it.
+    not positive) narrow each bracket until an iterate's |Z| is within
+    hardy_z_err, whose sign could point the next step away.  A secant polish
+    then starts from the last two iterates.  A secant step of at most 8 ulps
+    of the iterate is taken without Z at its end and ends the row's polish.
+    abs_err = last secant step, taken or evaluated, + hardy_z_err / |slope| +
+    1e-15 gamma, plus the step back onto the row's end where the polish went
+    past it.
     """
     a, b, fa, fb = rows.T.copy()
     for x, f in ((a, fa), (b, fb)):
@@ -413,7 +418,7 @@ def _refine_many(rows: np.ndarray) -> np.ndarray:
         i = int(bad[0])
         raise DomainError(f"bracket ({a[i]}, {b[i]}) carries no sign change")
 
-    # the last two iterates, with grid-path values: an end at the zero's place is the last
+    # the last two iterates: an end at the zero's place is the last
     left = fa == 0.0
     x0, f0 = np.where(left, b, a), np.where(left, fb, fa)
     x1, f1 = np.where(left, a, b), np.where(left, fa, fb)
@@ -440,10 +445,7 @@ def _refine_many(rows: np.ndarray) -> np.ndarray:
         a[j], ga[j] = x[~right], fx[~right]
         kept[i], kept[j] = -1, 1
 
-    # secant polish on the polish path of Z, from the last two iterates
-    if (redo := zeta.em_path(x1, polish=True) != zeta.em_path(x1)).any():
-        fx = zeta.hardy_z_many(x1[redo], polish=True)
-        f0[redo], f1[redo] = fx - (f1[redo] - f0[redo]), fx
+    # secant polish from the last two iterates
     last_step = np.abs(x1 - x0)
     slope = np.abs(f1 - f0) / np.maximum(last_step, 1e-300)
     live = np.flatnonzero(last_step > 1e-13)
@@ -466,10 +468,10 @@ def _refine_many(rows: np.ndarray) -> np.ndarray:
         live, x2, step = live[~done], x2[~done], step[~done]
         if not live.size:
             break
-        f2 = zeta.hardy_z_many(x2, polish=True)
+        f2 = zeta.hardy_z_many(x2)
         # a chord whose rise is within the Z error says nothing of the slope
         rise = np.abs(f2 - f1[live])
-        slope[live] = np.where(rise > zeta.hardy_z_err(x2, polish=True), rise / step, slope[live])
+        slope[live] = np.where(rise > zeta.hardy_z_err(x2), rise / step, slope[live])
         last_step[live] = step
         x0[live], f0[live] = x1[live], f1[live]
         x1[live], f1[live] = x2, f2
@@ -477,7 +479,7 @@ def _refine_many(rows: np.ndarray) -> np.ndarray:
 
     # the polish may step past an end that is the zero's place: keep it there
     gamma = np.clip(x1, rows[:, 0], rows[:, 1])
-    zerr = zeta.hardy_z_err(x1, polish=True)
+    zerr = zeta.hardy_z_err(x1)
     abs_err = last_step + zerr / np.maximum(slope, 1e-12) + 1e-15 * np.abs(x1)
     return np.column_stack((gamma, abs_err + np.abs(x1 - gamma)))
 
@@ -634,8 +636,8 @@ def _parse_lines(blocks: Callable[[], Iterable[str]]) -> tuple[np.ndarray, int]:
         decimals = min(decimals, int(np.where(point >= 0, np.char.str_len(tokens) - point - 1,
                                               0).min()))
         parts.append(values)
-    else:
-        return np.concatenate(parts)[1:], decimals
+    else:  # a column of its own, past the sentinel, that a table can share
+        return np.concatenate(parts[1:]) if len(parts) > 1 else np.empty(0), decimals
     prev = -math.inf
     for line, f in enumerate(map(str.split, "".join(blocks()).split("\n")), start=1):
         if not f:
@@ -658,9 +660,10 @@ def _parse_lines(blocks: Callable[[], Iterable[str]]) -> tuple[np.ndarray, int]:
         prev = value
 
 
-def _read_ordinates(path: str | Path) -> tuple[np.ndarray, float, bytes]:
-    """The ordinates of a table file, their common abs_err, 10^-d for the
-    fewest decimals d printed on any line, and the bytes read.
+def _read_ordinates(path: str | Path, digest: bool = False) -> tuple[np.ndarray, float, str | None]:
+    """The ordinates of a table file as a read-only column, their common
+    abs_err, 10^-d for the fewest decimals d printed on any line, and with
+    digest set the sha256 of the bytes read, which go when it returns.
 
     A line holds one decimal ordinate, alone or after an index column, or
     nothing; anything else, or a first ordinate not near 14.1347, raises.
@@ -685,7 +688,10 @@ def _read_ordinates(path: str | Path) -> tuple[np.ndarray, float, bytes]:
     if abs(values[0] - _SANITY_FIRST) > _SANITY_TOL:
         raise TableFormatError(
             f"sanity gate: first ordinate {float(values[0])} is not ~{_SANITY_FIRST}", line=1)
-    return values, 10.0 ** -decimals, data
+    if digest:
+        import hashlib  # not at module top: it loads OpenSSL into every zgb process
+    values.flags.writeable = False
+    return values, 10.0 ** -decimals, hashlib.sha256(data).hexdigest() if digest else None
 
 
 def load_table(path: str | Path) -> ZeroTable:
@@ -702,11 +708,10 @@ def load_table(path: str | Path) -> ZeroTable:
     raises TableFormatError; a sidecar without those two fields is trusted as
     it is, and keys it does not name are ignored.
     """
-    gammas, abs_err, data = _read_ordinates(path)
-    t_max = float(gammas[-1]) + abs_err
     meta_path = sidecar_path(path)
-    if meta_path.exists():
-        import hashlib  # not at module top: it loads OpenSSL into every zgb process
+    gammas, abs_err, sha256 = _read_ordinates(path, digest=meta_path.exists())
+    t_max = float(gammas[-1]) + abs_err
+    if sha256 is not None:  # the sidecar was there when the table was read
         try:
             meta = json.loads(meta_path.read_bytes())
             t_max = float(meta.get("t_max", t_max))
@@ -715,9 +720,10 @@ def load_table(path: str | Path) -> ZeroTable:
         if meta.get("count", gammas.size) != gammas.size:
             raise TableFormatError(f"sidecar {meta_path} counts {meta['count']} "
                                    f"ordinates, the table file {gammas.size}")
-        if "sha256" in meta and meta["sha256"] != hashlib.sha256(data).hexdigest():
+        if "sha256" in meta and meta["sha256"] != sha256:
             raise TableFormatError(f"sidecar {meta_path} sha256 does not match the table file")
+    (column := np.full(gammas.size, abs_err)).flags.writeable = False
     try:
-        return ZeroTable(gammas, np.full(gammas.size, abs_err), t_max)
+        return ZeroTable(gammas, column, t_max)  # shares both columns
     except ValueError as exc:  # a t_max the audit cannot use
         raise TableFormatError(f"sidecar {meta_path}: {exc}") from exc

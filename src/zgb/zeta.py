@@ -9,27 +9,25 @@ takes a cosine only for those terms:
   B_2..B_2K for K = _EM_BERN_TERMS, is added as a complex number rotated by
   theta; Backlund's bound on what that remainder omits is at most 4.0e-6 of
   Z's EM error model on [2, 1e4].  N does not depend on the rest of a batch.
-* Riemann-Siegel (RS): main sum of ~sqrt(t/2pi) terms plus four correction
-  terms C0..C3 built from derivatives of the entire function
-  Psi(p) = cos(2pi(p^2 - p - 1/16))/cos(2pi p), all four from one product of
-  a power basis in 2p - 1 with monomial coefficients that are derived at
-  import from the shipped Chebyshev ones, _CORRECTION_MODELS.  The first
-  term left out, C4 (t/2pi)^(-9/4), is what riemann_siegel_err must cover.
+* Riemann-Siegel (RS): main sum of ~sqrt(t/2pi) terms plus seven correction
+  terms C0..C6 (Gabcke 1979; Arias de Reyna 2011).  C_k is a function of the
+  fractional part p of sqrt(t/2pi), with the parity of k in 2p - 1; all
+  seven come from one product of a power basis in (2p - 1)^2 with monomial
+  coefficients that are derived at import from the shipped Chebyshev ones,
+  _CORRECTION_MODELS.
+  riemann_siegel_err covers the first term left out, C7 (t/2pi)^(-15/4).
 
 Z is a function of t alone: every sum over terms adds them in one order
 fixed by the height itself, never by the other heights of a call, so a
 height gets the same float64 alone, in any batch and in any order.
 
-_em_top is the only place that sets where the two meet, for hardy_z_many,
-em_path and hardy_z_err alike.  RS runs from RS_SWITCH up: there its error is
-already far below what sign decisions on the isolation grid and in the
-bracketed refinement need, at a fraction of EM's cost.  The secant polish
-turns the Z error into an ordinate's abs_err, so with polish set EM keeps
-running up to EM_POLISH_MAX, where it is still affordable and RS's error is
-still orders above it.  hardy_z_err is the one error model of Z, for both
-paths: 1e-14 + 3e-15 (1 + t) on EM and riemann_siegel_err on RS.  Every
-sign decision and every abs_err rests on it, so downstream checks can
-demand margins that exceed accumulated error.
+RS_SWITCH is the one place where the two paths meet, for hardy_z_many and
+hardy_z_err alike, and for the isolation grid and the refinement alike.  RS
+costs a fraction of EM's, and from RS_SWITCH up its truncation is at most
+1.6e-12: rounding in the main sum's phases, which grows with t, decides its
+error.  hardy_z_err is the one error model of Z: 1e-14 + 3e-15 (1 + t) on EM
+and riemann_siegel_err on RS.  Every sign decision and every abs_err rests
+on it, so downstream checks can demand margins that exceed accumulated error.
 
 Both paths rotate by one theta, rs_theta, exact to rounding for t >= 1: the
 asymptotic series from a switch height of 30 up, and below it the argument
@@ -47,9 +45,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
-# cheb2poly turns the shipped C0..C3 coefficients into a power basis at
+# cheb2poly turns the shipped C0..C6 coefficients into a power basis at
 # import.  bench/tracing.py also looks up zgb.zeta.chebyshev.chebval.
-from numpy.polynomial import chebyshev
+from numpy.polynomial import chebyshev, polynomial
 
 from .errors import DomainError
 
@@ -59,10 +57,6 @@ _EPS = np.finfo(float).eps
 
 #: Heights at or above this use the Riemann-Siegel path of hardy_z.
 RS_SWITCH = 500.0
-
-#: With polish set, heights below this still use the Euler-Maclaurin path,
-#: which is near machine accuracy there.
-EM_POLISH_MAX = 1500.0
 
 #: The top of Z's domain: 1e6 plus some 1,900 Gram points, room for the
 #: Turing blocks that certify a zero count at any height up to 1e6.
@@ -77,6 +71,10 @@ Z_TOP = 1e6 + 1e3
 _EM_MIN_TERMS = 60
 _EM_TERMS_PER_T = 0.25
 _EM_BERN_TERMS = 44
+
+# Twice max|C7| over p in [0, 1] (1.0909e-5, tests/oracles.py): the
+# truncation term of riemann_siegel_err is this times (t/2pi)^(-15/4).
+_RS_TRUNCATION = 2.182e-5
 
 # Matrix elements (terms x heights) any buffer of a Z kernel may hold, 2 MB
 # per float64 array at any batch size; _in_slices alone divides it.
@@ -218,65 +216,73 @@ def _row_sum(buf: np.ndarray) -> np.ndarray:
 
 
 # Chebyshev coefficients of Gabcke's corrections over p in [0, 1]: row j
-# holds the coefficients of T_j(2p - 1) in C0, C1, C2, C3, from a degree-64
-# interpolant of Cauchy-integral derivatives of Psi(p) = cos(2pi(p^2 - p -
-# 1/16))/cos(2pi p) (tests/oracles.py regenerates them).  The rows kept are
-# the fewest for which every dropped tail, the sum of the dropped
-# |coefficients|, is below 1e-3 of the smallest riemann_siegel_err on
-# [RS_SWITCH, Z_TOP]: since |T_j| <= 1 that bounds the truncation error.
+# holds those of T_j(2p - 1) in C0..C6, from the power series of Arias de
+# Reyna's recursion, rounded once (tests/oracles.py regenerates them).  C_k has
+# k's parity in 2p - 1, so T_j of the other parity are exactly 0.  The rows kept
+# are the fewest for which every C_k's dropped tail, the sum of its dropped
+# |coefficients| (|T_j| <= 1), times u^k = (t/2pi)^(-k/2) at RS_SWITCH, is
+# below 1e-3 of the smallest riemann_siegel_err on [RS_SWITCH, 1e6].
 _CORRECTION_MODELS = np.array((
-    (0.6426672862397719, 3.391630841667722e-17, 0.00314611585398879, 1.2430975649977335e-15),
-    (-2.903693309837712e-16, 0.010697913921003046, -7.523942347533131e-17, 7.123256221297049e-05),
-    (0.27197299999785374, 2.731008378914694e-17, -0.002308783884530819, 9.08833344647926e-16),
-    (-9.83467307036467e-16, 0.017170651243377882, -2.152856187278157e-17, 0.00023234305298206254),
-    (0.010738605819339825, 3.179837054000952e-17, 5.769820766688812e-05, 2.6539491548526114e-16),
-    (-2.848160270377887e-16, 0.002793211149788468, 1.3160569625410642e-17, -0.00012929912045455633),
-    (-0.0013743815296347528, 2.8451173641061153e-17, 0.0003523886202366797, 6.00950215969573e-17),
-    (-2.1178627651527878e-16, -3.637565371929095e-05, 1.9018164198570294e-17, 1.8074496413734968e-05),
-    (-0.00012468221880362787, -1.8257437630627478e-18, 2.5246667458709595e-05, -1.0356816768436415e-16),
-    (-8.705754843537535e-16, -2.7108955231124894e-05, 2.0739308058540897e-17, 6.526185187081632e-06),
-    (-5.764599705933764e-07, -8.520137560959489e-18, -3.442821197164867e-06, -1.6094121453040107e-16),
-    (-9.201748565836249e-16, -1.0483749866812427e-06, 6.275994185528195e-18, -1.1696365394790757e-07),
-    (2.7280674234891876e-07, -5.477231289188244e-18, -3.535074556387128e-07, -1.7410178415581175e-16),
-    (-6.767423548419253e-16, 5.886467166710558e-08, 1.1563043832730737e-17, -7.34947614546096e-08),
-    (8.077952346288788e-09, -2.7386156445941217e-18, 3.730830203209799e-09, -1.1479363910257026e-16),
-    (-1.4605950104501984e-16, 4.322967282289275e-09, -2.5674521668069895e-18, -1.7750910760942421e-09),
-    (-2.088465174631455e-10, -1.2171625087084985e-17, 1.2776951871783832e-09, -7.554965727882048e-17),
-    (9.737300069667989e-18, -1.1369564593218314e-11, -2.1300343902398723e-18, 2.555552447979357e-10),
-    (-1.311592897324125e-11, -1.7496711062684668e-17, 2.1874612356687945e-11, 3.953638609830282e-17),
-    (1.996146514281938e-16, -6.699798608016663e-12, -1.5823112613210483e-17, 1.137666791082827e-11),
-    (-1.430409380234227e-14, -1.8257437630627474e-18, -1.9141571924964956e-12, 9.147736979512308e-18),
-    (3.4080550243837974e-16, -1.0077375274601147e-13, -1.141089851914218e-17, -3.3494904063462517e-13),
+    (0.6426672862397684, 0.0, 0.0031461158539889122, 0.0, 0.0001676574524669686, 0.0, 1.2189742141068971e-05),
+    (0.0, 0.010697913921003001, 0.0, 7.123256221203874e-05, 0.0, 8.828845234808902e-05, 0.0),
+    (0.27197299999785507, 0.0, -0.0023087838845307503, 0.0, -0.00022728768943416726, 0.0, -1.3829760140503787e-05),
+    (0.0, 0.017170651243377882, 0.0, 0.00023234305298164808, 0.0, -1.562868496932839e-05, 0.0),
+    (0.010738605819340285, 0.0, 5.769820766689844e-05, 0.0, 6.477387188445696e-05, 0.0, 5.11096730499826e-06),
+    (0.0, 0.002793211149788471, 0.0, -0.00012929912045472474, 0.0, -1.8342447697160084e-07, 0.0),
+    (-0.0013743815296336614, 0.0, 0.000352388620236659, 0.0, -8.49220050012541e-06, 0.0, -2.0458136450386076e-06),
+    (0.0, -3.6375653719275045e-05, 0.0, 1.807449641367144e-05, 0.0, 2.1097267874937543e-06, 0.0),
+    (-0.00012468221880320676, 0.0, 2.5246667458684434e-05, 0.0, -2.6161407245219076e-06, 0.0, 4.938136644832012e-07),
+    (0.0, -2.7108955231150888e-05, 0.0, 6.5261851872204395e-06, 0.0, -6.657016174096388e-07, 0.0),
+    (-5.764599706783048e-07, 0.0, -3.442821197193136e-06, 0.0, 8.336764968733215e-07, 0.0, -3.6187528349622816e-08),
+    (0.0, -1.0483749866752774e-06, 0.0, -1.1696365378521986e-07, 0.0, 2.771474120506843e-08, 0.0),
+    (2.728067429580452e-07, 0.0, -3.535074556622459e-07, 0.0, 6.324704037544833e-08, 0.0, -1.287690509807986e-08),
+    (0.0, 5.886467166527572e-08, 0.0, -7.349476126518126e-08, 0.0, 1.8111249375764875e-08, 0.0),
+    (8.07795305950047e-09, 0.0, 3.730830183792625e-09, 0.0, -1.0059949403001072e-08, 0.0, 2.574412111144866e-09),
+    (0.0, 4.322967268502779e-09, 0.0, -1.7750910077907072e-09, 0.0, -5.765890811715977e-10, 0.0),
+    (-2.0884608068869654e-10, 0.0, 1.2776951864116635e-09, 0.0, -7.822677204130333e-10, 0.0, 1.3641457070791684e-10),
+    (0.0, -1.1369591588273712e-11, 0.0, 2.555552961326525e-10, 0.0, -1.8675033426083153e-10, 0.0),
+    (-1.3115561854739528e-11, 0.0, 2.1874616204147057e-11, 0.0, 3.16765828534986e-11, 0.0, -3.032439574084382e-11),
+    (0.0, -6.6998339103553274e-12, 0.0, 1.13766366005373e-11, 0.0, -1.1051608917093021e-13, 0.0),
+    (-1.4207987228087186e-14, 0.0, -1.914141096461037e-12, 0.0, 3.5006944702052894e-12, 0.0, -1.3216671239902537e-12),
+    (0.0, -1.0079997652808475e-13, 0.0, -3.349863898530277e-13, 0.0, 7.870643368056824e-13, 0.0),
+    (1.0271701357931162e-14, 0.0, -6.562883102168523e-14, 0.0, -1.4314814511443748e-14, 0.0, 1.3031652130009368e-13),
 ))
 
 
-# The same four polynomials in the power basis of 2p - 1: row j holds the
-# coefficients of (2p - 1)^j, none above 0.44 in size.
-_CORRECTION_POWERS = np.column_stack([chebyshev.cheb2poly(c) for c in _CORRECTION_MODELS.T])
+# The same seven polynomials in powers of y = (2p - 1)^2, zero-padded: column
+# k holds the coefficients of y^j in C_k / (2p - 1)^(k mod 2), none above 0.44.
+_CORRECTION_POWERS = np.column_stack([
+    np.pad(c, (0, (len(_CORRECTION_MODELS) + 1) // 2 - c.size)) for c in
+    (chebyshev.cheb2poly(c)[k % 2::2] for k, c in enumerate(_CORRECTION_MODELS.T))])
 
 
-# Batches of at least this many heights build the power basis of C0..C3 row
-# by row on contiguous rows; smaller ones in one strided accumulate, which
-# costs less per call (4.0 against 15 us at one height on a 2-core x86_64 VM).
+# Batches of at least this many heights build the power basis of the
+# corrections row by row on contiguous rows; smaller ones in one strided
+# accumulate, which costs less per call (4.0 against 15 us at one height on
+# a 2-core x86_64 VM).
 _ROW_BY_ROW_MIN = 128
 
 
 def _corrections(x: np.ndarray) -> np.ndarray:
-    """C0..C3 at the heights whose 2p - 1 is x, as a 4 x heights array.
+    """C0..C6 at the heights whose 2p - 1 is x, as a 7 x heights array.
 
-    Row j of the power basis is (2p - 1)^j, each row the one before times
-    2p - 1, the products np.vander makes; einsum, not BLAS, adds each
-    height's 22 products in power order, whatever the number of heights.
+    Row j of the power basis is y^j, y = x * x, each row the one before times
+    y, the products np.vander makes; einsum, not BLAS, adds each height's 12
+    products in power order, whatever the number of heights, and the odd C_k
+    are then multiplied by x.
     """
     powers = np.empty((_CORRECTION_POWERS.shape[0], x.size))
     powers[0] = 1.0
-    powers[1:] = x
+    np.multiply(x, x, out=powers[1])
+    powers[2:] = powers[1]
     if x.size < _ROW_BY_ROW_MIN:
         np.multiply.accumulate(powers, axis=0, out=powers)
     else:
         for j in range(2, powers.shape[0]):
             powers[j] *= powers[j - 1]
-    return np.einsum("ji,jk->ki", powers, _CORRECTION_POWERS)
+    out = np.einsum("ji,jk->ki", powers, _CORRECTION_POWERS)
+    out[1::2] *= x
+    return out
 
 
 def _hardy_z_rs_batch(ts: np.ndarray) -> np.ndarray:
@@ -291,8 +297,7 @@ def _hardy_z_rs_slice(ts: np.ndarray) -> np.ndarray:
     p = tau - floor
     out = 2.0 * _cos_sum(ts, rs_theta(ts), big_n)
     u = 1.0 / tau
-    c0, c1, c2, c3 = _corrections(2.0 * p - 1.0)
-    corr = c0 + c1 * u + c2 * u ** 2 + c3 * u ** 3
+    corr = polynomial.polyval(u, _corrections(2.0 * p - 1.0), tensor=False)  # Horner in u
     sign = np.where(big_n & 1, 1.0, -1.0)  # (-1)^(N-1)
     out += sign * tau ** -0.5 * corr
     return out
@@ -351,26 +356,15 @@ def _hardy_z_em_slice(ts: np.ndarray) -> np.ndarray:
     return _cos_sum(ts, theta, nf.astype(int) - 1) + rem
 
 
-def _em_top(polish: bool) -> float:
-    """The height below which Z takes the Euler-Maclaurin path."""
-    return EM_POLISH_MAX if polish else RS_SWITCH
-
-
-def em_path(ts, polish: bool = False) -> np.ndarray:
-    """Where hardy_z_many(ts, polish) takes the Euler-Maclaurin path."""
-    return np.asarray(ts, dtype=float) < _em_top(polish)
-
-
-def hardy_z_many(ts, polish: bool = False) -> np.ndarray:
+def hardy_z_many(ts) -> np.ndarray:
     """Z(t) for an array of heights 2 <= t <= Z_TOP, with per-height path
     selection.
 
-    EM runs below RS_SWITCH, or below EM_POLISH_MAX with polish set; RS runs
-    above.  The batch's least and greatest heights decide both the domain
-    check and, when every height takes one path, that path; only a batch
-    across the switch is split by em_path.  A height's value does not depend
-    on the batch: it is the same float64 alone, in any batch and in any
-    order, as hardy_z gives it.
+    EM runs below RS_SWITCH and RS from it up.  The batch's least and
+    greatest heights decide both the domain check and, when every height
+    takes one path, that path; only a batch across the switch is split.  A
+    height's value does not depend on the batch: it is the same float64
+    alone, in any batch and in any order, as hardy_z gives it.
     """
     ts = np.asarray(ts, dtype=float)
     if not ts.size:
@@ -380,11 +374,10 @@ def hardy_z_many(ts, polish: bool = False) -> np.ndarray:
         raise DomainError("hardy_z requires t >= 2")
     if most > Z_TOP:
         raise DomainError(f"hardy_z validated for t <= {Z_TOP}")
-    top = _em_top(polish)
-    if most < top or least >= top:  # one path: no scatter
-        kernel = _hardy_z_em_batch if most < top else _hardy_z_rs_batch
+    if most < RS_SWITCH or least >= RS_SWITCH:  # one path: no scatter
+        kernel = _hardy_z_em_batch if most < RS_SWITCH else _hardy_z_rs_batch
         return kernel(ts.ravel()).reshape(ts.shape)
-    lo = em_path(ts, polish)
+    lo = ts < RS_SWITCH
     out = np.empty(ts.shape)
     out[lo] = _hardy_z_em_batch(ts[lo])
     out[~lo] = _hardy_z_rs_batch(ts[~lo])
@@ -398,20 +391,19 @@ def hardy_z(t: float) -> float:
 
 
 def riemann_siegel_err(t):
-    """Error envelope of the Riemann-Siegel path with corrections C0..C3.
+    """Error envelope of the Riemann-Siegel path with corrections C0..C6.
 
-    The first term, 0.02 (t/2pi)^(-11/4), was calibrated against the
-    Euler-Maclaurin path with several-fold headroom.  The truncation it
-    models starts with the first term left out, C4 (t/2pi)^(-9/4) with
-    max|C4| = 4.648e-4, which decays more slowly: the fitted term falls
-    below that from t = 11,600 or so, where the second term is 24 times
-    larger than either and covers it.  The envelope stays at least 2.1 times
-    max|C4| (t/2pi)^(-9/4) on [RS_SWITCH, Z_TOP], least near t = 3,312.
-    The second term models phase rounding of the main sum, which takes over
-    at large heights.  It scales with |theta(t)|, taken in closed form as
-    0.5 t (log(t/2pi) - 1): that exceeds theta by pi/8 less the series' tail,
-    so it bounds |theta| from theta's root at t = 17.85 up, and from
-    RS_SWITCH up it is above |theta| by at most 4.7e-4 of it.  Valid for
+    The first term, twice the first term left out at its largest,
+    2 max|C7| (t/2pi)^(-15/4) with max|C7| = 1.0909e-5, is an estimate of the
+    truncation, not a proof: the series is asymptotic, and what it omits is
+    C7's term plus later ones under 3 % of it at RS_SWITCH.  Checked against
+    mpmath's exact remainder on [RS_SWITCH, 1500), where the term is largest
+    (1.6e-12 at RS_SWITCH), the remainder reaches 0.51 of it.  The second
+    term, phase rounding of the main sum, is the larger from RS_SWITCH up
+    and takes over entirely at large heights.  It scales with |theta(t)|, taken in
+    closed form as 0.5 t (log(t/2pi) - 1): that exceeds theta by pi/8 less the
+    series' tail, so it bounds |theta| from theta's root at t = 17.85 up, and
+    from RS_SWITCH up it is above |theta| by at most 4.7e-4 of it.  Valid for
     t >= 30.  Accepts scalars or arrays.
     """
     arr = np.atleast_1d(np.asarray(t, dtype=float))  # ** on np.float64 would take C's pow
@@ -420,20 +412,19 @@ def riemann_siegel_err(t):
     # in place, so an array of heights costs three float arrays its size;
     # halving last is exact, the float64 that halving t first gives
     rounding = 8.0 * _EPS * np.maximum((np.log(v) - 1.0) * arr * 0.5, 10.0) * (v ** 0.25 + 1.0)
-    out = 0.02 * v ** -2.75 + rounding
+    out = _RS_TRUNCATION * v ** -3.75 + rounding
     return float(out[0]) if np.isscalar(t) else out.reshape(np.shape(t))
 
 
-def hardy_z_err(t, polish: bool = False):
-    """Bound on |computed - true| for hardy_z_many(..., polish) at height t > 0.
+def hardy_z_err(t):
+    """Bound on |computed - true| for hardy_z_many at height t > 0.
 
     Accepts scalars or arrays, like riemann_siegel_err.  The RS envelope is
-    worked at every height, then EM's term is set by index where the EM path
-    runs, which takes in every height below RS_SWITCH.
+    worked at every height, then EM's term is set by index below RS_SWITCH.
     """
     arr = np.asarray(t, dtype=float)
     out = riemann_siegel_err(arr)  # an array, 0-d for a scalar t
-    em = em_path(arr, polish)
+    em = arr < RS_SWITCH
     if em.any():
         out[em] = 1e-14 + 3e-15 * (1.0 + arr[em])
     return float(out) if np.isscalar(t) else out

@@ -6,6 +6,7 @@ computed ordinates: A(100) = 0.59224351116440666, A(1000) = 2.0286569751459763.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,6 +334,43 @@ def _neumaier_prefix_by_step(values):
 def test_neumaier_prefix_matches_step_by_step(values):
     got, want = _neumaier_prefix(values), _neumaier_prefix_by_step(values)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _neumaier_prefix_by_columns(values):
+    """The column form before it was worked in place, on eight temporaries
+    the length of values."""
+    values = np.asarray(values, dtype=float)
+    total = np.cumsum(values)
+    before = np.concatenate(([0.0], total[:-1]))
+    err = np.where(np.abs(before) >= np.abs(values),
+                   (before - total) + values, (values - total) + before)
+    comp = np.cumsum(np.concatenate(([0.0], err)))[1:]
+    return np.concatenate(([0.0], total + comp))
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300,
+                          max_value=1e300) | st.sampled_from([0.0, -0.0, 1e16, -1e16, 1.0]),
+                max_size=200))
+@settings(max_examples=200, deadline=None)
+def test_neumaier_prefix_is_the_column_form_bit_for_bit(values):
+    got, want = _neumaier_prefix(values), _neumaier_prefix_by_columns(values)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_neumaier_prefix_works_in_three_arrays_of_its_values():
+    # the result and the errors, each one longer than the values, a third
+    # array while the branch mask is made, and the mask: 3.125 times the
+    # values' nbytes, where the column form took 6.0 (on the 1e6 table's
+    # 1,747,146 ordinates, ZeroTable.prefix peaks at 57.7 MB against 97.8)
+    values = 1.0 / np.sort(np.random.default_rng(37).uniform(14.0, 1e6, 200_000))
+    tracemalloc.start()
+    try:
+        got = _neumaier_prefix(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * values.nbytes
+    assert np.array_equal(got.view(np.int64), _neumaier_prefix_by_columns(values).view(np.int64))
 
 
 def test_neumaier_prefix_matches_step_by_step_on_a_table(table1000):

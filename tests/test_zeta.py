@@ -16,19 +16,24 @@ import pytest
 from numpy.polynomial import chebyshev
 from scipy.optimize import brentq
 
-from oracles import correction_c4, correction_fit, correction_models
+from oracles import (
+    SHIPPED_TERMS,
+    correction_fit,
+    correction_max,
+    correction_models,
+    correction_series,
+    gabcke_closed_forms,
+)
 from zgb import zeta
 from zgb.errors import DomainError
 from zgb.zeta import (
     _CORRECTION_MODELS,
     _CORRECTION_POWERS,
-    EM_POLISH_MAX,
     RS_SWITCH,
     Z_TOP,
     _cos_sum,
     _hardy_z_em_batch,
     _hardy_z_rs_batch,
-    em_path,
     hardy_z,
     hardy_z_err,
     hardy_z_many,
@@ -121,25 +126,22 @@ def test_theta_exact_to_rounding():
 
 def test_z_within_its_error_model_against_mpmath():
     # hardy_z_err is the one error model of Z, so every sign decision and
-    # abs_err rests on it: check it at seeded heights on both EM paths, the
-    # grid path below RS_SWITCH and the polish path below EM_POLISH_MAX, each
-    # in one batch and one height at a time.  The polish path adds the
-    # closest calls seen in [1000, 1500): 1268.1287 (0.86 of the model under
-    # an earlier EM sum, 0.32 now) and the worst of
+    # abs_err rests on it: check it at seeded heights below RS_SWITCH and
+    # below 1500, each in one batch and one height at a time.  The second set
+    # adds the closest calls seen in [1000, 1500) when EM ran there:
+    # 1268.1287 (0.86 of the model under an earlier EM sum) and the worst of
     # default_rng(3).uniform(1000, 1500, 2000), at 0.65
     rng = np.random.default_rng(8)
-    for polish, top, worst in ((False, RS_SWITCH, ()),
-                               (True, EM_POLISH_MAX, (1268.1287, 1378.4677181401307))):
+    for top, worst in ((RS_SWITCH, ()), (1500.0, (1268.1287, 1378.4677181401307))):
         ts = np.concatenate((rng.uniform(2.0, top, 40), worst))
-        assert em_path(ts, polish).all()
-        got = hardy_z_many(ts, polish)
-        for t, z, err in zip(ts.tolist(), got, hardy_z_err(ts, polish)):
+        got = hardy_z_many(ts)
+        for t, z, err in zip(ts.tolist(), got, hardy_z_err(ts)):
             ref = float(mp.siegelz(t))
-            assert abs(z - ref) <= err, (polish, t)
-            alone = float(hardy_z_many(np.array([t]), polish)[0])
-            assert abs(alone - ref) <= err, (polish, t, "alone")
+            assert abs(z - ref) <= err, t
+            alone = float(hardy_z_many(np.array([t]))[0])
+            assert abs(alone - ref) <= err, (t, "alone")
     # above, EM is the reference the RS tests compare against within 1e-10
-    ts = np.geomspace(EM_POLISH_MAX, 1e4, 6)
+    ts = np.geomspace(1500.0, 1e4, 6)
     for t, z in zip(ts.tolist(), _hardy_z_em_batch(ts)):
         assert abs(z - float(mp.siegelz(t))) <= 1e-10, t
     # the band past 1e6 that only Turing's method uses, up to Z_TOP: the
@@ -147,6 +149,19 @@ def test_z_within_its_error_model_against_mpmath():
     ts = np.random.default_rng(7).uniform(1e6, Z_TOP, 12)
     for t, z, err in zip(ts.tolist(), hardy_z_many(ts), hardy_z_err(ts)):
         assert abs(z - float(mp.siegelz(t))) <= err, t
+
+
+@pytest.mark.slow
+def test_z_errs_within_a_third_of_its_model_from_rs_switch_to_1e4():
+    # RS refines as well as scans from RS_SWITCH up: on 1,001 evenly spaced
+    # heights of [RS_SWITCH, 1e4] the worst |Z - siegelz| is 0.23 of
+    # hardy_z_err, 4.2e-12 at 1070, and none on [RS_SWITCH, 1500) errs by
+    # more than 1e-11, though the model passes it from 685 up; about 25 s
+    ts = np.linspace(RS_SWITCH, 1e4, 1001)
+    with mp.workdps(20):
+        miss = np.abs(hardy_z_many(ts) - np.array([float(mp.siegelz(t)) for t in ts.tolist()]))
+    assert np.max(miss / hardy_z_err(ts)) <= 1.0 / 3.0
+    assert np.max(miss[ts < 1500.0]) <= 1e-11
 
 
 def test_em_bernoulli_coefficients_against_mpmath():
@@ -171,7 +186,7 @@ def test_em_remainder_matches_a_term_by_term_loop():
     # buffer, against each height's terms in Python complex arithmetic, each
     # term from the one before; the roundings differ, so they agree
     # within 32 eps of the sum of the terms' sizes
-    ts = np.concatenate((np.linspace(2.0, np.nextafter(EM_POLISH_MAX, 0.0), 3000), [240.0]))
+    ts = np.concatenate((np.linspace(2.0, np.nextafter(1500.0, 0.0), 3000), [240.0]))
     nf = zeta._em_term_count(ts)
     got = zeta._em_remainder(ts, nf)
     for t, n, z in zip(ts.tolist(), nf.tolist(), got.tolist()):
@@ -202,8 +217,8 @@ def test_em_truncation_within_backlund_bound():
     first_omitted -= (0.5 + 2 * big_k + 1) * np.log(zeta._em_term_count(ts))
     bound = np.abs(s + 2 * big_k + 1) / (0.5 + 2 * big_k + 1) * np.exp(first_omitted)
     model = 1e-14 + 3e-15 * (1.0 + ts)  # the EM branch of hardy_z_err
-    polish = em_path(ts, polish=True)
-    assert np.array_equal(model[polish], hardy_z_err(ts[polish], polish=True))
+    em = ts < RS_SWITCH
+    assert np.array_equal(model[em], hardy_z_err(ts[em]))
     assert np.max(bound / model) <= 1e-3
 
 
@@ -221,90 +236,81 @@ def test_z_domain_error():
         hardy_z(1.9)
     with pytest.raises(DomainError):
         hardy_z(math.nan)
-    for polish in (False, True):
-        assert np.isfinite(hardy_z_many(np.array([2.0, Z_TOP]), polish)).all()
-        for bad in (1.9, math.nan, np.nextafter(Z_TOP, math.inf), 1e7):
-            with pytest.raises(DomainError):
-                hardy_z_many(np.array([600.0, bad]), polish)
-        # an empty batch passes and keeps its shape
-        assert hardy_z_many(np.empty((0, 3)), polish).shape == (0, 3)
+    assert np.isfinite(hardy_z_many(np.array([2.0, Z_TOP]))).all()
+    for bad in (1.9, math.nan, np.nextafter(Z_TOP, math.inf), 1e7):
+        with pytest.raises(DomainError):
+            hardy_z_many(np.array([600.0, bad]))
+    # an empty batch passes and keeps its shape
+    assert hardy_z_many(np.empty((0, 3))).shape == (0, 3)
 
 
 def test_z_path_choice_at_the_batch_ends():
     # the least and greatest heights pick one kernel for a batch on one side
     # of the switch; a batch across it is split height by height
-    for polish, top in ((False, RS_SWITCH), (True, EM_POLISH_MAX)):
-        below = np.array([2.0, 100.0, np.nextafter(top, 0.0)])
-        above = np.array([top, 5000.0, 1e6])
-        assert np.array_equal(hardy_z_many(below, polish), _hardy_z_em_batch(below))
-        assert np.array_equal(hardy_z_many(above, polish), _hardy_z_rs_batch(above))
-        across = np.array([[1e6, 2.0], [top, np.nextafter(top, 0.0)]])
-        want = [[_hardy_z_rs_batch(np.array([1e6]))[0], _hardy_z_em_batch(np.array([2.0]))[0]],
-                [_hardy_z_rs_batch(np.array([top]))[0],
-                 _hardy_z_em_batch(np.array([np.nextafter(top, 0.0)]))[0]]]
-        assert np.array_equal(hardy_z_many(across, polish), want)
+    below = np.array([2.0, 100.0, np.nextafter(RS_SWITCH, 0.0)])
+    above = np.array([RS_SWITCH, 5000.0, 1e6])
+    assert np.array_equal(hardy_z_many(below), _hardy_z_em_batch(below))
+    assert np.array_equal(hardy_z_many(above), _hardy_z_rs_batch(above))
+    across = np.array([[1e6, 2.0], [RS_SWITCH, np.nextafter(RS_SWITCH, 0.0)]])
+    want = [[_hardy_z_rs_batch(np.array([1e6]))[0], _hardy_z_em_batch(np.array([2.0]))[0]],
+            [_hardy_z_rs_batch(np.array([RS_SWITCH]))[0],
+             _hardy_z_em_batch(np.array([np.nextafter(RS_SWITCH, 0.0)]))[0]]]
+    assert np.array_equal(hardy_z_many(across), want)
 
 
-@pytest.mark.parametrize("polish", [False, True])
-def test_z_of_a_height_does_not_depend_on_its_batch(polish):
+def test_z_of_a_height_does_not_depend_on_its_batch():
     # one call, 6-point calls, one-point calls (every tenth height) and the
     # reversed order give each height the same float64, on both paths and on
-    # batches across each switch
+    # batches across the switch and around 1500, where EM once polished
     rng = np.random.default_rng(21)
     bands = [rng.uniform(lo, hi, 600) for lo, hi in
-             ((2.0, RS_SWITCH), (RS_SWITCH, EM_POLISH_MAX), (EM_POLISH_MAX, 1e4), (5e5, 1e6))]
-    bands += [rng.uniform(top - 50.0, top + 50.0, 120) for top in (RS_SWITCH, EM_POLISH_MAX)]
+             ((2.0, RS_SWITCH), (RS_SWITCH, 1500.0), (1500.0, 1e4), (5e5, 1e6))]
+    bands += [rng.uniform(top - 50.0, top + 50.0, 120) for top in (RS_SWITCH, 1500.0)]
     for ts in bands:
-        whole = hardy_z_many(ts, polish)
-        sixes = np.concatenate([hardy_z_many(ts[i:i + 6], polish) for i in range(0, ts.size, 6)])
+        whole = hardy_z_many(ts)
+        sixes = np.concatenate([hardy_z_many(ts[i:i + 6]) for i in range(0, ts.size, 6)])
         assert np.array_equal(sixes, whole)
-        assert np.array_equal(hardy_z_many(ts[::-1], polish)[::-1], whole)
-        alone = [hardy_z_many(ts[i:i + 1], polish)[0] for i in range(0, ts.size, 10)]
+        assert np.array_equal(hardy_z_many(ts[::-1])[::-1], whole)
+        alone = [hardy_z_many(ts[i:i + 1])[0] for i in range(0, ts.size, 10)]
         assert np.array_equal(alone, whole[::10])
-        if not polish:
-            assert np.array_equal([hardy_z(t) for t in ts[::10].tolist()], whole[::10])
+        assert np.array_equal([hardy_z(t) for t in ts[::10].tolist()], whole[::10])
 
 
 def test_z_and_theta_are_pinned_bit_for_bit():
     # 2,000 seeded heights in each band where Z or theta takes other code:
-    # Stirling's theta, grid and polish EM, RS where EM checks it, RS to 1e6,
-    # and the band past it that only Turing's method reads.  Nothing else in
-    # tier-1 pins polish-path EM on [500, 1500) bit for bit.  A change that
-    # moves Z on purpose (ROADMAP items 1 and 4) re-pins it, with each moved
-    # ordinate checked against mpmath
+    # Stirling's theta, EM, RS on [RS_SWITCH, 1500) where its error is
+    # largest against EM's, RS where EM checks it, RS to 1e6, and the band
+    # past it that only Turing's method reads.  A change that moves Z on
+    # purpose (ROADMAP item 4) re-pins it, with each moved ordinate checked
+    # against mpmath
     rng = np.random.default_rng(29)
     ts = np.concatenate([rng.uniform(lo, hi, 2000) for lo, hi in (
-        (2.0, 30.0), (30.0, RS_SWITCH), (RS_SWITCH, EM_POLISH_MAX), (EM_POLISH_MAX, 1e4),
+        (2.0, 30.0), (30.0, RS_SWITCH), (RS_SWITCH, 1500.0), (1500.0, 1e4),
         (1e4, 1e6), (1e6, Z_TOP))])
     got = {name: hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()
            for name, values in (("ts", ts), ("z", hardy_z_many(ts)),
-                                ("z_polish", hardy_z_many(ts, polish=True)),
                                 ("theta", rs_theta(ts)), ("theta_deriv", rs_theta_deriv(ts)))}
     assert got == {
         "ts": "d4babee560d6721d7e5c48761d27eff0a19f7b4651ea83a2a31abcdd60f13545",
-        "z": "42815672fbe6acfd907cd40e9aa2797e3b965759c5d127c00875ee6ceba975c4",
-        "z_polish": "5b48b285831cc941091808553fb7952bb2a115191bf472adccdccb82d041387f",
+        "z": "d26a0f28d584c9adfbdd63754b6a3de7c21c126f7de6d13672b8d46a79f0327f",
         "theta": "930a1351100950529a0bd74404945f1905eb4c17367c70004a4fc74827bba86f",
         "theta_deriv": "afd6f79a3de6ca56ebcd1cea2dd666b4924ee61032d9fbe26d6b0b1338ed2962",
     }
 
 
 def test_z_error_model_is_pinned_bit_for_bit():
-    # the error model at the heights of the Z and theta pin, under both path
-    # policies: every sign decision and every abs_err reads it, so a rewrite
-    # of its arithmetic keeps each bit; the digests are the parent's, whose
-    # terms were separate arrays over a copy of t clipped to RS_SWITCH
+    # the error model at the heights of the Z and theta pin: every sign
+    # decision and every abs_err reads it, so a rewrite of its arithmetic
+    # keeps each bit
     rng = np.random.default_rng(29)
     ts = np.concatenate([rng.uniform(lo, hi, 2000) for lo, hi in (
-        (2.0, 30.0), (30.0, RS_SWITCH), (RS_SWITCH, EM_POLISH_MAX), (EM_POLISH_MAX, 1e4),
+        (2.0, 30.0), (30.0, RS_SWITCH), (RS_SWITCH, 1500.0), (1500.0, 1e4),
         (1e4, 1e6), (1e6, Z_TOP))])
     got = {name: hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()
-           for name, values in (("err", hardy_z_err(ts)), ("err_polish", hardy_z_err(ts, polish=True)),
-                                ("rs_err", riemann_siegel_err(ts)))}
+           for name, values in (("err", hardy_z_err(ts)), ("rs_err", riemann_siegel_err(ts)))}
     assert got == {
-        "err": "3b634ed229216971afaf2c40466fef1e120e1a1b8e4c483f8dca3fe0b99c012d",
-        "err_polish": "bce9cde15a5d83f56d95bc36c5b8a8690a68622b473e00ae3265e222bf3785e3",
-        "rs_err": "b08e3e27f86419520173d3efa3de4aa12b0b3a5409ffcdef94aea1fc627ff26a",
+        "err": "d05efa08aef65c200418991a3397d19f8694695a421877463714a51bc70dab17",
+        "rs_err": "5c7a3a952359b840b5d29a55298400b17e9cda7dcd6ece2f751331f5aa25e0f5",
     }
 
 
@@ -314,14 +320,13 @@ def test_z_error_model_works_in_three_arrays_of_its_heights():
     # by index (3.0 times the heights' nbytes; 5.0 with a clipped copy of the
     # heights, separate terms and np.where)
     ts = np.random.default_rng(34).uniform(2.0, 1e6, 200_000)
-    for polish in (False, True):
-        tracemalloc.start()
-        try:
-            hardy_z_err(ts, polish)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.2 * ts.nbytes
+    tracemalloc.start()
+    try:
+        hardy_z_err(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * ts.nbytes
 
 
 def test_z_error_model_gives_a_scalar_its_value_in_an_array():
@@ -329,9 +334,7 @@ def test_z_error_model_gives_a_scalar_its_value_in_an_array():
     # form, and every other caller with the array form (** on an np.float64
     # once took C's pow, an ulp off numpy's loop on 113 of these heights)
     ts = np.random.default_rng(35).uniform(30.0, 1e6, 3000)
-    for err, array in ((riemann_siegel_err, riemann_siegel_err(ts)),
-                       (hardy_z_err, hardy_z_err(ts)),
-                       (lambda t: hardy_z_err(t, polish=True), hardy_z_err(ts, polish=True))):
+    for err, array in ((riemann_siegel_err, riemann_siegel_err(ts)), (hardy_z_err, hardy_z_err(ts))):
         scalars = [err(t) for t in ts.tolist()]
         assert all(type(s) is float for s in scalars)
         assert np.array_equal(scalars, array)
@@ -368,8 +371,6 @@ def test_z_spot_values_against_mpmath():
               925000.123, 950000.5, 975000.25, 999000.75):
         ref = float(mp.siegelz(t))
         assert hardy_z(t) == pytest.approx(ref, abs=hardy_z_err(t) + 1e-12)
-        polished = float(hardy_z_many(np.array([t]), polish=True)[0])
-        assert polished == pytest.approx(ref, abs=hardy_z_err(t, polish=True) + 1e-12)
 
 
 def test_methods_agree_within_estimates_at_sampled_points():
@@ -380,44 +381,89 @@ def test_methods_agree_within_estimates_at_sampled_points():
 
 
 def test_rs_error_model_covers_the_first_omitted_correction():
-    # with C0..C3 the first term left out is C4 (t/2pi)^(-9/4); the fitted
-    # 0.02 (t/2pi)^(-11/4) falls below it from t = 11,600 or so, where the
-    # rounding term covers it; the least margin is 2.13 near t = 3,312
-    c4_max = max(abs(correction_c4(p)) for p in np.linspace(0.0, 1.0, 201).tolist())
-    assert c4_max == pytest.approx(4.648e-4, rel=1e-3)
+    # with C0..C6 the first term left out is C7 (t/2pi)^(-15/4): the envelope
+    # is at least twice that at its largest, max|C7| = 1.0909e-5, everywhere
+    c7_max = correction_max(SHIPPED_TERMS)
+    assert c7_max == pytest.approx(1.0909e-5, rel=1e-4)
+    assert 2.0 * c7_max <= zeta._RS_TRUNCATION <= 2.0005 * c7_max
     ts = np.geomspace(RS_SWITCH, Z_TOP, 200001)
-    margin = riemann_siegel_err(ts) / (c4_max * (ts / zeta.TWO_PI) ** -2.25)
-    assert margin.min() >= 1.0
+    margin = riemann_siegel_err(ts) / (c7_max * (ts / zeta.TWO_PI) ** -3.75)
+    assert margin.min() >= 2.0
+
+
+def test_rs_truncation_term_covers_the_exact_remainder():
+    # at t = 2pi a^2, a = N + p, the exact remainder of Z after the main sum,
+    # from mpmath's siegelz in 30 digits, is (-1)^(N-1) a^-1/2 sum_k C_k(p)
+    # a^-k.  Less the shipped C0..C6, it is C7(p) a^-7 to within 3 % of C7's
+    # largest term, so within 0.52 of the truncation term, on heights from
+    # RS_SWITCH to 1500, where that term is largest (1.6e-12 down to 2.6e-14)
+    c7 = correction_series()[:, SHIPPED_TERMS]
+    c7_max = correction_max(SHIPPED_TERMS)
+    worst = 0.0
+    for a in np.linspace(math.sqrt(RS_SWITCH / zeta.TWO_PI), math.sqrt(1500.0 / zeta.TWO_PI), 61):
+        big_n, p = int(a), a - int(a)
+        t = zeta.TWO_PI * a * a
+        theta = mp.siegeltheta(t)
+        main = 2 * mp.fsum(mp.cos(theta - t * mp.log(n)) / mp.sqrt(n) for n in range(1, big_n + 1))
+        exact = (mp.siegelz(t) - main) * (-1) ** (big_n - 1) * mp.sqrt(a)
+        shipped = mp.fsum(c * mp.mpf(a) ** -k
+                          for k, c in enumerate(zeta._corrections(np.array([2.0 * p - 1.0]))[:, 0]))
+        rest = float(exact - shipped) * a ** 7
+        assert abs(rest - np.polynomial.polynomial.polyval(2.0 * p - 1.0, c7)) <= 0.03 * c7_max, a
+        worst = max(worst, abs(rest) / c7_max)
+        # in Z the rest is a^-1/2 of it, against the envelope's truncation term
+        assert abs(rest) * a ** -7.5 <= 0.52 * zeta._RS_TRUNCATION * (t / zeta.TWO_PI) ** -3.75
+    assert worst >= 0.9  # C7 is what the rest is made of
 
 
 def test_correction_models_drop_only_a_negligible_tail():
-    # the shipped coefficients are the oracle's fit, cut where every C_k's
-    # dropped coefficients sum to below 1e-3 of the smallest RS error on
-    # [RS_SWITCH, 1e6], and one coefficient fewer would not
-    full = correction_fit()
+    # the shipped coefficients are the oracle's, cut where every C_k's
+    # dropped coefficients, weighted by u^k at RS_SWITCH, sum to below 1e-3
+    # of the smallest RS error on [RS_SWITCH, 1e6], and one coefficient fewer
+    # would not
+    full = correction_fit()[:, :SHIPPED_TERMS]
     kept = _CORRECTION_MODELS
     assert np.array_equal(correction_models(), kept)
     limit = 1e-3 * riemann_siegel_err(np.linspace(RS_SWITCH, 1e6, 200001)).min()
-    assert kept.shape[1] == 4 and kept.shape[0] < full.shape[0]
+    weight = (RS_SWITCH / zeta.TWO_PI) ** (-0.5 * np.arange(SHIPPED_TERMS))
+    assert kept.shape[1] == SHIPPED_TERMS and kept.shape[0] < full.shape[0]
     assert np.array_equal(kept, full[:kept.shape[0]])
-    tails = np.abs(full[kept.shape[0]:]).sum(axis=0)
+    tails = np.abs(full[kept.shape[0]:]).sum(axis=0) * weight
     assert np.all(tails < limit)
-    assert np.abs(full[kept.shape[0] - 1:]).sum(axis=0).max() >= limit
+    assert (np.abs(full[kept.shape[0] - 1:]).sum(axis=0) * weight).max() >= limit
+
+
+def test_shipped_corrections_match_gabckes_closed_forms():
+    # C0..C4 in the derivatives of Psi, C4's from Psi^(0, 4, 8, 12) (ROADMAP
+    # item 1), against the shipped columns the recursion gave.  The closed
+    # forms take their derivatives from Cauchy integrals, which err by up to
+    # 8.2e-14 in C4, and the row cut moves C3 by up to 2.6e-14
+    ps = np.linspace(0.0, 1.0, 81)
+    got = chebyshev.chebval(2.0 * ps - 1.0, _CORRECTION_MODELS[:, :5])
+    want = np.array([gabcke_closed_forms(p) for p in ps.tolist()]).T
+    assert np.all(np.abs(got - want).max(axis=1) <= [1e-14, 1e-14, 1e-14, 5e-14, 2e-13])
 
 
 def test_correction_powers_are_the_shipped_chebyshev_columns():
-    # the power basis is derived from the shipped Chebyshev coefficients, and
-    # its product agrees with theirs on all of [-1, 1]
-    for col, powers in zip(_CORRECTION_MODELS.T, _CORRECTION_POWERS.T):
-        assert np.array_equal(powers, chebyshev.cheb2poly(col))
+    # the power basis in y = (2p - 1)^2 is derived from the shipped Chebyshev
+    # coefficients: C_k has only T_j, and so only powers, of k's parity, the
+    # others exactly 0; y's powers times (2p - 1) for odd k agree with the
+    # Chebyshev sums on all of [-1, 1]
+    rows = _CORRECTION_POWERS.shape[0]
+    for k, (col, powers) in enumerate(zip(_CORRECTION_MODELS.T, _CORRECTION_POWERS.T)):
+        assert not col[(k + 1) % 2::2].any()
+        full = chebyshev.cheb2poly(col)
+        assert not full[(k + 1) % 2::2].any()
+        assert np.array_equal(powers, np.pad(full[k % 2::2], (0, rows - full[k % 2::2].size)))
     x = np.linspace(-1.0, 1.0, 10001)
-    got = np.vander(x, _CORRECTION_POWERS.shape[0], increasing=True) @ _CORRECTION_POWERS
+    got = np.vander(x * x, rows, increasing=True) @ _CORRECTION_POWERS
+    got[:, 1::2] *= x[:, None]
     assert np.max(np.abs(got - chebyshev.chebval(x, _CORRECTION_MODELS).T)) <= 1e-15
 
 
 def test_rs_batch_builds_one_correction_basis_per_slice(monkeypatch):
     # 2000 heights near 1e6 take four slices of at most _BATCH_ELEMENTS // 398
-    # heights; each slice builds one power basis for C0..C3, and the bases
+    # heights; each slice builds one power basis for C0..C6, and the bases
     # cover every height of the batch once, in order
     calls = []
     original = zeta._corrections
@@ -438,11 +484,12 @@ def test_rs_batch_builds_one_correction_basis_per_slice(monkeypatch):
 @pytest.mark.parametrize("size", [1, 7, 130, 20000])
 def test_corrections_are_the_vander_products_bit_for_bit(size):
     # the power rows, one strided accumulate below _ROW_BY_ROW_MIN heights and
-    # row by row from it up, are the products np.vander makes, so C0..C3 are
-    # the same float64 as from the Vandermonde matrix
+    # row by row from it up, are the products np.vander makes of (2p - 1)^2,
+    # so C0..C6 are the same float64 as from the Vandermonde matrix
     x = np.random.default_rng(size).uniform(-1.0, 1.0, size)
-    reference = np.einsum("ij,jk->ki", np.vander(x, _CORRECTION_POWERS.shape[0], increasing=True),
+    reference = np.einsum("ij,jk->ki", np.vander(x * x, _CORRECTION_POWERS.shape[0], increasing=True),
                           _CORRECTION_POWERS)
+    reference[1::2] *= x
     assert np.array_equal(zeta._corrections(x), reference)
 
 
@@ -457,7 +504,7 @@ def _cos_sum_reference(ts, theta, counts):
 
 def _cos_sum_cases():
     rs = np.random.default_rng(12).uniform(2 * math.pi * 81, 2 * math.pi * 41 ** 2, 3000)
-    em = np.linspace(2.0, np.nextafter(EM_POLISH_MAX, 0.0), 1500)
+    em = np.linspace(2.0, np.nextafter(1500.0, 0.0), 1500)
     rs_counts = np.floor(np.sqrt(rs / zeta.TWO_PI)).astype(int)
     em_counts = np.maximum(60, np.ceil(0.4 * em)).astype(int) - 1  # wider than EM's own
     ones = np.array([700.0, 800.0, 900.0, 1000.0])
@@ -506,7 +553,7 @@ def test_em_remainder_chunks_leave_each_height_as_it_is(budget, monkeypatch):
     # heights (at least one); here the top height takes 374 terms, so both
     # budgets give slices of one height, and each height gets the float64
     # one slice of all 300 gives it
-    ts = np.random.default_rng(14).uniform(2.0, EM_POLISH_MAX, 300)
+    ts = np.random.default_rng(14).uniform(2.0, 1500.0, 300)
     whole = _hardy_z_em_batch(ts)
     monkeypatch.setattr(zeta, "_BATCH_ELEMENTS", budget)
     assert np.array_equal(_hardy_z_em_batch(ts), whole)
@@ -526,10 +573,11 @@ def test_rs_slices_leave_each_height_as_it_is(budget, monkeypatch):
 def test_batch_kernels_bound_their_working_set():
     # one dense heights x terms array for these batches takes 64 MB (RS,
     # 20000 x 400 floats), 19 MB (EM, 1400 x 1750 floats) or, for the EM
-    # remainder's Bernoulli terms, 14 MB (20000 x 44 complex); C0..C3's power
-    # basis, built whole for 80000 RS heights, takes 14 MB (22 x 80000 floats)
-    # and lifts the peak to 21.1 MB; worked in slices sized by one element
-    # budget, the peaks measure 2.7, 3.2, 2.5 and 2.7 MB
+    # remainder's Bernoulli terms, 14 MB (20000 x 44 complex); C0..C6's power
+    # basis, built whole for 80000 RS heights, takes 7.7 MB (12 x 80000
+    # floats), and 14 MB when it held 22 rows for C0..C3 it lifted the peak to
+    # 21.1 MB; worked in slices sized by one element budget, the peaks measure
+    # 2.7, 3.2, 2.5 and 2.7 MB
     for kernel, ts in ((_hardy_z_rs_batch, np.linspace(9.9e5, 1e6, 20000)),
                        (_hardy_z_rs_batch, np.linspace(9.9e5, 1e6, 80000)),
                        (_hardy_z_em_batch, np.linspace(6900.0, 6999.0, 1400)),
