@@ -15,7 +15,7 @@ error object, invalid inputs and paths that cannot be read or written exit 2.
 
 count answers from certified_count; the other queries read the --table file,
 else a table cached in $ZGB_TABLE_DIR, else one they build and read as saved.
-A table that disagrees with certified_count at the top height exits 1.
+At the top height a table failing checked_count, the audit's rule, exits 1.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ from pathlib import Path
 
 from . import __version__
 from .bounds import big_f, big_r, compute_constants, main_term
-from .errors import TableFormatError, ZgbError
+from .errors import CountMismatch, TableFormatError, ZgbError
 from .ingestion import cross_validate, parse_reference
 from .summation import a_of_t, check_sweep_range, theorem_sweep
-from .zeros import (ZeroTable, _as_saved, build_table, certified_count, count_up_to,
+from .zeros import (ZeroTable, _as_saved, build_table, certified_count, checked_count,
                     load_table, save_table)
 
 ENV_TABLE_DIR = "ZGB_TABLE_DIR"
@@ -133,25 +133,10 @@ def _cmd_zeros(args) -> int:
     return 0
 
 
-def _count_mismatch(table: ZeroTable, T: float, n: int) -> bool:
-    """Whether table counts up to T other than n, Turing's N(T), by an
-    ordinate beyond its abs_err of T; if so, CountMismatch is emitted."""
-    listed = count_up_to(table, T)
-    lo, hi = sorted((n, listed))
-    # only an ordinate within its abs_err of T may lie on the other side of T
-    if mismatch := (abs(table.gammas[lo:hi] - T) > table.abs_err[lo:hi]).any():
-        _emit({"error": "CountMismatch", "T": T, "N": n, "table_N": listed,
-               "message": f"the table counts {listed} ordinates up to T={T}, "
-                          f"Turing's method certifies {n}"}, "json", None)
-    return mismatch
-
-
 def _cmd_count(args) -> int:
-    f = big_f(args.at)  # rejects an invalid height before any table work
-    r = big_r(args.at)
-    n = certified_count(args.at)[0]
-    if args.table and _count_mismatch(load_table(args.table), args.at, n):
-        return 1
+    f, r = big_f(args.at), big_r(args.at)  # reject an invalid height before any table work,
+    n = (checked_count(load_table(args.table), args.at) if args.table and args.at <= 1e6
+         else certified_count(args.at)[0])  # as certified_count does one past 1e6
     ok = abs(n - f) <= r
     report = {
         "command": "count",
@@ -168,8 +153,8 @@ def _cmd_count(args) -> int:
 def _cmd_sum(args) -> int:
     m = main_term(args.at)  # rejects an invalid height before any table work
     table = _resolve_table(args.table, max(args.at, 20.0))
-    if args.at >= 2.0 and _count_mismatch(table, args.at, certified_count(args.at)[0]):
-        return 1
+    if args.at >= 2.0:  # no zero lies below 2
+        checked_count(table, args.at)
     a = a_of_t(table, args.at)
     report = {
         "command": "sum",
@@ -205,8 +190,7 @@ def _cmd_constants(args) -> int:
 def _cmd_verify(args) -> int:
     check_sweep_range(args.t_min, args.t_max, args.samples)
     table = _resolve_table(args.table, args.t_max)
-    if _count_mismatch(table, args.t_max, certified_count(args.t_max)[0]):
-        return 1
+    checked_count(table, args.t_max)
     sweep = theorem_sweep(table, args.t_min, args.t_max, args.samples)
     passed = sweep.all_lower_ok and sweep.all_upper_ok
     if args.format == "csv":
@@ -307,9 +291,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ZgbError, OSError) as exc:
-        error = {"error": type(exc).__name__, "message": str(exc)}
+        failed = isinstance(exc, CountMismatch)  # a failed check, not an invalid input
+        error = {"error": type(exc).__name__, "message": str(exc), **(vars(exc) if failed else {})}
         sys.stdout.write(json.dumps(error, indent=2, sort_keys=True) + "\n")
-        return 2
+        return 1 if failed else 2
 
 
 if __name__ == "__main__":

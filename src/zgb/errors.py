@@ -35,5 +35,14 @@ class AuditError(ZgbError, RuntimeError):
         super().__init__(message)
 
 
+class CountMismatch(ZgbError, RuntimeError):
+    """A table counts other than Turing's N at T, by an ordinate beyond its abs_err of T."""
+
+    def __init__(self, T: float, N: int, table_N: int):
+        self.T, self.N, self.table_N = T, N, table_N
+        super().__init__(f"the table counts {table_N} ordinates up to T={T}, "
+                         f"Turing's method certifies {N}")
+
+
 class ValidationError(ZgbError, RuntimeError):
     """Cross-validation between two zero tables failed fatally."""

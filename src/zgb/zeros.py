@@ -17,15 +17,14 @@ Z of zeta.hardy_z_many.  The finished table is audited two ways:
 
 * Rosser envelope (independent cross-check): |N(T) - F(T)| <= R(T) at the
   top height and at 100 intermediate heights.
-* Turing certificate: certified_count(t_max), the same Gram-block routine on
-  the blocks around t_max alone, and the table must hold exactly that many
-  ordinates up to t_max.
+* Turing certificate: certified_count(t_max), which the table's count up to
+  t_max must match by _count_agrees, the one count rule.
 
 A table runs its audit on the first read of ZeroTable.audit; a failure of
 either check fails it, build_table then raises AuditError, and count_up_to,
 the gate of every query that reads a table's ordinates, refuses the table.
-N(T) itself needs no table: certified_count(T) is the one route from a count
-to the local scan.  A multiple zero shows no sign change of its own, so it
+N(T) needs no table: certified_count(T) is the one route to the local scan,
+and checked_count holds a table to it by the same rule.  A multiple zero
 would surface as a block that stays short, not as a wrong table.
 """
 
@@ -36,7 +35,7 @@ import math
 import os
 import re
 import uuid
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -45,7 +44,7 @@ import numpy as np
 
 from . import __version__, zeta
 from .bounds import big_f, big_r
-from .errors import AuditError, ConvergenceError, CoverageError, DomainError, TableFormatError
+from .errors import AuditError, ConvergenceError, CountMismatch, CoverageError, DomainError, TableFormatError
 
 TWO_PI = 2.0 * math.pi
 
@@ -515,9 +514,26 @@ def certified_count(T: float) -> tuple[int, int]:
     return n, k
 
 
+def _count_agrees(table: ZeroTable, T: float, n: int) -> bool:
+    """The one count rule: table counts n ordinates up to T, or it holds every
+    ordinate between its count and n, each within its abs_err of T."""
+    lo, hi = sorted((n, table.count_at(T)))
+    return hi <= len(table) and not (abs(table.gammas[lo:hi] - T) > table.abs_err[lo:hi]).any()
+
+
+def checked_count(table: ZeroTable, T: float) -> int:
+    """N(T) for a table past count_up_to's gate that agrees with it by
+    _count_agrees, else CountMismatch; at t_max, the audit's, with no scan."""
+    n = table.audit.certified_count if T == table.t_max else certified_count(T)[0]
+    listed = count_up_to(table, T)
+    if not _count_agrees(table, T, n):
+        raise CountMismatch(T, n, listed)
+    return n
+
+
 def audit_completeness(table: ZeroTable) -> AuditReport:
-    """Check a table against the Rosser envelope and the Turing-certified
-    zero count at t_max."""
+    """Check a table against the Rosser envelope and, by _count_agrees, the
+    Turing-certified zero count at t_max."""
     t_max = table.t_max
     heights = np.append(np.linspace(2.0, t_max, 102)[1:-1], t_max)
     envelope = [(h, n, big_f(h), big_r(h))
@@ -527,7 +543,7 @@ def audit_completeness(table: ZeroTable) -> AuditReport:
     return AuditReport(t_max=t_max, count=len(table), envelope_ok=not failures,
                        envelope_failures=failures, certified_count=certified,
                        turing_blocks=k,
-                       passed=not failures and table.count_at(t_max) == certified)
+                       passed=not failures and _count_agrees(table, t_max, certified))
 
 
 def build_table(t_max: float) -> ZeroTable:
@@ -605,21 +621,21 @@ def save_table(table: ZeroTable, path: str | Path) -> None:
 def _as_saved(table: ZeroTable) -> ZeroTable:
     """The table load_table gives for the files save_table writes of table:
     _printed's slices read back by _parse_lines, t_max as the sidecar keeps it."""
-    gammas, decimals = _parse_lines(lambda: (s.decode() for s in _printed(table.gammas)))
+    gammas, decimals = _parse_lines(s.decode() for s in _printed(table.gammas))
     return ZeroTable(gammas, np.full(gammas.size, 10.0 ** -decimals), table.t_max)
 
 
-def _parse_lines(blocks: Callable[[], Iterable[str]]) -> tuple[np.ndarray, int]:
-    """The one parser of table lines: the ordinates of the text that blocks()
-    gives, anew at each call, in blocks of whole lines, and the fewest
-    decimals on a line.  Detection runs on a block's whole columns (bulk
-    parse, field counts, finiteness, strict rise), carrying the layout and
-    the last ordinate across seams.  Only if a block fails does one loop walk
-    the whole text's lines, a line's checks in the order field count, layout,
-    decimal, finite, increasing, and raise at the first failing line; numpy
-    parses a token as float() does, so the loop finds what detection saw."""
-    parts, n_cols, decimals = [np.full(1, -math.inf)], 0, math.inf  # -inf below the first
-    for block in blocks():
+def _parse_lines(blocks: Iterable[str]) -> tuple[np.ndarray, int]:
+    """The one parser of table lines: the ordinates of the text blocks gives
+    in blocks of whole lines, and the fewest decimals on a line.  Detection
+    runs on a block's whole columns (bulk parse, field counts, finiteness,
+    strict rise), carrying the layout and the last ordinate across seams.
+    Only the first block that fails is walked, line by line from its number,
+    both carried in, checking field count, layout, decimal, finite, increasing;
+    numpy parses a token as float() does, so the walk finds what detection saw."""
+    parts, n_cols, decimals, seen = [np.full(1, -math.inf)], 0, math.inf, 0  # -inf below the first
+    for block in blocks:
+        first, seen = seen + 1, seen + block.count("\n")  # the block's first line number
         if not (fields := [f for f in map(str.split, block.split("\n")) if f]):
             continue
         tokens = [f[-1] for f in fields]
@@ -638,8 +654,8 @@ def _parse_lines(blocks: Callable[[], Iterable[str]]) -> tuple[np.ndarray, int]:
         parts.append(values)
     else:  # a column of its own, past the sentinel, that a table can share
         return np.concatenate(parts[1:]) if len(parts) > 1 else np.empty(0), decimals
-    prev = -math.inf
-    for line, f in enumerate(map(str.split, "".join(blocks()).split("\n")), start=1):
+    prev = float(parts[-1][-1])
+    for line, f in enumerate(map(str.split, block.split("\n")), start=first):
         if not f:
             continue
         got, token = len(f), f[-1]
@@ -668,7 +684,7 @@ def _read_ordinates(path: str | Path, digest: bool = False) -> tuple[np.ndarray,
     A line holds one decimal ordinate, alone or after an index column, or
     nothing; anything else, or a first ordinate not near 14.1347, raises.
     _parse_lines reads the text a block at a time, so no object a line of
-    the whole file is held while every line passes.
+    the whole file is held, whether or not a line fails.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -682,7 +698,7 @@ def _read_ordinates(path: str | Path, digest: bool = False) -> tuple[np.ndarray,
     # blocks of whole lines, each to the first line end from 16 * _SCAN_CHUNK
     # bytes on: about _SCAN_CHUNK table lines
     whole_lines = re.compile(rb".{0,%d}[^\n]*\n?" % (16 * _SCAN_CHUNK), re.S)
-    values, decimals = _parse_lines(lambda: (m[0].decode() for m in whole_lines.finditer(lines)))
+    values, decimals = _parse_lines(m[0].decode() for m in whole_lines.finditer(lines))
     if not values.size:
         raise TableFormatError(f"no ordinates found in {path}")
     if abs(values[0] - _SANITY_FIRST) > _SANITY_TOL:

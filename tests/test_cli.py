@@ -18,6 +18,7 @@ import pytest
 import zgb
 from zgb import cli, zeros
 from zgb.cli import VERIFY_CSV_COLUMNS, main
+from zgb.errors import TableFormatError
 from zgb.zeros import ZeroTable, certified_count, save_table, sidecar_path
 
 
@@ -469,6 +470,100 @@ def test_reference_file_agrees_with_the_certificate(capsys, reference_path):
         assert code == 0, out
         assert json.loads(out)["N"] == certified_count(at)[0]
     assert certified_count(25.01085758)[0] == table.count_at(25.01085758) - 1
+
+
+#: 1e-10 above gamma_5 = 32.9350615877..., which prints as 32.935061588:
+#: 1.6e-10 above this height, within its printed abs_err of 1e-9
+JUST_ABOVE_GAMMA_5 = "32.9350615878392"
+
+
+def test_a_table_written_just_above_an_ordinate_answers_every_query(capsys, tmp_path,
+                                                                    monkeypatch):
+    # zgb zeros audits the table as built, with gamma_5 below t_max; the file
+    # counts 4 ordinates up to t_max where Turing's method certifies 5, and
+    # by the one count rule either count may hold, for the audit and for
+    # the check of each query at its height alike
+    monkeypatch.delenv("ZGB_TABLE_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "zeros.txt"
+    code, out = run_cli(capsys, "zeros", "--t-max", JUST_ABOVE_GAMMA_5, "--out", str(path))
+    assert (code, json.loads(out)["audited"]) == (0, True)
+    T = JUST_ABOVE_GAMMA_5
+    queries = [("sum", "--at", T), ("count", "--at", T), ("verify", "--t-max", T)]
+    given = [run_cli(capsys, *q, "--table", str(path)) for q in queries]
+    assert [code for code, _ in given] == [0, 0, 0], given
+    assert json.loads(given[1][1])["N"] == 5
+    # with no cache, sum and verify build the table and answer as saved
+    cold = [run_cli(capsys, *q) for q in (queries[0], queries[2])]
+    assert cold == [given[0], given[2]]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["zeros.txt", "zeros.txt.meta.json"]
+
+
+@pytest.mark.parametrize("cache, argv, scans", [
+    # the audit's scan at the table's t_max serves a check there too
+    ("cached", ["verify", "--t-max", "1e4"], 1),
+    ("table", ["count", "--at", "1000"], 1),
+    # the built table and the table as saved each audit at t_max
+    ("cold", ["sum", "--at", "1000"], 2),
+    ("cold", ["verify", "--t-max", "1000"], 2),
+    # below t_max: the audit's scan at t_max and the check's at T
+    ("cached", ["sum", "--at", "5000"], 2),
+    ("cached", ["verify", "--t-max", "5000"], 2),
+    ("table", ["count", "--at", "500"], 2),
+], ids=lambda v: "-".join(v) if isinstance(v, list) else str(v))
+def test_each_query_runs_turings_method_once_a_table_and_height(capsys, tmp_path, monkeypatch,
+                                                               table1000, table10000,
+                                                               cache, argv, scans):
+    monkeypatch.delenv("ZGB_TABLE_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    if cache == "cached":
+        save_table(table10000, tmp_path / "zeros_10000.txt")
+        monkeypatch.setenv("ZGB_TABLE_DIR", str(tmp_path))
+    elif cache == "table":
+        save_table(table1000, tmp_path / "zeros1000.txt")
+        argv = [*argv, "--table", str(tmp_path / "zeros1000.txt")]
+    heights, scan = [], zeros._gram_scan
+    monkeypatch.setattr(zeros, "_gram_scan", lambda lo, hi: heights.append(hi) or scan(lo, hi))
+    code, out = run_cli(capsys, *argv)
+    assert code == 0, out
+    assert len(heights) == scans, heights
+
+
+def test_a_save_cut_between_table_and_sidecar_is_refused_until_saved_again(capsys, tmp_path,
+                                                                           monkeypatch, table100):
+    # save_table replaces the table file, then its sidecar: a save that fails
+    # between the two leaves one table's file under another's sidecar
+    path = tmp_path / "zeros_50.txt"
+    table50 = ZeroTable(table100.gammas[:10], table100.abs_err[:10], 50.0)
+    replace = os.replace
+
+    def table_only(src, dst):
+        if str(dst).endswith(".meta.json"):
+            raise OSError(28, "No space left on device")
+        replace(src, dst)
+
+    def cut(old, new):
+        save_table(old, path)
+        with monkeypatch.context() as mp:
+            mp.setattr(os, "replace", table_only)
+            with pytest.raises(OSError):
+                save_table(new, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["zeros_50.txt",
+                                                              "zeros_50.txt.meta.json"]
+        with pytest.raises(TableFormatError) as exc:
+            zeros.load_table(path)
+        assert str(sidecar_path(path)) in str(exc.value)
+
+    cut(table50, table100)
+    save_table(table100, path)  # the save again clears it
+    assert zeros.load_table(path).gammas.tobytes() == zeros._as_saved(table100).gammas.tobytes()
+    # a cache entry left so is built again
+    cut(table100, table50)
+    monkeypatch.setenv("ZGB_TABLE_DIR", str(tmp_path))
+    code, out = run_cli(capsys, "sum", "--at", "50")
+    assert code == 0, out
+    assert json.loads(out)["A"] == pytest.approx(A_50, abs=1e-9)
+    assert len(zeros.load_table(path)) == 10
 
 
 def test_count_csv_single_row(capsys, reference_path):

@@ -377,12 +377,34 @@ def test_bulk_parser_finds_a_fault_that_opens_a_later_block(tmp_path, monkeypatc
     path.write_text("\n".join(lines) + "\n")
     parse, blocks = zeros._parse_lines, []
     monkeypatch.setattr(zeros, "_parse_lines",
-                        lambda make: (blocks.append(list(make())), parse(make))[1])
+                        lambda given: (blocks.append(list(given)), parse(blocks[-1]))[1])
     with pytest.raises(TableFormatError) as exc:
         _read_in_blocks(1, path)
     assert (str(exc.value), exc.value.line) == (f"line 5: {line}", 5)
     assert _outcome(_read_in_blocks, 1, path) == _outcome(_read_ordinates_by_line, path)
     assert [b.count("\n") for b in blocks[0][:2]] == [2, 2]  # line 5 opens block 3
+
+
+def test_bulk_parser_walks_only_the_first_failing_block():
+    # the fault's block is walked alone, its lines numbered on from the two
+    # blocks before it (a blank line among them), with the last ordinate
+    # carried in; no block is read twice and none after it is read
+    from zgb import zeros
+
+    text = ["14.134725142\n21.022039639\n", "\n25.010857580\n", "30.424876126\n25.0\n",
+            "not read\n"]
+    read = []
+
+    def blocks():
+        for i, block in enumerate(text):
+            read.append(i)
+            yield block
+
+    with pytest.raises(TableFormatError) as exc:
+        zeros._parse_lines(blocks())
+    assert (str(exc.value), exc.value.line) == (
+        "line 6: ordinates must increase strictly: 25.0 after 30.424876126", 6)
+    assert read == [0, 1, 2]
 
 
 def test_parsing_builds_no_ordinate_records(reference_path, monkeypatch):

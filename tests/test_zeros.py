@@ -21,6 +21,7 @@ from zgb import ingestion, zeros, zeta
 from zgb.errors import (
     AuditError,
     ConvergenceError,
+    CountMismatch,
     CoverageError,
     DomainError,
     TableFormatError,
@@ -32,6 +33,7 @@ from zgb.zeros import (
     audit_completeness,
     build_table,
     certified_count,
+    checked_count,
     count_up_to,
     isolate_zeros,
     load_table,
@@ -937,6 +939,47 @@ def test_audit_empty_table_low_coverage():
     assert report.passed
 
 
+def test_a_table_built_just_above_an_ordinate_passes_its_audit_as_saved(table100, tmp_path):
+    # gamma_5 = 32.9350615877... lies below t_max, 1e-10 above it, and prints
+    # as 32.935061588, above t_max but within its printed abs_err of 1e-9:
+    # as saved the table counts 4 up to t_max where Turing's method
+    # certifies 5, and the one count rule lets either count hold
+    t_max = float(table100.gammas[4]) + 1e-10
+    table = build_table(t_max)
+    path = tmp_path / "zeros.txt"
+    save_table(table, path)
+    for saved in (zeros._as_saved(table), load_table(path)):
+        assert saved.t_max == t_max and saved.gammas[4] == 32.935061588 > t_max
+        assert (saved.count_at(t_max), saved.audit.certified_count) == (4, 5)
+        assert saved.audited
+
+
+def test_audit_refuses_a_count_that_no_ordinate_within_its_error_explains(table100):
+    # a table short of its top ordinate has no ordinate to excuse the count
+    # Turing's method certifies, and a spurious one 0.1 below t_max lies far
+    # beyond its abs_err: either count fails the one count rule
+    for gammas in (table100.gammas[:28], np.append(table100.gammas, 99.9)):
+        table = ZeroTable(gammas, np.full(len(gammas), 1e-9), 100.0)
+        assert table.audit.envelope_ok and table.audit.certified_count == 29
+        assert not table.audited, len(gammas)
+
+
+def test_checked_count_gates_then_holds_the_table_to_turings_count(table100, monkeypatch):
+    g5 = float(table100.gammas[4])
+    assert checked_count(table100, g5) == 5
+    with pytest.raises(CoverageError):
+        checked_count(table100, 101.0)
+    moved = table100.gammas.copy()
+    moved[4] += 1e-6  # beyond its abs_err of g5: the table counts 4 there
+    with pytest.raises(CountMismatch, match="counts 4 ordinates up to T=.*certifies 5") as exc:
+        checked_count(ZeroTable(moved, table100.abs_err, 100.0), g5)
+    assert (exc.value.T, exc.value.N, exc.value.table_N) == (g5, 5, 4)
+    # at t_max the audit has counted by the same rule: no scan runs again
+    assert table100.audited
+    monkeypatch.setattr(zeros, "_gram_scan", None)
+    assert checked_count(table100, 100.0) == 29
+
+
 def test_audit_takes_its_count_from_the_certificate(table100, monkeypatch):
     # certified_count is the one route from a count to the local scan
     monkeypatch.setattr(zeros, "certified_count", lambda T: (28, 5))
@@ -999,8 +1042,11 @@ def test_saving_and_loading_a_1e6_sized_table_stay_within_their_memory(child, tm
     # 1,747,146 rows, as many as the 1e6 table, written and read a slice at
     # a time: save_table adds about 5 MB to the table's resident set, where
     # printing the whole file at once added 90 MB, and load_table peaks at
-    # about 140 MB, where parsing the whole file at once took 690 MB.  The
-    # audit of this synthetic table fails, and neither call needs it to pass
+    # about 140 MB, where parsing the whole file at once took 690 MB.  A
+    # file whose last line is bad stays within that bound too: only its
+    # failing block is walked line by line, where walking the whole text
+    # peaked at about 270 MB.  The audit of this synthetic table fails, and
+    # no call here needs it to pass
     path = tmp_path / "zeros.txt"
     rss = ("[int(line.split()[1]) for line in open('/proc/self/status') "
            "if line.startswith('VmRSS:')][0]")
@@ -1012,6 +1058,15 @@ def test_saving_and_loading_a_1e6_sized_table_stay_within_their_memory(child, tm
         "print(before)")
     assert peak - int(out) <= 20 * 1024  # KiB
     out, peak = child(f"from zgb import zeros\nprint(len(zeros.load_table({str(path)!r})))")
+    assert out == "1747146"
+    assert peak < 200 * 1024  # KiB
+    bad = tmp_path / "bad.txt"  # no sidecar: the parse alone decides
+    bad.write_bytes(path.read_bytes().rstrip(b"\n").rpartition(b"\n")[0] + b"\n14.0\n")
+    out, peak = child("from zgb import zeros\n"
+                      "try:\n"
+                      f"    zeros.load_table({str(bad)!r})\n"
+                      "except zeros.TableFormatError as exc:\n"
+                      "    print(exc.line)")
     assert out == "1747146"
     assert peak < 200 * 1024  # KiB
 
