@@ -80,8 +80,7 @@ def main_term(T: float | np.ndarray) -> float | np.ndarray:
     if not (1 < lowest and highest < math.inf):  # True for a NaN T too
         raise DomainError(f"main_term requires finite T > 1, "
                           f"got {highest if lowest > 1 else lowest}")
-    lt = (np.array([math.log(t) for t in T.ravel().tolist()]).reshape(T.shape) if many
-          else math.log(T))
+    lt = np.fromiter(map(math.log, T.flat), float, T.size).reshape(T.shape) if many else math.log(T)
     out = lt * lt / FOUR_PI - LOG_2PI * lt / TWO_PI
     return np.asarray(out) if many else out  # numpy makes a 0-d result a scalar
 

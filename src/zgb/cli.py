@@ -21,9 +21,9 @@ At the top height a table failing checked_count, the audit's rule, exits 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import json
 import math
 import os
@@ -36,7 +36,7 @@ from .bounds import big_f, big_r, compute_constants, main_term
 from .errors import CountMismatch, TableFormatError, ZgbError
 from .ingestion import cross_validate, parse_reference
 from .summation import a_of_t, check_sweep_range, theorem_sweep
-from .zeros import (ZeroTable, _as_saved, build_table, certified_count, checked_count,
+from .zeros import (T_TOP, ZeroTable, _as_saved, build_table, certified_count, checked_count,
                     load_table, save_table)
 
 ENV_TABLE_DIR = "ZGB_TABLE_DIR"
@@ -59,7 +59,8 @@ def _resolve_table(path: str | None, needed_t_max: float) -> ZeroTable:
 
     A cached table that fails to load with TableFormatError, fails its
     audit, or covers less than its file name says (the name rounds t_max to
-    six digits), is rebuilt and saved over.  A table built here, cached or
+    six digits), is rebuilt and saved over; one named above T_TOP, which no
+    build reaches, is left alone.  A table built here, cached or
     not, is returned as saved (_as_saved), so a query answers alike from a
     build, the cache or a --table file of that table.  A --table file is
     used as given, and the query's first count runs its audit.
@@ -74,7 +75,7 @@ def _resolve_table(path: str | None, needed_t_max: float) -> ZeroTable:
                 t = float(f.stem.split("_", 1)[1])
             except ValueError:
                 continue
-            if t >= needed_t_max:
+            if needed_t_max <= t <= T_TOP:
                 candidates.append((t, f))
         if candidates:
             t, f = min(candidates)
@@ -93,25 +94,25 @@ def _resolve_table(path: str | None, needed_t_max: float) -> ZeroTable:
 
 
 def _emit(report: dict, fmt: str, out: str | None, rows=None, columns=None) -> None:
-    if fmt == "csv":
-        buf = io.StringIO()
-        if rows is None:  # one row; a nested dict spreads over "<key>.<field>" columns
-            flat = {}
-            for k, v in report.items():
-                flat.update({f"{k}.{f}": x for f, x in v.items()}
-                            if isinstance(v, dict) else {k: v})
-            columns = sorted(flat)
-            rows = [[flat[k] for k in columns]]
-        writer = csv.writer(buf)
-        writer.writerow(columns)
-        writer.writerows(rows)
-        text = buf.getvalue()
-    else:
+    """The one printer of reports and error objects, to --out or stdout: JSON
+    whole, before --out opens, so a refused report truncates none; CSV a row at a time."""
+    if fmt == "json":
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    elif rows is None:  # one row; a nested dict spreads over "<key>.<field>" columns
+        flat = {}
+        for k, v in report.items():
+            flat.update({f"{k}.{f}": x for f, x in v.items()}
+                        if isinstance(v, dict) else {k: v})
+        columns = sorted(flat)
+        rows = [[flat[k] for k in columns]]
+    with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
+        if fmt == "json":
+            fh.write(text)
+        else:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows(rows)
+        fh.flush()  # a closed stdout fails here, inside main, not at exit
 
 
 def _cmd_zeros(args) -> int:
@@ -135,8 +136,8 @@ def _cmd_zeros(args) -> int:
 
 def _cmd_count(args) -> int:
     f, r = big_f(args.at), big_r(args.at)  # reject an invalid height before any table work,
-    n = (checked_count(load_table(args.table), args.at) if args.table and args.at <= 1e6
-         else certified_count(args.at)[0])  # as certified_count does one past 1e6
+    n = (checked_count(load_table(args.table), args.at) if args.table and args.at <= T_TOP
+         else certified_count(args.at)[0])  # as certified_count does one past T_TOP
     ok = abs(n - f) <= r
     report = {
         "command": "count",
@@ -290,10 +291,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader left: silence what stdout still holds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (ZgbError, OSError) as exc:
         failed = isinstance(exc, CountMismatch)  # a failed check, not an invalid input
         error = {"error": type(exc).__name__, "message": str(exc), **(vars(exc) if failed else {})}
-        sys.stdout.write(json.dumps(error, indent=2, sort_keys=True) + "\n")
+        _emit(error, "json", None)
         return 1 if failed else 2
 
 

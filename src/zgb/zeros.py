@@ -55,6 +55,9 @@ REFINE_FLOOR = 1e-4
 #: Turing's method is proven for Gram blocks from here up (Lehman 1970).
 TURING_MIN = 168.0 * math.pi
 
+#: The top of every table, isolation and certified count.
+T_TOP = 1e6
+
 
 @dataclass(frozen=True)
 class ZeroOrdinate:
@@ -386,7 +389,7 @@ def isolate_zeros(t_lo: float, t_hi: float) -> list[tuple[float, float]]:
         raise DomainError(f"isolate_zeros requires t_lo >= 2, got {t_lo}")
     if not t_hi > t_lo:
         raise DomainError("isolate_zeros requires t_hi > t_lo")
-    if t_hi > 1e6:
+    if t_hi > T_TOP:
         raise DomainError("isolate_zeros validated for t_hi <= 1e6")
     rows = _gram_scan(t_lo, t_hi)[1]
     ends, where = np.unique(rows[:, :2], return_inverse=True)
@@ -508,7 +511,7 @@ def certified_count(T: float) -> tuple[int, int]:
     still answers while its blocks fit below zeta.Z_TOP, but no table or
     isolation reaches there, so T must lie in [2, 1e6].
     """
-    if not 2.0 <= T <= 1e6:  # NaN fails too
+    if not 2.0 <= T <= T_TOP:  # NaN fails too
         raise DomainError(f"certified_count requires 2 <= T <= 1e6, got {T}")
     n, _, k = _gram_scan(T, T)
     return n, k
@@ -548,7 +551,7 @@ def audit_completeness(table: ZeroTable) -> AuditReport:
 
 def build_table(t_max: float) -> ZeroTable:
     """Isolate and refine, chunk by chunk, every ordinate up to t_max into an audited table."""
-    if not 20.0 <= t_max <= 1e6:
+    if not 20.0 <= t_max <= T_TOP:
         raise DomainError(f"build_table requires 20 <= t_max <= 1e6, got {t_max}")
     zeros = np.concatenate([_refine_many(rows) for _, rows, _ in _gram_chunks(2.0, t_max)])
     table = ZeroTable(zeros[:, 0], zeros[:, 1], t_max)

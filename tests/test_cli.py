@@ -224,6 +224,60 @@ def test_report_to_file(tmp_path, capsys, reference_path):
     assert json.loads(dest.read_text())["T"] == 50.0
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(("verify", "--t-max", "990", "--samples", "50"), id="verify-json"),
+    pytest.param(("verify", "--t-max", "990", "--samples", "50", "--format", "csv"),
+                 id="verify-csv"),
+    pytest.param(("sum", "--at", "50", "--format", "csv"), id="sum-csv"),
+    pytest.param(("count", "--at", "100"), id="count-json"),
+    pytest.param(("constants", "--format", "csv"), id="constants-csv"),
+    pytest.param(("ingest", "--file", "{ref}", "--format", "csv"), id="ingest-csv"),
+])
+def test_a_report_to_file_has_the_bytes_of_stdout(tmp_path, capsysbinary, reference_path, argv):
+    argv = [arg.format(ref=reference_path) for arg in argv]
+    if argv[0] != "constants":
+        argv += ["--table", str(reference_path)]
+    dest = tmp_path / "report"
+    assert main(argv) == 0
+    printed = capsysbinary.readouterr().out
+    assert main(argv + ["--out", str(dest)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert dest.read_bytes() == printed
+
+
+def test_a_csv_verify_streams_its_rows_to_the_file(child, tmp_path, table10000):
+    # 220,285 rows (27 MB of text) go to --out as the writer takes them: no
+    # whole text in memory, so the CSV report costs what the JSON one does
+    table = tmp_path / "zeros_1e4.txt"
+    save_table(table10000, table)
+    peaks = {}
+    for fmt in ("json", "csv"):
+        argv = ["verify", "--t-min", "2", "--t-max", "1e4", "--samples", "200000",
+                "--table", str(table), "--format", fmt, "--out", str(tmp_path / f"r.{fmt}")]
+        _, peaks[fmt] = child(f"from zgb.cli import main\nassert main({argv!r}) == 0")
+    assert peaks["csv"] <= peaks["json"] + 10 * 1024, peaks  # KiB
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("verify", "--t-max", "990", "--format", "csv"), id="verify-csv"),  # 218 KB
+    pytest.param(("count", "--at", "100"), id="count-json"),  # fits stdout's buffer
+])
+def test_a_closed_stdout_exits_2_in_silence(reference_path, argv):
+    # the reader of stdout has left before zgb writes: no traceback, and no
+    # error object to a pipe that takes none, only exit 2
+    env = dict(os.environ, PYTHONPATH=str(Path(zgb.__file__).parents[1]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, zgb.cli; sys.exit(zgb.cli.main(sys.argv[1:]))",
+             *argv, "--table", str(reference_path)],
+            env=env, stdout=write, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (2, b"")
+
+
 #: A(25) and A(50): the sums of 1/gamma over the first two and ten ordinates as saved
 A_25, A_50 = 0.11831687346202022, 0.3365765802666088
 
@@ -284,6 +338,19 @@ def test_cache_entry_named_above_its_coverage_is_rebuilt(tmp_path, capsys, monke
     code, out = run_cli(capsys, "sum", "--at", "1234.569")
     assert code == 0, out
     assert json.loads(out)["T"] == 1234.569
+
+
+def test_cache_entries_named_above_the_top_are_left_alone(tmp_path, capsys, monkeypatch):
+    # no build reaches 2e6 or inf, so such a file is neither read nor rebuilt:
+    # a query builds its own table beside it
+    monkeypatch.setenv("ZGB_TABLE_DIR", str(tmp_path))
+    above = {tmp_path / name: b"not a table\n" for name in ("zeros_2e+06.txt", "zeros_inf.txt")}
+    for path, data in above.items():
+        path.write_bytes(data)
+    code, out = run_cli(capsys, "sum", "--at", "50")
+    assert code == 0, out
+    assert json.loads(out)["A"] == pytest.approx(A_50, abs=1e-9)
+    assert {path: path.read_bytes() for path in above} == above
 
 
 @pytest.mark.parametrize("fmt, digest", [
